@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Trace
+from .solver import Trace, _memory_force_coeffs, extra_damping
 
 __all__ = [
     "InsufficientData",
@@ -222,11 +222,9 @@ def check_memory_identity(trace: Trace, s_start: float, t_end: float,
         return IdentityCheckResult(residual=0.0, lhs=0.0, rhs=0.0,
                                    n_snapshots=len(snaps))
     mu_tilde = kernel.mu_tilde
-    s_inner = disc.s_nodes[1:]
-    w_mu = disc.s_weights[1:] * kernel.value(s_inner)
-    w_mu_prime = disc.s_weights[1:] * kernel.derivative(s_inner)
-    damp = params.theta * abs(params.k) * math.exp(disc.tau) \
-        if params.mode == "auxiliary" else 0.0
+    w_mu = _memory_force_coeffs(params, disc)
+    w_mu_prime = disc.s_weights[1:] * kernel.derivative(disc.s_nodes[1:])
+    damp = extra_damping(params, disc)
 
     times = np.array([s.t for s in snaps])
     ut_sq = np.empty(times.size)        # ||u_t||^2

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +121,18 @@ def _get_int(doc: dict, key: str, default, path: str, minimum=None):
     return value
 
 
+def _get_number_list(doc: dict, key: str, above: float | None = None) -> list[float]:
+    values = doc[key]
+    _require(isinstance(values, list) and values, key,
+             "expected a non-empty list of numbers")
+    message = "expected a number" if above is None else f"expected a number > {above:g}"
+    for i, v in enumerate(values):
+        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
+                 and (above is None or float(v) > above),
+                 f"{key}[{i}]", message)
+    return [float(v) for v in values]
+
+
 def _get_choice(doc: dict, key: str, default, path: str, choices):
     if key not in doc:
         return default
@@ -212,13 +224,7 @@ def parse_config(doc: dict) -> RunConfig:
     _require(cfg.cfl <= 0.5, "cfl", "must be <= 0.5 (explicit scheme stability)")
 
     if "k_values" in doc:
-        values = doc["k_values"]
-        _require(isinstance(values, list) and values, "k_values",
-                 "expected a non-empty list of numbers")
-        for i, v in enumerate(values):
-            _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                     f"k_values[{i}]", "expected a number")
-        cfg.k_values = [float(v) for v in values]
+        cfg.k_values = _get_number_list(doc, "k_values")
         for key in ("k_min", "k_max", "count"):
             _require(key not in doc, key, "mutually exclusive with k_values")
     elif any(key in doc for key in ("k_min", "k_max", "count")):
@@ -230,14 +236,7 @@ def parse_config(doc: dict) -> RunConfig:
         _require(k_max > k_min, "k_max", "must exceed k_min")
         cfg.k_values = [float(v) for v in np.linspace(k_min, k_max, count)]
     if "theta_values" in doc:
-        values = doc["theta_values"]
-        _require(isinstance(values, list) and values, "theta_values",
-                 "expected a non-empty list of numbers")
-        for i, v in enumerate(values):
-            _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                     and float(v) > 1.0,
-                     f"theta_values[{i}]", "expected a number > 1")
-        cfg.theta_values = [float(v) for v in values]
+        cfg.theta_values = _get_number_list(doc, "theta_values", above=1.0)
     return cfg
 
 
@@ -469,14 +468,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
 
 def _sweep_row(cfg: RunConfig, k: float) -> analysis.SweepRow:
     try:
-        params = solver.ModelParams(
-            length=cfg.length, tau=cfg.tau, k=k, theta=cfg.theta,
-            kernel=cfg.kernel, mode=cfg.mode,
-            delay_realization=cfg.delay_realization,
-            memory_realization=cfg.memory_realization,
-        )
-        disc = solver.discretize(params, nx=cfg.nx, cfl=cfg.cfl, ns=cfg.ns,
-                                 tail_tol=cfg.tail_tol)
+        row_cfg = replace(cfg, k=k)
+        params = row_cfg.params()
+        disc = row_cfg.discretize()
         trace = solver.run(params, cfg.init, disc, cfg.horizon,
                            sample_every=cfg.sample_every)
         if trace.aborted_step is not None:
@@ -530,13 +524,14 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
     if cfg.horizon is None:
         raise ConfigError("T", "sweep needs a horizon")
     ks = sorted(cfg.k_values)
+    # a refused discretization (e.g. a stiff kernel) fails before any stepping
+    resolved = resolved_config(cfg, cfg.discretize(), seed)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, [cfg] * len(ks), ks))
     else:
         rows = [_sweep_row(cfg, k) for k in ks]
 
-    resolved = resolved_config(cfg, cfg.discretize(), seed)
     lines = [f"# config {_config_comment(resolved)}", SWEEP_HEADER]
     for row in rows:
         lines.append(",".join([

@@ -30,7 +30,7 @@ first-order upwind rho-grid realization for cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,6 +62,9 @@ __all__ = [
 MODES = ("original", "auxiliary")
 DELAY_REALIZATIONS = ("ring_buffer", "rho_grid")
 MEMORY_REALIZATIONS = ("prony_modes", "eta_grid")
+
+# RK4's stability interval on the negative real axis is about [-2.785, 0]
+RK4_REAL_AXIS_LIMIT = 2.785
 
 
 class SolverError(RuntimeError):
@@ -216,6 +219,16 @@ def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
         n_hist = 0
     else:
         report = validate_kernel(params.kernel, tail_tol)
+        if params.memory_realization == "prony_modes":
+            # q_i' = u - b_i q_i is explicit in q_i: a mode faster than RK4's
+            # real-axis limit blows up and would read as physical growth
+            stiffness = dt * float(params.kernel.rates.max())
+            if stiffness > RK4_REAL_AXIS_LIMIT:
+                raise CflViolation(
+                    f"dt*max(b_i) = {stiffness:.4g} exceeds the RK4 stability limit "
+                    f"{RK4_REAL_AXIS_LIMIT} on the real axis (dt={dt:.4g}); "
+                    "refine the grid or lower the kernel rates"
+                )
         s_nodes = geometric_s_grid(report.s_max, ns, dx)
         s_weights = quadrature_weights(s_nodes)
         s_max = report.s_max
@@ -357,27 +370,28 @@ def build(params: ModelParams, init: InitialData, disc: Discretization) -> SimSt
     kernel = params.kernel
     if not kernel.is_empty:
         if params.memory_realization == "prony_modes":
-            state.q = np.stack([phi * init.memory_weight(b) for b in kernel.rates])
+            state.q = np.multiply.outer([init.memory_weight(b) for b in kernel.rates], phi)
             hist = RingBuffer(disc.n_hist, disc.nx)
-            for j in range(hist.capacity):
-                hist.data[j] = phi * init.history_factor(-j * disc.dt)
+            # scalar math.cos factors, not np.cos, keep the buffer bitwise as
+            # before; fromiter keeps no list of n_hist floats beside it
+            factors = np.fromiter((init.history_factor(-j * disc.dt)
+                                   for j in range(hist.capacity)), float, hist.capacity)
+            np.multiply.outer(factors, phi, out=hist.data)
             state.u_hist = hist
         else:
-            s_inner = disc.s_nodes[1:]
-            state.eta = np.stack(
-                [phi * (1.0 - init.history_factor(-s)) for s in s_inner]
+            state.eta = np.multiply.outer(
+                [1.0 - init.history_factor(-s) for s in disc.s_nodes[1:]], phi
             )
 
     if disc.n_delay > 0:
         vbuf = RingBuffer(disc.n_delay + 2, disc.nx)
-        for j in range(vbuf.capacity):
-            vbuf.data[j] = phi * init.history_rate(-j * disc.dt)
+        rates = np.fromiter((init.history_rate(-j * disc.dt)
+                             for j in range(vbuf.capacity)), float, vbuf.capacity)
+        np.multiply.outer(rates, phi, out=vbuf.data)
         state.v_hist = vbuf
         if params.delay_realization == "rho_grid":
             # z(x, rho_l, 0) = u_t history at -tau*rho_l; rho_l = l/n_delay, l >= 1
-            state.z_rho = np.stack(
-                [phi * init.history_rate(-l * disc.dt) for l in range(1, disc.n_delay + 1)]
-            )
+            state.z_rho = np.multiply.outer(rates[1:disc.n_delay + 1], phi)
     return state
 
 
@@ -396,20 +410,24 @@ def _memory_force_coeffs(params: ModelParams, disc: Discretization) -> np.ndarra
     return disc.s_weights[1:] * params.kernel.value(s)
 
 
-def _rhs(params: ModelParams, disc: Discretization, state: SimState,
-         u: np.ndarray, v: np.ndarray, mem, z, c: float):
-    """Stage derivative of (u, v, mem, z) at stage offset c in [0, 1]."""
-    k = params.k
-    damp = extra_damping(params, disc)
-
-    # delayed velocity z(., 1, t + c dt)
+def _delayed(params: ModelParams, disc: Discretization, state: SimState | None,
+             v: np.ndarray, z, c: float) -> np.ndarray:
+    """Delayed velocity z(., 1, t + c dt) for stage velocity v and delay field z."""
     if disc.n_delay == 0:
-        zd = v
-    elif params.delay_realization == "ring_buffer":
-        zd = state.v_hist.back_interp(disc.n_delay - c)
-    else:
-        zd = z[-1]
+        return v
+    if params.delay_realization == "ring_buffer":
+        return state.v_hist.back_interp(disc.n_delay - c)
+    return z[-1]
 
+
+def _rhs(params: ModelParams, disc: Discretization, state: SimState | None,
+         u: np.ndarray, v: np.ndarray, mem, z, c: float):
+    """Stage derivative of (u, v, mem, z) at stage offset c in [0, 1].
+
+    This is the one definition of the semi-discrete generator: ``step``
+    integrates it and ``dissipativity_spot_check`` takes its Rayleigh
+    quotient.  ``state`` is read only for the velocity ring buffer.
+    """
     if mem is None:
         dv = laplacian(u, disc.dx)
         dmem = None
@@ -428,8 +446,9 @@ def _rhs(params: ModelParams, disc: Discretization, state: SimState,
         upwind[1:] -= mem[:-1]
         dmem = v[None, :] - upwind / gaps[:, None]
 
-    if k != 0.0:
-        dv = dv - k * zd
+    if params.k != 0.0:
+        dv = dv - params.k * _delayed(params, disc, state, v, z, c)
+    damp = extra_damping(params, disc)
     if damp != 0.0:
         dv = dv - damp * v
 
@@ -496,11 +515,7 @@ def step(state: SimState, params: ModelParams, disc: Discretization) -> SimState
 def delayed_velocity(state: SimState, params: ModelParams,
                      disc: Discretization) -> np.ndarray:
     """z(., 1, t) at a whole-step time (bit-exact for the ring buffer)."""
-    if disc.n_delay == 0:
-        return state.v
-    if params.delay_realization == "ring_buffer":
-        return state.v_hist.back(disc.n_delay)
-    return state.z_rho[-1]
+    return _delayed(params, disc, state, state.v, state.z_rho, 0.0)
 
 
 def eta_field(state: SimState, params: ModelParams, disc: Discretization) -> np.ndarray:
@@ -639,14 +654,6 @@ class SpotCheckReport:
     passed: bool
 
 
-def _edge_energy(w: np.ndarray, dx: float) -> float:
-    """Dirichlet gradient energy sum_edges (dw/dx)^2 dx, exact partner of laplacian()."""
-    full = np.zeros(w.size + 2)
-    full[1:-1] = w
-    d = np.diff(full)
-    return float(d @ d) / dx
-
-
 def _edge_inner(w1: np.ndarray, w2: np.ndarray, dx: float) -> float:
     f1 = np.zeros(w1.size + 2)
     f1[1:-1] = w1
@@ -660,7 +667,7 @@ def dissipativity_spot_check(params: ModelParams, disc: Discretization,
                              seed: int = 0) -> SpotCheckReport:
     """Max Rayleigh quotient of the semi-discrete generator over random states.
 
-    The generator is assembled in the eta-grid / rho-grid realization (the
+    The generator is ``_rhs`` in the eta-grid / rho-grid realization (the
     one whose state matches the abstract system) and the quotient is taken
     in the discrete energy inner product.  Components that cannot feed back
     into the dynamics are excluded: eta when the kernel is empty, z when
@@ -669,25 +676,14 @@ def dissipativity_spot_check(params: ModelParams, disc: Discretization,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
+    grid = replace(params, memory_realization="eta_grid", delay_realization="rho_grid")
     dx = disc.dx
     kernel = params.kernel
     use_eta = not kernel.is_empty
     use_z = disc.n_delay > 0 and params.k != 0.0
     mu_tilde = kernel.mu_tilde
     wmu = _memory_force_coeffs(params, disc) if use_eta else None
-    gaps = np.diff(disc.s_nodes) if use_eta else None
-    damp = extra_damping(params, disc)
     d_rho = 1.0 / disc.n_delay if use_z else 0.0
-
-    def norm_sq(u, v, eta, z) -> float:
-        out = (1.0 - mu_tilde) * _edge_energy(u, dx) + dx * float(v @ v)
-        if use_eta:
-            out += sum(
-                wmu[j] * _edge_energy(eta[j], dx) for j in range(eta.shape[0])
-            )
-        if use_z:
-            out += d_rho * dx * float((z * z).sum())
-        return out
 
     def pairing(du, dv, deta, dz, u, v, eta, z) -> float:
         out = (1.0 - mu_tilde) * _edge_inner(du, u, dx) + dx * float(dv @ v)
@@ -699,39 +695,14 @@ def dissipativity_spot_check(params: ModelParams, disc: Discretization,
             out += d_rho * dx * float((dz * z).sum())
         return out
 
-    def generator(u, v, eta, z):
-        du = v
-        if use_eta:
-            dv = laplacian((1.0 - mu_tilde) * u + wmu @ eta, dx)
-            upe = eta.copy()
-            upe[1:] -= eta[:-1]
-            deta = v[None, :] - upe / gaps[:, None]
-        else:
-            dv = laplacian(u, dx)
-            deta = None
-        if params.k != 0.0:
-            zd = z[-1] if use_z else v
-            dv = dv - params.k * zd
-        if damp != 0.0:
-            dv = dv - damp * v
-        if use_z:
-            upz = z.copy()
-            upz[1:] -= z[:-1]
-            upz[0] -= v
-            dz = -upz / (disc.tau * d_rho)
-        else:
-            dz = None
-        return du, dv, deta, dz
-
     worst = -math.inf
     for _ in range(trials):
         u = rng.standard_normal(disc.nx)
         v = rng.standard_normal(disc.nx)
         eta = rng.standard_normal((disc.ns - 1, disc.nx)) if use_eta else None
         z = rng.standard_normal((disc.n_delay, disc.nx)) if use_z else None
-        denom = norm_sq(u, v, eta, z)
-        du, dv, deta, dz = generator(u, v, eta, z)
-        quotient = pairing(du, dv, deta, dz, u, v, eta, z) / denom
+        x = (u, v, eta, z)
+        quotient = pairing(*_rhs(grid, disc, None, *x, 0.0), *x) / pairing(*x, *x)
         worst = max(worst, quotient)
     return SpotCheckReport(
         max_quotient=worst, c_shift=c_shift, trials=trials, passed=worst <= c_shift

@@ -224,6 +224,20 @@ def test_simulate_nonfinite_flushes_partial_csv(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("a, b", [(2500.0, 5000.0), (1500.0, 3000.0)])
+def test_stiff_kernel_refused_before_stepping(tmp_path, capsys, command, a, b):
+    # dt*b = 6.2 and 3.7 at nx=200, beyond RK4's real-axis limit of ~2.785
+    doc = {"kernel": {"terms": [{"a": a, "b": b}]}, "nx": 200, "tau": 0.0,
+           "mode": "auxiliary", "T": 1.0, "k_values": [0.0, 0.01]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "dt" in err and "2.785" in err
+    assert not out.exists()
+
+
 # -- sweep -----------------------------------------------------------------------
 
 def sweep_config(**extra) -> dict:

@@ -311,6 +311,43 @@ def test_spot_check_matches_energy_derivative_oracle():
     assert report.max_quotient <= 1e-8
 
 
+# values recorded from the solver before the spot check shared ``_rhs``
+PINNED_TOTALS = {
+    ("prony_modes", "ring_buffer"): [1.9753382674777589, 1.702463135787011,
+                                     1.5406974262372652, 1.2723399576826178,
+                                     0.9107341872410754],
+    ("prony_modes", "rho_grid"): [1.9753382674777589, 1.702451337317248,
+                                  1.5405512403416866, 1.272270090690986,
+                                  0.9108467714837146],
+    ("eta_grid", "ring_buffer"): [1.975351172035098, 1.681798038344521,
+                                  1.5109872582303963, 1.2414280210472028,
+                                  0.8939943090703745],
+    ("eta_grid", "rho_grid"): [1.975351172035098, 1.6817860922020702,
+                               1.5108335845148417, 1.2413440310422152,
+                               0.8941151095869054],
+}
+
+
+@pytest.mark.parametrize("memory, delay", sorted(PINNED_TOTALS))
+def test_generator_pinned_energy_trace(memory, delay):
+    params = ModelParams(tau=0.5, k=0.03, theta=2.0, kernel=KERNEL, mode="auxiliary",
+                         memory_realization=memory, delay_realization=delay)
+    disc = discretize(params, nx=24, ns=16)
+    trace = run(params, InitialData(history="modulated", omega=2.0), disc, 1.0,
+                sample_every=25)
+    np.testing.assert_allclose(trace.total, PINNED_TOTALS[(memory, delay)],
+                               rtol=1e-12, atol=0.0)
+
+
+def test_spot_check_pinned_with_delay_coupling():
+    # k != 0 and tau > 0: the quotient includes the rho-grid delay field z
+    params = ModelParams(tau=0.5, k=0.3, theta=2.0, kernel=KERNEL, mode="auxiliary",
+                         memory_realization="eta_grid")
+    disc = discretize(params, nx=24, ns=16)
+    report = dissipativity_spot_check(params, disc, trials=4, seed=5)
+    assert report.max_quotient == pytest.approx(-1.6118290294797233, rel=1e-12)
+
+
 def test_spot_check_rejects_no_trials():
     params = ModelParams(kernel=KERNEL, memory_realization="eta_grid")
     disc = discretize(params, nx=30, ns=16)
