@@ -5,8 +5,6 @@ from .kernel import (
     KernelInvalid,
     KernelReport,
     MemoryKernel,
-    kernel_derivative,
-    kernel_value,
     quadrature_weights,
     validate_kernel,
 )
@@ -42,10 +40,10 @@ from .solver import (
 )
 from .energy import (
     DissipationReport,
-    EnergyBreakdown,
+    SampleRow,
     WrongMode,
     check_dissipation,
-    energy,
+    sample_state,
 )
 from .analysis import (
     DecayFit,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Trace, _memory_force_coeffs, extra_damping
+from .solver import Trace, _kernel_on_grid, extra_damping
 
 __all__ = [
     "InsufficientData",
@@ -222,8 +222,9 @@ def check_memory_identity(trace: Trace, s_start: float, t_end: float,
         return IdentityCheckResult(residual=0.0, lhs=0.0, rhs=0.0,
                                    n_snapshots=len(snaps))
     mu_tilde = kernel.mu_tilde
-    w_mu = _memory_force_coeffs(params, disc)
-    w_mu_prime = disc.s_weights[1:] * kernel.derivative(disc.s_nodes[1:])
+    on_grid = _kernel_on_grid(kernel, disc)
+    w_mu = on_grid.w_mu
+    w_mu_prime = disc.s_weights[1:] * on_grid.mu_prime
     damp = extra_damping(params, disc)
 
     times = np.array([s.t for s in snaps])

@@ -588,7 +588,7 @@ def _check_wave_convergence() -> list[str]:
         n_steps = int(round(horizon / disc.dt))
         for _ in range(n_steps):
             solver.step(state, params, disc)
-        x = disc.x_interior(params.length)
+        x = disc.x_interior()
         exact = np.sin(np.pi * x) * math.cos(math.pi * state.t)
         errors.append(float(np.abs(state.u - exact).max()))
     ratio = errors[0] / errors[1]

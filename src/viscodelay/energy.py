@@ -8,12 +8,15 @@ The energy of a state is
 
 Spatial integrals use the trapezoid rule on the x-grid with gradients by
 centered differences (one-sided at the boundary); the s-integral uses the
-discretization's own quadrature weights; the delay integral is a trapezoid
-over the velocity ring buffer.
+discretization's own quadrature weights, with the kernel values on the
+s-grid computed once per grid; the delay integral is a trapezoid over the
+squared norms the velocity ring buffer stores per slot, so a sample reads
+n_delay + 1 scalars instead of reducing the whole delay line again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,11 +26,9 @@ from . import solver as solver_mod
 from .solver import Discretization, ModelParams, SimState, Trace
 
 __all__ = [
-    "EnergyBreakdown",
     "SampleRow",
     "WrongMode",
     "DissipationReport",
-    "energy",
     "sample_state",
     "check_dissipation",
 ]
@@ -38,22 +39,9 @@ class WrongMode(ValueError):
 
 
 @dataclass(frozen=True)
-class EnergyBreakdown:
-    """The four additive terms of F(t); all nonnegative."""
-
-    kinetic: float
-    elastic: float
-    memory: float
-    delay: float
-
-    @property
-    def total(self) -> float:
-        return self.kinetic + self.elastic + self.memory + self.delay
-
-
-@dataclass(frozen=True)
 class SampleRow:
-    """EnergyBreakdown terms plus the raw integrals the dissipation check needs."""
+    """The four additive (nonnegative) terms of F(t) plus the raw integrals
+    the dissipation check needs."""
 
     kinetic: float
     elastic: float
@@ -63,6 +51,10 @@ class SampleRow:
     ut_tau_sq: float
     delay_raw: float
     mu_prime_eta: float
+
+    @property
+    def total(self) -> float:
+        return self.kinetic + self.elastic + self.memory + self.delay
 
 
 def grad_full(interior: np.ndarray, dx: float) -> np.ndarray:
@@ -88,27 +80,32 @@ def _interior_sq_integral(interior: np.ndarray, dx: float) -> float:
     return dx * float(interior @ interior)
 
 
-def _delay_integral(state: SimState, disc: Discretization) -> float:
-    """int_{t-tau}^t e^{-(t-s)} ||u_t(s)||^2 ds over the velocity ring buffer."""
-    if disc.n_delay == 0 or state.v_hist is None:
-        return 0.0
+@functools.lru_cache(maxsize=32)
+def _delay_weights(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot offsets 0..n_delay, trapezoid weights and e^{-s} at s = offset * dt.
+
+    Cached per grid (``Discretization`` hashes by identity); read-only
+    because every sample shares them.
+    """
     nd = disc.n_delay
     dt = disc.dt
-    buf = state.v_hist
-    idx = (buf.head + np.arange(nd + 1)) % buf.capacity
-    rows = buf.data[idx]
-    norms = disc.dx * np.einsum("ij,ij->i", rows, rows)
+    offsets = np.arange(nd + 1)
     w = np.full(nd + 1, dt)
     w[0] = w[-1] = 0.5 * dt
-    return float(w @ (np.exp(-dt * np.arange(nd + 1)) * norms))
+    decay = np.exp(-dt * offsets)
+    for arr in (offsets, w, decay):
+        arr.flags.writeable = False
+    return offsets, w, decay
 
 
-def energy(state: SimState, params: ModelParams, disc: Discretization) -> EnergyBreakdown:
-    """Term-by-term energy of a state."""
-    row = sample_state(state, params, disc)
-    return EnergyBreakdown(
-        kinetic=row.kinetic, elastic=row.elastic, memory=row.memory, delay=row.delay
-    )
+def _delay_integral(state: SimState, disc: Discretization) -> float:
+    """int_{t-tau}^t e^{-(t-s)} ||u_t(s)||^2 ds from the delay line's slot norms."""
+    if disc.n_delay == 0 or state.v_hist is None:
+        return 0.0
+    buf = state.v_hist
+    offsets, w, decay = _delay_weights(disc)
+    norms = disc.dx * buf.norms[(buf.head + offsets) % buf.capacity]
+    return float(w @ (decay * norms))
 
 
 def sample_state(state: SimState, params: ModelParams, disc: Discretization) -> SampleRow:
@@ -131,12 +128,11 @@ def _sample_state(state: SimState, params: ModelParams, disc: Discretization) ->
         eta = solver_mod.eta_field(state, params, disc)
         ge = grad_full(eta, dx)
         grad_sq = integral_x(ge * ge, dx)  # per s-node
-        s_inner = disc.s_nodes[1:]
+        # w @ (mu * grad_sq), not (w * mu) @ grad_sq: keeps the reported bits
+        on_grid = solver_mod._kernel_on_grid(params.kernel, disc)
         w_inner = disc.s_weights[1:]
-        memory = 0.5 * float(w_inner @ (params.kernel.value(s_inner) * grad_sq))
-        mu_prime_eta = 0.5 * float(
-            w_inner @ (params.kernel.derivative(s_inner) * grad_sq)
-        )
+        memory = 0.5 * float(w_inner @ (on_grid.mu * grad_sq))
+        mu_prime_eta = 0.5 * float(w_inner @ (on_grid.mu_prime * grad_sq))
 
     delay_raw = _delay_integral(state, disc)
     coeff = params.theta * abs(params.k) * math.exp(disc.tau)

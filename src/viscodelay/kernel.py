@@ -22,8 +22,6 @@ __all__ = [
     "MemoryKernel",
     "KernelReport",
     "validate_kernel",
-    "kernel_value",
-    "kernel_derivative",
     "quadrature_weights",
 ]
 
@@ -157,18 +155,6 @@ def _tail_cut(kernel: MemoryKernel, target: float) -> float:
         else:
             hi = mid
     return hi
-
-
-def kernel_value(kernel: MemoryKernel, s):
-    """mu(s), exact (no tabulation).  Scalar in, scalar out."""
-    out = kernel.value(s)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def kernel_derivative(kernel: MemoryKernel, s):
-    """mu'(s), exact.  Scalar in, scalar out."""
-    out = kernel.derivative(s)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def quadrature_weights(s_nodes: np.ndarray) -> np.ndarray:

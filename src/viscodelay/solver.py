@@ -17,7 +17,7 @@ Two realizations of the memory term are provided:
   with q_i' = u - b_i q_i, which integrates the s-direction exactly.
   The history field eta is reconstructed on the geometric s-grid from a
   ring buffer of past u fields (the transport equation is solved exactly
-  along characteristics, eta(s) = u(t) - u(t - s)).
+  along characteristics, eta(s) = u(t) - u(t - s)), one gather per sample.
 * ``eta_grid``: eta is evolved directly on the s-grid with first-order
   upwinding and the memory force is the trapezoid s-quadrature.  Kept as
   a cross-validation mode; its first-order transport error is far too
@@ -29,6 +29,7 @@ first-order upwind rho-grid realization for cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -188,7 +189,7 @@ class Discretization:
     def ns(self) -> int:
         return int(self.s_nodes.size)
 
-    def x_interior(self, length: float) -> np.ndarray:
+    def x_interior(self) -> np.ndarray:
         return self.dx * np.arange(1, self.nx + 1)
 
 
@@ -295,21 +296,38 @@ class InitialData:
 
 
 class RingBuffer:
-    """Fixed-capacity ring of past fields; ``back(0)`` is the newest."""
+    """Fixed-capacity ring of past fields; ``back(0)`` is the newest.
 
-    __slots__ = ("data", "head")
+    After ``keep_norms()`` the buffer also holds each slot's squared norm
+    in ``norms`` (indexed like ``data``) and keeps it current on ``push``.
+    """
+
+    __slots__ = ("data", "head", "norms")
 
     def __init__(self, capacity: int, width: int):
         self.data = np.zeros((capacity, width))
         self.head = 0
+        self.norms = None
 
     @property
     def capacity(self) -> int:
         return self.data.shape[0]
 
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + (0 if self.norms is None else self.norms.nbytes)
+
+    def keep_norms(self) -> None:
+        # the batched and the single-row einsum reduce a row in the same
+        # order, so a slot's norm is the same bits whichever wrote it
+        self.norms = np.einsum("ij,ij->i", self.data, self.data)
+
     def push(self, row: np.ndarray) -> None:
         self.head = (self.head - 1) % self.capacity
         self.data[self.head] = row
+        if self.norms is not None:
+            slot = self.data[self.head]
+            self.norms[self.head] = np.einsum("i,i->", slot, slot)
 
     def back(self, steps: int) -> np.ndarray:
         return self.data[(self.head + steps) % self.capacity]
@@ -324,6 +342,19 @@ class RingBuffer:
         # written so equal neighbours interpolate bitwise-exactly
         return newer + frac * (self.back(j + 1) - newer)
 
+    def back_interp_rows(self, steps: np.ndarray) -> np.ndarray:
+        """``back_interp`` at every offset in ``steps``, one output row each."""
+        j = np.floor(steps)
+        frac = steps - j
+        newer_idx = (self.head + j.astype(np.intp)) % self.capacity
+        newer = self.data[newer_idx]
+        older = self.data[(newer_idx + 1) % self.capacity]
+        out = newer + frac[:, None] * (older - newer)
+        exact = frac == 0.0
+        if exact.any():
+            out[exact] = newer[exact]
+        return out
+
 
 @dataclass
 class SimState:
@@ -336,7 +367,7 @@ class SimState:
     q: np.ndarray | None = None        # (n_terms, nx) exponential memory modes
     eta: np.ndarray | None = None      # (ns-1, nx) evolved history field
     u_hist: RingBuffer | None = None   # past u fields, for eta reconstruction
-    v_hist: RingBuffer | None = None   # past u_t fields, the delay line
+    v_hist: RingBuffer | None = None   # past u_t fields, the delay line, with norms
     z_rho: np.ndarray | None = None    # (n_delay, nx) transported delay field
 
     def full_grid(self, values: np.ndarray) -> np.ndarray:
@@ -353,7 +384,7 @@ class SimState:
                 total += arr.nbytes
         for buf in (self.u_hist, self.v_hist):
             if buf is not None:
-                total += buf.data.nbytes
+                total += buf.nbytes
         return total
 
 
@@ -361,7 +392,7 @@ def build(params: ModelParams, init: InitialData, disc: Discretization) -> SimSt
     """State at t = 0 with every history structure filled from the prescribed past."""
     if disc.tau > 0.0 and params.tau <= 0.0:
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
-    x = disc.x_interior(params.length)
+    x = disc.x_interior()
     phi = init.profile(x, params.length)
     u = phi.copy()
     v = phi * init.history_rate(0.0)
@@ -388,6 +419,7 @@ def build(params: ModelParams, init: InitialData, disc: Discretization) -> SimSt
         rates = np.fromiter((init.history_rate(-j * disc.dt)
                              for j in range(vbuf.capacity)), float, vbuf.capacity)
         np.multiply.outer(rates, phi, out=vbuf.data)
+        vbuf.keep_norms()
         state.v_hist = vbuf
         if params.delay_realization == "rho_grid":
             # z(x, rho_l, 0) = u_t history at -tau*rho_l; rho_l = l/n_delay, l >= 1
@@ -404,10 +436,29 @@ def laplacian(w: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _memory_force_coeffs(params: ModelParams, disc: Discretization) -> np.ndarray:
-    """w_j mu(s_j) for the interior s-nodes (node 0 carries eta = 0)."""
+@dataclass(frozen=True)
+class KernelOnGrid:
+    """The kernel on the interior s-nodes (node 0 carries eta = 0)."""
+
+    mu: np.ndarray          # mu(s_j)
+    mu_prime: np.ndarray    # mu'(s_j)
+    w_mu: np.ndarray        # w_j mu(s_j), the memory force quadrature
+
+
+@functools.lru_cache(maxsize=32)
+def _kernel_on_grid(kernel: MemoryKernel, disc: Discretization) -> KernelOnGrid:
+    """Kernel values for ``disc``'s s-grid, evaluated once per (kernel, grid).
+
+    ``Discretization`` hashes by identity, so a grid built by ``replace``
+    gets its own entry; the arrays are read-only because every caller
+    shares them.
+    """
     s = disc.s_nodes[1:]
-    return disc.s_weights[1:] * params.kernel.value(s)
+    mu = kernel.value(s)
+    tables = KernelOnGrid(mu=mu, mu_prime=kernel.derivative(s), w_mu=disc.s_weights[1:] * mu)
+    for arr in (tables.mu, tables.mu_prime, tables.w_mu):
+        arr.flags.writeable = False
+    return tables
 
 
 def _delayed(params: ModelParams, disc: Discretization, state: SimState | None,
@@ -439,7 +490,7 @@ def _rhs(params: ModelParams, disc: Discretization, state: SimState | None,
         dmem = u[None, :] - b[:, None] * mem
     else:
         mu_tilde = params.kernel.mu_tilde
-        wmu = _memory_force_coeffs(params, disc)
+        wmu = _kernel_on_grid(params.kernel, disc).w_mu
         dv = laplacian((1.0 - mu_tilde) * u + wmu @ mem, disc.dx)
         gaps = np.diff(disc.s_nodes)
         upwind = mem.copy()
@@ -529,11 +580,7 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization) -> np.
         return np.zeros((0, disc.nx))
     if state.eta is not None:
         return state.eta
-    steps = disc.s_nodes[1:] / disc.dt
-    out = np.empty((steps.size, disc.nx))
-    for row, sb in enumerate(steps):
-        out[row] = state.u - state.u_hist.back_interp(float(sb))
-    return out
+    return state.u - state.u_hist.back_interp_rows(disc.s_nodes[1:] / disc.dt)
 
 
 @dataclass
@@ -682,7 +729,7 @@ def dissipativity_spot_check(params: ModelParams, disc: Discretization,
     use_eta = not kernel.is_empty
     use_z = disc.n_delay > 0 and params.k != 0.0
     mu_tilde = kernel.mu_tilde
-    wmu = _memory_force_coeffs(params, disc) if use_eta else None
+    wmu = _kernel_on_grid(kernel, disc).w_mu if use_eta else None
     d_rho = 1.0 / disc.n_delay if use_z else 0.0
 
     def pairing(du, dv, deta, dz, u, v, eta, z) -> float:

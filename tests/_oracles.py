@@ -1,9 +1,12 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and reference implementations used by the test suite.
 
-Each deliberately avoids the implementation path it checks: the modal
-oracle integrates the scalar history equation with a direct trapezoid
-convolution over the stored past (no exponential auxiliary variables),
-and the Poincare oracle diagonalizes the finite-difference Laplacian.
+Each oracle deliberately avoids the implementation path it checks: the
+modal oracle integrates the scalar history equation with a direct
+trapezoid convolution over the stored past (no exponential auxiliary
+variables), and the Poincare oracle diagonalizes the finite-difference
+Laplacian.  The ``*_rows`` references evaluate an energy sample row by
+row, reducing every stored field again on each call; the vectorized
+sampling must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ import math
 
 import numpy as np
 
+from viscodelay.energy import SampleRow, grad_full, integral_x
 from viscodelay.kernel import MemoryKernel
+from viscodelay.solver import delayed_velocity
 
 
 def modal_oracle(lam: float, kernel: MemoryKernel, horizon: float,
@@ -90,3 +95,58 @@ def dense_scan_khat(inputs, step: float = 1e-8) -> float:
     ks = np.arange(0.0, hi + step, step)
     gs = np.array([amplitude_budget(inputs, float(k)) for k in ks])
     return float(ks[np.argmin(np.abs(gs - ks))])
+
+
+def eta_field_rows(state, params, disc) -> np.ndarray:
+    """eta on the interior s-nodes, one ``back_interp`` per node."""
+    if params.kernel.is_empty:
+        return np.zeros((0, disc.nx))
+    if state.eta is not None:
+        return state.eta
+    steps = disc.s_nodes[1:] / disc.dt
+    out = np.empty((steps.size, disc.nx))
+    for row, sb in enumerate(steps):
+        out[row] = state.u - state.u_hist.back_interp(float(sb))
+    return out
+
+
+def delay_integral_rows(state, disc) -> float:
+    """The delay integral, reducing every row of the delay line again."""
+    if disc.n_delay == 0 or state.v_hist is None:
+        return 0.0
+    nd = disc.n_delay
+    dt = disc.dt
+    buf = state.v_hist
+    idx = (buf.head + np.arange(nd + 1)) % buf.capacity
+    rows = buf.data[idx]
+    norms = disc.dx * np.einsum("ij,ij->i", rows, rows)
+    w = np.full(nd + 1, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return float(w @ (np.exp(-dt * np.arange(nd + 1)) * norms))
+
+
+def sample_state_rows(state, params, disc) -> SampleRow:
+    """An energy sample from the two references above, with the kernel
+    evaluated on the s-grid afresh."""
+    dx = disc.dx
+    ut_sq = dx * float(state.v @ state.v)
+    gu = grad_full(state.u, dx)
+    elastic = 0.5 * (1.0 - params.kernel.mu_tilde) * float(integral_x(gu * gu, dx))
+    if params.kernel.is_empty:
+        memory = mu_prime_eta = 0.0
+    else:
+        ge = grad_full(eta_field_rows(state, params, disc), dx)
+        grad_sq = integral_x(ge * ge, dx)
+        s_inner = disc.s_nodes[1:]
+        w_inner = disc.s_weights[1:]
+        memory = 0.5 * float(w_inner @ (params.kernel.value(s_inner) * grad_sq))
+        mu_prime_eta = 0.5 * float(w_inner @ (params.kernel.derivative(s_inner) * grad_sq))
+    delay_raw = delay_integral_rows(state, disc)
+    coeff = params.theta * abs(params.k) * math.exp(disc.tau)
+    delay = 0.5 * coeff * delay_raw if params.k != 0.0 and disc.tau > 0.0 else 0.0
+    v_tau = delayed_velocity(state, params, disc)
+    return SampleRow(
+        kinetic=0.5 * ut_sq, elastic=elastic, memory=memory, delay=delay,
+        ut_sq=ut_sq, ut_tau_sq=dx * float(v_tau @ v_tau),
+        delay_raw=delay_raw, mu_prime_eta=mu_prime_eta,
+    )

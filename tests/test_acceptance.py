@@ -192,7 +192,7 @@ def test_criterion_8_scheme_correctness():
         state = build(params, SINE, disc)
         for _ in range(int(round(1.7 / disc.dt))):
             step(state, params, disc)
-        x = disc.x_interior(params.length)
+        x = disc.x_interior()
         exact = np.sin(np.pi * x) * math.cos(math.pi * state.t)
         errors.append(float(np.abs(state.u - exact).max()))
     min_ratio = min(errors[0] / errors[1], errors[1] / errors[2])
@@ -203,7 +203,7 @@ def test_criterion_8_scheme_correctness():
     params = ModelParams(kernel=KERNEL)
     disc = discretize(params, nx=200, ns=64)
     state = build(params, SINE, disc)
-    x = disc.x_interior(params.length)
+    x = disc.x_interior()
     phi = np.sin(np.pi * x)
     proj = phi / float(phi @ phi)
     sample_every = 8

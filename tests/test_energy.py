@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from viscodelay.energy import WrongMode, check_dissipation, energy
+from viscodelay.energy import WrongMode, check_dissipation, sample_state
 from viscodelay.kernel import MemoryKernel
 from viscodelay.solver import InitialData, ModelParams, build, discretize, run, step
 
@@ -14,7 +14,7 @@ def test_zero_state_zero_energy():
     params = ModelParams(tau=0.5, k=0.1, kernel=KERNEL, mode="auxiliary")
     disc = discretize(params, nx=40)
     state = build(params, InitialData(shape="zero"), disc)
-    breakdown = energy(state, params, disc)
+    breakdown = sample_state(state, params, disc)
     assert breakdown.kinetic == 0.0
     assert breakdown.elastic == 0.0
     assert breakdown.memory == 0.0
@@ -28,7 +28,7 @@ def test_delay_term_vanishes_when_k_zero():
     disc = discretize(params, nx=40)
     state = build(params, InitialData(history="modulated", omega=2.0), disc)
     assert np.any(state.v_hist.data != 0.0)
-    assert energy(state, params, disc).delay == 0.0
+    assert sample_state(state, params, disc).delay == 0.0
 
 
 def test_delay_term_vanishes_when_tau_zero():
@@ -37,7 +37,7 @@ def test_delay_term_vanishes_when_tau_zero():
     state = build(params, InitialData(), disc)
     for _ in range(50):
         step(state, params, disc)
-    assert energy(state, params, disc).delay == 0.0
+    assert sample_state(state, params, disc).delay == 0.0
 
 
 def test_initial_sine_energy_converges_second_order():
@@ -49,7 +49,7 @@ def test_initial_sine_energy_converges_second_order():
         params = ModelParams(kernel=KERNEL)
         disc = discretize(params, nx=nx)
         state = build(params, InitialData(), disc)
-        breakdown = energy(state, params, disc)
+        breakdown = sample_state(state, params, disc)
         assert breakdown.kinetic == 0.0
         assert breakdown.memory == 0.0
         errors.append(abs(breakdown.elastic - target))
@@ -115,5 +115,5 @@ def test_memory_term_tracks_kernel_mass():
         params = ModelParams(kernel=kern)
         disc = discretize(params, nx=50)
         state = build(params, init, disc)
-        e[kern] = energy(state, params, disc).memory
+        e[kern] = sample_state(state, params, disc).memory
     assert e[k2] == pytest.approx(2.0 * e[k1], rel=1e-9)

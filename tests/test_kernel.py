@@ -6,8 +6,6 @@ import pytest
 from viscodelay.kernel import (
     KernelInvalid,
     MemoryKernel,
-    kernel_derivative,
-    kernel_value,
     quadrature_weights,
     validate_kernel,
 )
@@ -31,7 +29,7 @@ def test_empty_kernel_disables_memory():
     assert report.alpha == math.inf
     assert report.s_max == 0.0
     assert report.tail_mass == 0.0
-    assert kernel_value(MemoryKernel(), 3.7) == 0.0
+    assert MemoryKernel().value(3.7) == 0.0
 
 
 def test_two_term_kernel_closed_forms():
@@ -51,15 +49,15 @@ def test_two_term_mass_against_adaptive_quadrature():
 
 
 def test_kernel_value_examples():
-    assert kernel_value(WORKED, 0.0) == pytest.approx(1.0, rel=1e-15)
+    assert WORKED.value(0.0) == pytest.approx(1.0, rel=1e-15)
     expected = 0.3 * math.exp(-1.0) + 0.2 * math.exp(-4.0)
     assert expected == pytest.approx(0.114025, abs=5e-6)
-    assert kernel_value(TWO_TERM, 1.0) == pytest.approx(expected, rel=1e-15)
+    assert TWO_TERM.value(1.0) == pytest.approx(expected, rel=1e-15)
 
 
 def test_kernel_value_vectorized():
     s = np.array([0.0, 0.5, 2.0])
-    np.testing.assert_allclose(kernel_value(WORKED, s), np.exp(-2.0 * s), rtol=1e-15)
+    np.testing.assert_allclose(WORKED.value(s), np.exp(-2.0 * s), rtol=1e-15)
 
 
 def test_derivative_bound_pointwise():
@@ -119,6 +117,6 @@ def test_tail_tol_range_checked():
 
 def test_derivative_value_consistency():
     s = np.linspace(0.0, 5.0, 11)
-    d = kernel_derivative(TWO_TERM, s)
+    d = TWO_TERM.derivative(s)
     expected = -0.3 * np.exp(-s) - 0.8 * np.exp(-4.0 * s)
     np.testing.assert_allclose(d, expected, rtol=1e-14)

@@ -1,0 +1,121 @@
+"""Energy sampling against its row-by-row references, bit for bit."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from _oracles import delay_integral_rows, eta_field_rows, sample_state_rows
+from viscodelay import energy
+from viscodelay.analysis import check_memory_identity
+from viscodelay.kernel import MemoryKernel, quadrature_weights
+from viscodelay.solver import (
+    InitialData,
+    ModelParams,
+    build,
+    discretize,
+    dissipativity_spot_check,
+    eta_field,
+    run,
+    step,
+)
+
+# short memory, so the displacement ring buffer wraps after ~200 steps at nx=20
+KERNEL = MemoryKernel.from_terms([(2.0, 8.0)])
+MODULATED = InitialData(shape="gaussian", center=0.4, history="modulated", omega=3.0)
+
+
+def assert_matches_reference(state, params, disc):
+    assert np.array_equal(eta_field(state, params, disc),
+                          eta_field_rows(state, params, disc))
+    assert energy._delay_integral(state, disc) == delay_integral_rows(state, disc)
+    assert energy.sample_state(state, params, disc) == sample_state_rows(state, params, disc)
+    if state.v_hist is not None:
+        data = state.v_hist.data
+        assert np.array_equal(state.v_hist.norms, np.einsum("ij,ij->i", data, data))
+
+
+@pytest.mark.parametrize("delay_realization", ["ring_buffer", "rho_grid"])
+def test_sampling_matches_reference_after_heads_wrap(delay_realization):
+    params = ModelParams(tau=0.2, k=-0.3, kernel=KERNEL, mode="auxiliary",
+                         delay_realization=delay_realization)
+    disc = discretize(params, nx=20)
+    state = build(params, MODULATED, disc)
+    assert_matches_reference(state, params, disc)
+    for n in range(disc.n_hist + 10):
+        step(state, params, disc)
+        if n % 23 == 0:
+            assert_matches_reference(state, params, disc)
+    assert state.step_index > state.u_hist.capacity > state.v_hist.capacity
+    assert_matches_reference(state, params, disc)
+
+
+def test_sampling_matches_reference_on_whole_step_nodes():
+    params = ModelParams(tau=0.2, k=0.3, kernel=KERNEL)
+    base = discretize(params, nx=20)
+    # power-of-two multiples of dt divide back to whole numbers exactly
+    whole = base.dt * np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
+    fractional = base.dt * np.array([3.5, 12.25, 100.75])
+    nodes = np.sort(np.concatenate([whole, fractional]))
+    disc = replace(base, s_nodes=nodes, s_weights=quadrature_weights(nodes))
+    steps = disc.s_nodes[1:] / disc.dt
+    assert np.count_nonzero(steps == np.floor(steps)) == 8
+    assert 129 < disc.n_hist
+
+    state = build(params, MODULATED, disc)
+    for _ in range(50):
+        step(state, params, disc)
+    assert_matches_reference(state, params, disc)
+    # a whole-step node reads its slot alone: a non-finite value in the
+    # next slot must not reach it (0 * inf would be nan)
+    hist = state.u_hist
+    hist.data[(hist.head + 129) % hist.capacity] = np.inf
+    with np.errstate(invalid="ignore"):  # the discarded 0 * inf
+        eta = eta_field(state, params, disc)
+    assert np.isfinite(eta).all()
+    assert np.array_equal(eta, eta_field_rows(state, params, disc))
+
+
+@pytest.mark.parametrize("kernel, tau", [(MemoryKernel(), 0.2), (KERNEL, 0.0),
+                                         (MemoryKernel(), 0.0)])
+def test_sampling_matches_reference_without_memory_or_delay(kernel, tau):
+    params = ModelParams(tau=tau, k=0.3, kernel=kernel, mode="auxiliary")
+    disc = discretize(params, nx=20)
+    state = build(params, MODULATED, disc)
+    for _ in range(30):
+        step(state, params, disc)
+    assert_matches_reference(state, params, disc)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.2])
+def test_state_bytes_count_delay_line_norms(tau):
+    params = ModelParams(tau=tau, k=0.3, kernel=KERNEL)
+    disc = discretize(params, nx=20)
+    state = build(params, InitialData(), disc)
+    fields = [state.u, state.v, state.q, state.eta, state.z_rho]
+    fields += [buf.data for buf in (state.u_hist, state.v_hist) if buf is not None]
+    without_norms = sum(arr.nbytes for arr in fields if arr is not None)
+    expected = 8 * (disc.n_delay + 2) if tau > 0.0 else 0
+    assert state.nbytes() - without_norms == expected
+
+
+@pytest.mark.parametrize("memory_realization", ["eta_grid", "prony_modes"])
+def test_kernel_evaluated_once_per_grid(monkeypatch, memory_realization):
+    calls = {"value": 0, "derivative": 0}
+    for name in calls:
+        def counted(self, s, _original=getattr(MemoryKernel, name), _name=name):
+            calls[_name] += 1
+            return _original(self, s)
+        monkeypatch.setattr(MemoryKernel, name, counted)
+
+    params = ModelParams(tau=0.2, k=0.3, kernel=KERNEL, mode="auxiliary",
+                         memory_realization=memory_realization)
+    per_run = []
+    for horizon in (0.5, 2.0):
+        before = dict(calls)
+        disc = discretize(params, nx=20)  # a new grid, so nothing is cached for it yet
+        trace = run(params, InitialData(), disc, horizon, sample_every=1, snapshots=True)
+        check_memory_identity(trace, 0.0, horizon)
+        dissipativity_spot_check(params, disc)
+        per_run.append({name: calls[name] - before[name] for name in calls})
+    assert per_run[0] == per_run[1] == {"value": 1, "derivative": 1}

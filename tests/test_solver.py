@@ -94,7 +94,7 @@ def test_modulated_history_closed_forms():
     params = ModelParams(tau=0.5, k=0.1, kernel=KERNEL)
     disc = discretize(params, nx=60)
     state = build(params, init, disc)
-    x = disc.x_interior(params.length)
+    x = disc.x_interior()
     phi = np.sin(np.pi * x)
     # velocity history slots: d/dt [phi cos(omega t)] at t = -j dt
     for j in (0, 1, 5, disc.n_delay):
@@ -176,7 +176,7 @@ def test_pure_wave_matches_exact_solution_second_order():
         disc = discretize(params, nx=nx)
         state = build(params, InitialData(), disc)
         advance(state, params, disc, 1.7)
-        x = disc.x_interior(params.length)
+        x = disc.x_interior()
         exact = np.sin(np.pi * x) * math.cos(math.pi * state.t)
         errors.append(float(np.abs(state.u - exact).max()))
     assert errors[0] / errors[1] >= 3.5
