@@ -8,6 +8,8 @@ derived time step) so results are reproducible from the artifact alone.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -25,7 +27,7 @@ __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 
 CSV_FLOAT = "%.17g"
 ENERGY_HEADER = "t,total,kinetic,elastic,memory,delay"
-SWEEP_HEADER = "k,sigma_emp,r_squared,classification,certified,theorem_bound_ok"
+SWEEP_HEADER = "k,sigma_emp,r_squared,classification,certified,theorem_bound_ok,error"
 
 
 class ConfigError(ValueError):
@@ -532,18 +534,22 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
     else:
         rows = [_sweep_row(cfg, k) for k in ks]
 
-    lines = [f"# config {_config_comment(resolved)}", SWEEP_HEADER]
+    text = io.StringIO()
+    text.write(f"# config {_config_comment(resolved)}\n{SWEEP_HEADER}\n")
+    # the csv module quotes error text that holds commas or quotes
+    writer = csv.writer(text, lineterminator="\n")
     for row in rows:
-        lines.append(",".join([
+        writer.writerow([
             CSV_FLOAT % row.k,
             CSV_FLOAT % row.sigma_emp,
             CSV_FLOAT % row.r_squared,
             row.classification,
             _bool_cell(row.certified),
             _bool_cell(row.theorem_bound_ok),
-        ]))
+            row.error or "",
+        ])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "sweep.csv").write_text(text.getvalue())
     n_err = sum(1 for row in rows if row.error is not None)
     print(f"sweep: {len(rows)} rows, {n_err} failures")
     return 0

@@ -18,6 +18,9 @@ Two realizations of the memory term are provided:
   The history field eta is reconstructed on the geometric s-grid from a
   ring buffer of past u fields (the transport equation is solved exactly
   along characteristics, eta(s) = u(t) - u(t - s)), one gather per sample.
+  The buffer stores only the fields pushed since t = 0: a read from before
+  t = 0 evaluates the prescribed past u0 = phi * factor(t) on demand, so
+  the resident history is 8 * nx * min(steps, n_hist) bytes.
 * ``eta_grid``: eta is evolved directly on the s-grid with first-order
   upwinding and the memory force is the trapezoid s-quadrature.  Kept as
   a cross-validation mode; its first-order transport error is far too
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +70,9 @@ MEMORY_REALIZATIONS = ("prony_modes", "eta_grid")
 
 # RK4's stability interval on the negative real axis is about [-2.785, 0]
 RK4_REAL_AXIS_LIMIT = 2.785
+# largest dt / min(s-gap) accepted for the eta_grid transport: its upwind
+# bidiagonal form is non-normal and already grew 1e8-fold at 1.69
+ETA_GRID_COURANT_LIMIT = 1.5
 
 
 class SolverError(RuntimeError):
@@ -231,6 +238,15 @@ def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
                     "refine the grid or lower the kernel rates"
                 )
         s_nodes = geometric_s_grid(report.s_max, ns, dx)
+        if params.memory_realization == "eta_grid":
+            # the upwind eta transport has rates 1/gap_j, as explicit as q_i
+            courant = dt / float(np.diff(s_nodes).min())
+            if courant > ETA_GRID_COURANT_LIMIT:
+                raise CflViolation(
+                    f"dt/min(s gap) = {courant:.4g} exceeds the eta_grid transport "
+                    f"limit {ETA_GRID_COURANT_LIMIT} (dt={dt:.4g}); refine the grid, "
+                    "lower the kernel rates or use prony_modes"
+                )
         s_weights = quadrature_weights(s_nodes)
         s_max = report.s_max
         n_hist = int(math.ceil(s_max / dt)) + 2
@@ -283,6 +299,12 @@ class InitialData:
             return 1.0
         return math.cos(self.omega * t)
 
+    def history_factors(self, t: np.ndarray) -> np.ndarray:
+        """``history_factor`` at every entry of ``t``, by the same scalar math."""
+        if self.history == "frozen":
+            return np.ones(t.shape)
+        return np.fromiter(map(math.cos, (self.omega * t).tolist()), float, t.size)
+
     def history_rate(self, t: float) -> float:
         if self.history == "frozen":
             return 0.0
@@ -298,16 +320,28 @@ class InitialData:
 class RingBuffer:
     """Fixed-capacity ring of past fields; ``back(0)`` is the newest.
 
+    With a prescribed past (``past`` = the profile phi; ``factor`` maps the
+    ages of past rows to their time factors, None for a frozen past) the
+    buffer stores only the rows pushed since t = 0: a read ``p >= pushed``
+    steps back returns ``factor(p - pushed) * phi``, evaluated on demand.
+    The slots come from ``np.zeros`` and none is written before its first
+    push, so unpushed slots never become resident: the buffer keeps
+    8 * width * min(pushed, capacity) bytes in memory, not ``nbytes``.
+
     After ``keep_norms()`` the buffer also holds each slot's squared norm
     in ``norms`` (indexed like ``data``) and keeps it current on ``push``.
     """
 
-    __slots__ = ("data", "head", "norms")
+    __slots__ = ("data", "head", "norms", "pushed", "past", "factor")
 
-    def __init__(self, capacity: int, width: int):
+    def __init__(self, capacity: int, width: int, past: np.ndarray | None = None,
+                 factor: Callable[[np.ndarray], np.ndarray] | None = None):
         self.data = np.zeros((capacity, width))
         self.head = 0
         self.norms = None
+        self.pushed = 0
+        self.past = past
+        self.factor = factor
 
     @property
     def capacity(self) -> int:
@@ -315,6 +349,7 @@ class RingBuffer:
 
     @property
     def nbytes(self) -> int:
+        """Reserved bytes, resident or not."""
         return self.data.nbytes + (0 if self.norms is None else self.norms.nbytes)
 
     def keep_norms(self) -> None:
@@ -324,16 +359,25 @@ class RingBuffer:
 
     def push(self, row: np.ndarray) -> None:
         self.head = (self.head - 1) % self.capacity
+        self.pushed += 1
         self.data[self.head] = row
         if self.norms is not None:
             slot = self.data[self.head]
             self.norms[self.head] = np.einsum("i,i->", slot, slot)
 
+    def _past_rows(self, ages: np.ndarray) -> np.ndarray:
+        if self.factor is None:
+            return np.broadcast_to(self.past, (ages.size, self.past.size))
+        # one IEEE multiply per entry, as a stored factor * phi row had
+        return np.multiply.outer(self.factor(ages), self.past)
+
     def back(self, steps: int) -> np.ndarray:
+        if self.past is not None and steps >= self.pushed:
+            return self._past_rows(np.array([steps - self.pushed]))[0]
         return self.data[(self.head + steps) % self.capacity]
 
     def back_interp(self, steps: float) -> np.ndarray:
-        """Linear interpolation between stored slots at a fractional offset."""
+        """Linear interpolation between slots at a fractional offset."""
         j = int(math.floor(steps))
         frac = steps - j
         if frac == 0.0:
@@ -343,17 +387,40 @@ class RingBuffer:
         return newer + frac * (self.back(j + 1) - newer)
 
     def back_interp_rows(self, steps: np.ndarray) -> np.ndarray:
-        """``back_interp`` at every offset in ``steps``, one output row each."""
+        """``back_interp`` at every offset in ``steps`` (ascending), one row each."""
         j = np.floor(steps)
         frac = steps - j
-        newer_idx = (self.head + j.astype(np.intp)) % self.capacity
-        newer = self.data[newer_idx]
-        older = self.data[(newer_idx + 1) % self.capacity]
-        out = newer + frac[:, None] * (older - newer)
-        exact = frac == 0.0
-        if exact.any():
-            out[exact] = newer[exact]
+        j = j.astype(np.intp)
+        m = j.size
+        # rows [0, a) read two pushed slots, rows [a, b) a pushed newer slot
+        # and the past, rows [b, m) the past alone
+        if self.past is None:
+            a = b = m
+        else:
+            a, b = np.searchsorted(j, (self.pushed - 1, self.pushed)).tolist()
+        out = np.empty((m, self.data.shape[1]))
+        if b > 0:
+            newer_idx = (self.head + j[:b]) % self.capacity
+            newer = self.data[newer_idx]
+            older = self.data[(newer_idx[:a] + 1) % self.capacity]
+            if a < b:
+                older = np.concatenate((older, self._past_rows(j[a:b] + 1 - self.pushed)))
+            _interp(newer, older, frac[:b], out[:b])
+        if b < m and self.factor is None:
+            # a frozen past is phi throughout, and phi + frac * (phi - phi) is phi
+            out[b:] = self.past
+        elif b < m:
+            ages = j[b:] - self.pushed
+            rows = self._past_rows(np.concatenate((ages, ages + 1)))
+            _interp(rows[:m - b], rows[m - b:], frac[b:], out[b:])
         return out
+
+
+def _interp(newer: np.ndarray, older: np.ndarray, frac: np.ndarray, out: np.ndarray) -> None:
+    np.add(newer, frac[:, None] * (older - newer), out=out)
+    exact = frac == 0.0
+    if exact.any():
+        out[exact] = newer[exact]
 
 
 @dataclass
@@ -377,7 +444,10 @@ class SimState:
         return out
 
     def nbytes(self) -> int:
-        """Rough state footprint, used to check that disabled terms cost nothing."""
+        """Rough state footprint, used to check that disabled terms cost nothing.
+
+        Ring buffers count their reserved capacity, not their resident pages.
+        """
         total = self.u.nbytes + self.v.nbytes
         for arr in (self.q, self.eta, self.z_rho):
             if arr is not None:
@@ -389,7 +459,11 @@ class SimState:
 
 
 def build(params: ModelParams, init: InitialData, disc: Discretization) -> SimState:
-    """State at t = 0 with every history structure filled from the prescribed past."""
+    """State at t = 0 with its history structures set from the prescribed past.
+
+    The delay line and the evolved fields are filled; the displacement
+    history stores nothing and evaluates the past when it is read.
+    """
     if disc.tau > 0.0 and params.tau <= 0.0:
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
     x = disc.x_interior()
@@ -402,13 +476,12 @@ def build(params: ModelParams, init: InitialData, disc: Discretization) -> SimSt
     if not kernel.is_empty:
         if params.memory_realization == "prony_modes":
             state.q = np.multiply.outer([init.memory_weight(b) for b in kernel.rates], phi)
-            hist = RingBuffer(disc.n_hist, disc.nx)
-            # scalar math.cos factors, not np.cos, keep the buffer bitwise as
-            # before; fromiter keeps no list of n_hist floats beside it
-            factors = np.fromiter((init.history_factor(-j * disc.dt)
-                                   for j in range(hist.capacity)), float, hist.capacity)
-            np.multiply.outer(factors, phi, out=hist.data)
-            state.u_hist = hist
+            # the past is evaluated on demand, with the scalar math.cos factor
+            # a stored row would have had; a frozen past is phi itself
+            factor = None if init.history == "frozen" else (
+                lambda ages: init.history_factors(-ages * disc.dt))
+            phi.flags.writeable = False
+            state.u_hist = RingBuffer(disc.n_hist, disc.nx, past=phi, factor=factor)
         else:
             state.eta = np.multiply.outer(
                 [1.0 - init.history_factor(-s) for s in disc.s_nodes[1:]], phi

@@ -6,7 +6,9 @@ trapezoid convolution over the stored past (no exponential auxiliary
 variables), and the Poincare oracle diagonalizes the finite-difference
 Laplacian.  The ``*_rows`` references evaluate an energy sample row by
 row, reducing every stored field again on each call; the vectorized
-sampling must reproduce them bit for bit.
+sampling must reproduce them bit for bit.  ``materialized_history`` stores
+the whole prescribed past in the displacement ring buffer, as ``build``
+did before the past was evaluated on demand.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from viscodelay.energy import SampleRow, grad_full, integral_x
 from viscodelay.kernel import MemoryKernel
-from viscodelay.solver import delayed_velocity
+from viscodelay.solver import RingBuffer, delayed_velocity
 
 
 def modal_oracle(lam: float, kernel: MemoryKernel, horizon: float,
@@ -150,3 +152,13 @@ def sample_state_rows(state, params, disc) -> SampleRow:
         ut_sq=ut_sq, ut_tau_sq=dx * float(v_tau @ v_tau),
         delay_raw=delay_raw, mu_prime_eta=mu_prime_eta,
     )
+
+
+def materialized_history(params, init, disc) -> RingBuffer:
+    """A displacement ring buffer at t = 0 with every slot of the past stored."""
+    phi = init.profile(disc.x_interior(), params.length)
+    hist = RingBuffer(disc.n_hist, disc.nx)
+    factors = np.fromiter((init.history_factor(-j * disc.dt)
+                           for j in range(hist.capacity)), float, hist.capacity)
+    np.multiply.outer(factors, phi, out=hist.data)
+    return hist

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -238,6 +240,32 @@ def test_stiff_kernel_refused_before_stepping(tmp_path, capsys, command, a, b):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_stiff_eta_grid_transport_refused_before_stepping(tmp_path, capsys, command):
+    # dt/min(s gap) = 21.3 at nx=200: the upwind eta transport goes non-finite
+    doc = {"kernel": {"terms": [{"a": 2500.0, "b": 5000.0}]}, "nx": 200, "tau": 0.0,
+           "mode": "auxiliary", "memory_realization": "eta_grid", "T": 1.0,
+           "k_values": [0.0, 0.01]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "dt/min(s gap) = 21.27" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eta_grid_transport_below_limit_runs(tmp_path):
+    # dt/min(s gap) = 1.19 at nx=100 decays
+    doc = {"kernel": {"terms": [{"a": 70.5, "b": 141.0}]}, "nx": 100, "tau": 0.0,
+           "mode": "auxiliary", "memory_realization": "eta_grid", "T": 1.0,
+           "init": {"shape": "gaussian"}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["aborted_step"] is None
+    assert report["classification"] == "decaying"
+
+
 # -- sweep -----------------------------------------------------------------------
 
 def sweep_config(**extra) -> dict:
@@ -335,6 +363,38 @@ def test_sweep_row_failure_recorded(tmp_path):
     first_row = lines[2].split(",")
     assert first_row[0] == "-1000"
     assert first_row[3] == "growing"
+
+
+def read_sweep_rows(out) -> list[dict]:
+    lines = (out / "sweep.csv").read_text().splitlines()
+    return list(csv.DictReader(lines[1:]))
+
+
+def test_sweep_csv_keeps_row_error(tmp_path):
+    out = tmp_path / "out"
+    doc = {"kernel": {"terms": []}, "nx": 40, "tau": 0.0, "T": 10.0,
+           "sample_every": 20, "k_values": [-1000.0, 0.0]}
+    cfg = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    blown_up, healthy = read_sweep_rows(out)
+    assert blown_up["classification"] == "growing"
+    assert re.fullmatch(r"non-finite at step \d+", blown_up["error"])
+    assert healthy["error"] == ""
+
+
+def test_sweep_csv_quotes_error_text(tmp_path, monkeypatch):
+    from viscodelay import solver
+
+    def refuse(*args, **kwargs):
+        raise ValueError('no run, "k" rejected')
+
+    monkeypatch.setattr(solver, "run", refuse)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, sweep_config(k_values=[0.0, 0.01]))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_sweep_rows(out)
+    assert [row["classification"] for row in rows] == ["error", "error"]
+    assert [row["error"] for row in rows] == ['no run, "k" rejected'] * 2
 
 
 # -- selfcheck ---------------------------------------------------------------------
