@@ -557,7 +557,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
 
 # -- selfcheck -------------------------------------------------------------------
 
-def _check_worked_constants() -> list[str]:
+def _check_worked_constants() -> tuple[str, list[str]]:
     """Pinned rational identities of the worked kernel mu(t) = e^{-2t}, theta = 2."""
     problems = []
     c_p = 1.0 / math.pi ** 2
@@ -575,14 +575,17 @@ def _check_worked_constants() -> list[str]:
         "gamma2": 45.0 + 73.0 * c_p,
         "k0_explicit_lb": 8.0 * math.exp(-2.0) / (1231.0 + 1168.0 * c_p),
     }
+    rel_errors = {}
     for name, want in expected.items():
         got = getattr(report, name)
         if not math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0):
             problems.append(f"{name}: got {got!r}, expected {want!r}")
-    return problems
+        rel_errors[name] = abs(got - want) / abs(want)
+    worst = max(rel_errors, key=rel_errors.get)
+    return f"worst relative error {rel_errors[worst]:.3e} ({worst}), limit 1e-12", problems
 
 
-def _check_wave_convergence() -> list[str]:
+def _check_wave_convergence() -> tuple[str, list[str]]:
     """Pure-wave order check: max error must drop by >= 3.5x per dx halving."""
     horizon = 1.7
     errors = []
@@ -598,24 +601,24 @@ def _check_wave_convergence() -> list[str]:
         exact = np.sin(np.pi * x) * math.cos(math.pi * state.t)
         errors.append(float(np.abs(state.u - exact).max()))
     ratio = errors[0] / errors[1]
-    if ratio < 3.5:
-        return [f"convergence ratio {ratio:.2f} < 3.5 (errors {errors})"]
-    return []
+    detail = (f"max errors {errors[0]:.4e} (nx=24), {errors[1]:.4e} (nx=49), "
+              f"ratio {ratio:.3f}, minimum 3.5")
+    return detail, [] if ratio >= 3.5 else [f"convergence ratio {ratio:.2f} < 3.5"]
 
 
-def _check_dissipativity(seed: int) -> list[str]:
+def _check_dissipativity(seed: int) -> tuple[str, list[str]]:
     kernel = MemoryKernel.from_terms([(1.0, 2.0)])
     params = solver.ModelParams(tau=1.0, k=0.0, theta=2.0, kernel=kernel,
                                 memory_realization="eta_grid")
     disc = solver.discretize(params, nx=40, ns=24)
     report = solver.dissipativity_spot_check(params, disc, trials=8,
                                              c_shift=1e-8, seed=seed)
-    if not report.passed:
-        return [f"max quotient {report.max_quotient:.3e} exceeds 1e-8"]
-    return []
+    detail = f"max quotient {report.max_quotient:.4e} over {report.trials} trials, limit 1e-8"
+    return detail, [] if report.passed else ["max quotient exceeds 1e-8"]
 
 
 def cmd_selfcheck(seed: int) -> int:
+    """Run each check and print the numbers it compared, one line per check."""
     checks = [
         ("worked-example constants", _check_worked_constants),
         ("pure-wave convergence", _check_wave_convergence),
@@ -623,12 +626,12 @@ def cmd_selfcheck(seed: int) -> int:
     ]
     failed = 0
     for name, fn in checks:
-        problems = fn()
+        detail, problems = fn()
         if problems:
             failed += 1
-            print(f"FAIL {name}: " + "; ".join(problems))
+            print(f"FAIL {name}: " + "; ".join(problems) + f" ({detail})")
         else:
-            print(f"PASS {name}")
+            print(f"PASS {name}: {detail}")
     return 0 if failed == 0 else 1
 
 

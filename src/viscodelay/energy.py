@@ -108,13 +108,16 @@ def _delay_integral(state: SimState, disc: Discretization) -> float:
     return float(w @ (decay * norms))
 
 
-def sample_state(state: SimState, params: ModelParams, disc: Discretization) -> SampleRow:
+def sample_state(state: SimState, params: ModelParams, disc: Discretization,
+                 eta: np.ndarray | None = None) -> SampleRow:
+    """One energy row; ``eta`` is ``eta_field(state, ...)`` when the caller has it."""
     # near-blow-up states report inf/nan energy instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sample_state(state, params, disc)
+        return _sample_state(state, params, disc, eta)
 
 
-def _sample_state(state: SimState, params: ModelParams, disc: Discretization) -> SampleRow:
+def _sample_state(state: SimState, params: ModelParams, disc: Discretization,
+                  eta: np.ndarray | None) -> SampleRow:
     dx = disc.dx
     kinetic = 0.5 * _interior_sq_integral(state.v, dx)
     mu_tilde = params.kernel.mu_tilde
@@ -125,7 +128,8 @@ def _sample_state(state: SimState, params: ModelParams, disc: Discretization) ->
         memory = 0.0
         mu_prime_eta = 0.0
     else:
-        eta = solver_mod.eta_field(state, params, disc)
+        if eta is None:
+            eta = solver_mod.eta_field(state, params, disc)
         ge = grad_full(eta, dx)
         grad_sq = integral_x(ge * ge, dx)  # per s-node
         # w @ (mu * grad_sq), not (w * mu) @ grad_sq: keeps the reported bits

@@ -28,6 +28,17 @@ Two realizations of the memory term are provided:
 
 The delay likewise has an exact ring-buffer realization (default) and a
 first-order upwind rho-grid realization for cross-checks.
+
+Time stepping is the classical 4-stage explicit scheme applied to the one
+generator ``_rhs``.  The system is linear and its only spatial operator is
+the Dirichlet Laplacian L, so with ``prony_modes`` memory and the ring-buffer
+delay (or none) one step is a fixed map C0 + C1 L + C2 L^2 acting on
+[u; v; q; two delay-line rows]; ``_step_map`` computes its small scalar
+coefficient matrices once per (params, grid) and ``step`` applies it with
+one matmul and two in-place second differences.  The ``eta_grid`` and
+``rho_grid`` realizations carry (ns - 1) or n_delay extra field rows and
+run the four ``_rhs`` stages, which also serve as the reference the map
+is tested against.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ __all__ = [
     "CflViolation",
     "DelayUnresolvable",
     "NonFinite",
+    "HistoryTooLarge",
     "ModelParams",
     "Discretization",
     "InitialData",
@@ -85,6 +97,18 @@ class CflViolation(SolverError):
 
 class DelayUnresolvable(SolverError):
     pass
+
+
+class HistoryTooLarge(SolverError):
+    """The displacement history's n_hist x nx reservation cannot be mapped."""
+
+    def __init__(self, n_hist: int, nx: int):
+        nbytes = 8 * n_hist * nx
+        super().__init__(
+            f"the displacement history needs n_hist={n_hist} rows x nx={nx} = "
+            f"{nbytes} bytes ({nbytes / 2**30:.4g} GiB) of address space, which "
+            "cannot be reserved; raise the kernel rates or coarsen the grid"
+        )
 
 
 class NonFinite(SolverError):
@@ -481,7 +505,11 @@ def build(params: ModelParams, init: InitialData, disc: Discretization) -> SimSt
             factor = None if init.history == "frozen" else (
                 lambda ages: init.history_factors(-ages * disc.dt))
             phi.flags.writeable = False
-            state.u_hist = RingBuffer(disc.n_hist, disc.nx, past=phi, factor=factor)
+            try:
+                state.u_hist = RingBuffer(disc.n_hist, disc.nx, past=phi, factor=factor)
+            except (MemoryError, ValueError) as err:
+                # numpy raises ValueError when the size overflows its index range
+                raise HistoryTooLarge(disc.n_hist, disc.nx) from err
         else:
             state.eta = np.multiply.outer(
                 [1.0 - init.history_factor(-s) for s in disc.s_nodes[1:]], phi
@@ -593,39 +621,140 @@ def _axpy(y, a: float, d):
     return y + a * d
 
 
-def step(state: SimState, params: ModelParams, disc: Discretization) -> SimState:
-    """Advance one dt by the classical 4-stage explicit scheme (in place)."""
+def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization) -> None:
+    """One step by four ``_rhs`` stages; the path of the evolved eta and z fields."""
     dt = disc.dt
     u0, v0, m0, z0 = state.u, state.v, state.q, state.z_rho
     if m0 is None:
         m0 = state.eta
 
+    k1 = _rhs(params, disc, state, u0, v0, m0, z0, 0.0)
+    k2 = _rhs(params, disc, state,
+              u0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
+              _axpy(m0, 0.5 * dt, k1[2]), _axpy(z0, 0.5 * dt, k1[3]), 0.5)
+    k3 = _rhs(params, disc, state,
+              u0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],
+              _axpy(m0, 0.5 * dt, k2[2]), _axpy(z0, 0.5 * dt, k2[3]), 0.5)
+    k4 = _rhs(params, disc, state,
+              u0 + dt * k3[0], v0 + dt * k3[1],
+              _axpy(m0, dt, k3[2]), _axpy(z0, dt, k3[3]), 1.0)
+
+    w = dt / 6.0
+    state.u = u0 + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    state.v = v0 + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    if m0 is not None:
+        mnew = m0 + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        if params.memory_realization == "prony_modes":
+            state.q = mnew
+        else:
+            state.eta = mnew
+    if z0 is not None:
+        state.z_rho = z0 + w * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+
+
+@functools.lru_cache(maxsize=32)
+def _step_map(params: ModelParams, disc: Discretization) -> np.ndarray:
+    """One RK4 step without eta or z fields, as the map C0 + C1 L + C2 L^2.
+
+    The map takes X = [u; v; q_1..q_m; v(t - tau); v(t - tau + dt)] (the
+    delay rows only when k != 0 and tau > 0) to the next [u; v; q].  The
+    generator is G0 + L G1 with scalar blocks; G1 maps u and q into the v
+    row and reads no v, so G1 G1 = 0 and four stages reach at most L^2.
+    The stages run on polynomials in D = dx^2 L, with the delayed input at
+    stage offset c weighted as ``back_interp(n_delay - c)`` reads it:
+    (1, 0), (1/2, 1/2), (0, 1) at c = 0, 1/2, 1.  Returns C0, C1 / dx^2 and
+    C2 / dx^4 stacked by rows, shape (3 (2 + m), 2 + m + n_in), read-only.
+    """
+    a = params.kernel.amplitudes
+    b = params.kernel.rates
+    nw = 2 + a.size
+    delayed = params.k != 0.0 and disc.n_delay > 0
+    n_in = nw + (2 if delayed else 0)
+    g0 = np.zeros((nw, nw))
+    g1 = np.zeros((nw, nw))
+    g0[0, 1] = 1.0
+    g0[1, 1] = -extra_damping(params, disc)
+    if disc.n_delay == 0:
+        g0[1, 1] -= params.k  # the delayed velocity is v itself
+    g0[2:, 0] = 1.0
+    g0[2:, 2:] = np.diag(-b)
+    g1[1, 0] = 1.0
+    g1[1, 2:] = -a
+    g1 /= disc.dx ** 2  # G0 + L G1 = G0 + D G1 / dx^2
+
+    def inputs(c: float) -> np.ndarray:
+        out = np.zeros((nw, n_in))
+        if delayed:
+            out[1, nw:] = -params.k * np.array([1.0 - c, c])
+        return out
+
+    def generator(p: np.ndarray) -> np.ndarray:
+        out = g0 @ p
+        out[1:] += g1 @ p[:-1]
+        return out
+
+    # coefficients of D^0 .. D^4 of each stage; only D^0 .. D^2 survive
+    dt = disc.dt
+    w0 = np.zeros((5, nw, n_in))
+    w0[0, :, :nw] = np.eye(nw)
+    k1 = generator(w0)
+    k1[0] += inputs(0.0)
+    k2 = generator(w0 + 0.5 * dt * k1)
+    k2[0] += inputs(0.5)
+    k3 = generator(w0 + 0.5 * dt * k2)
+    k3[0] += inputs(0.5)
+    k4 = generator(w0 + dt * k3)
+    k4[0] += inputs(1.0)
+    coeffs = (w0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[:3].reshape(3 * nw, n_in)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _add_second_difference(target: np.ndarray, w: np.ndarray) -> None:
+    """target += dx^2 L w, the Dirichlet second difference w[i-1] - 2 w[i] + w[i+1]."""
+    # -2 w stays an operation, not a coefficient: a rounded -2 in the map's
+    # constant term would shift the decay rate of smooth modes step after step
+    target -= 2.0 * w
+    target[..., 1:] += w[..., :-1]
+    target[..., :-1] += w[..., 1:]
+
+
+def _step_by_map(state: SimState, params: ModelParams, disc: Discretization) -> None:
+    coeffs = _step_map(params, disc)
+    nw = coeffs.shape[0] // 3
+    x = np.empty((coeffs.shape[1], disc.nx))
+    x[0] = state.u
+    x[1] = state.v
+    if state.q is not None:
+        x[2:nw] = state.q
+    if x.shape[0] > nw:
+        x[nw] = state.v_hist.back(disc.n_delay)
+        x[nw + 1] = state.v_hist.back(disc.n_delay - 1)
+    # Horner, C0 X + L (C1 X + L C2 X), in place in a fresh array, so the
+    # fields handed out by earlier steps survive
+    y = (coeffs @ x).reshape(3, nw, disc.nx)
+    _add_second_difference(y[1], y[2])
+    _add_second_difference(y[0], y[1])
+    state.u = y[0, 0]
+    state.v = y[0, 1]
+    if state.q is not None:
+        state.q = y[0, 2:]
+
+
+def step(state: SimState, params: ModelParams, disc: Discretization) -> SimState:
+    """Advance one dt by the classical 4-stage explicit scheme (in place).
+
+    A state with no evolved eta or z fields advances by ``_step_map``; the
+    ``eta_grid`` and ``rho_grid`` realizations run the four ``_rhs`` stages.
+    """
     # a blowing-up state overflows to inf/nan and is caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _rhs(params, disc, state, u0, v0, m0, z0, 0.0)
-        k2 = _rhs(params, disc, state,
-                  u0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
-                  _axpy(m0, 0.5 * dt, k1[2]), _axpy(z0, 0.5 * dt, k1[3]), 0.5)
-        k3 = _rhs(params, disc, state,
-                  u0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],
-                  _axpy(m0, 0.5 * dt, k2[2]), _axpy(z0, 0.5 * dt, k2[3]), 0.5)
-        k4 = _rhs(params, disc, state,
-                  u0 + dt * k3[0], v0 + dt * k3[1],
-                  _axpy(m0, dt, k3[2]), _axpy(z0, dt, k3[3]), 1.0)
+        if state.eta is None and state.z_rho is None:
+            _step_by_map(state, params, disc)
+        else:
+            _step_by_stages(state, params, disc)
 
-        w = dt / 6.0
-        state.u = u0 + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        state.v = v0 + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        if m0 is not None:
-            mnew = m0 + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-            if params.memory_realization == "prony_modes":
-                state.q = mnew
-            else:
-                state.eta = mnew
-        if z0 is not None:
-            state.z_rho = z0 + w * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-
-    state.t += dt
+    state.t += disc.dt
     state.step_index += 1
     if state.u_hist is not None:
         state.u_hist.push(state.u)
@@ -715,14 +844,16 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
 
     def take_sample():
         times.append(state.t)
-        rows.append(sample_state(state, params, disc))
+        # a snapshot shares the sample's eta, reconstructed once
+        eta = eta_field(state, params, disc) if snapshots else None
+        rows.append(sample_state(state, params, disc, eta=eta))
         if snapshots:
             snaps.append(
                 Snapshot(
                     t=state.t,
                     u=state.u.copy(),
                     v=state.v.copy(),
-                    eta=eta_field(state, params, disc).copy(),
+                    eta=eta.copy(),
                     v_delayed=delayed_velocity(state, params, disc).copy(),
                 )
             )

@@ -266,6 +266,25 @@ def test_eta_grid_transport_below_limit_runs(tmp_path):
     assert report["classification"] == "decaying"
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unmappable_history_reported_as_error(tmp_path, capsys, command):
+    # n_hist x nx x 8 bytes = 5.24 PiB, more than a 47-bit address space
+    doc = {"kernel": {"terms": [{"a": 1e-8, "b": 1e-7}]}, "nx": 1000, "tau": 0.0,
+           "T": 1.0, "k_values": [0.0]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    if command == "simulate":
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        text = capsys.readouterr().err
+        assert text.startswith("error: ")
+    else:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        (row,) = read_sweep_rows(out)
+        assert row["classification"] == "error"
+        text = row["error"]
+    assert re.search(r"n_hist=\d+ rows x nx=1000 = \d+ bytes", text)
+
+
 # -- sweep -----------------------------------------------------------------------
 
 def sweep_config(**extra) -> dict:

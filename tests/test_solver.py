@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from viscodelay import solver
 from viscodelay.kernel import MemoryKernel
 from viscodelay.solver import (
     CflViolation,
     DelayUnresolvable,
+    HistoryTooLarge,
     InitialData,
     ModelParams,
     NonFinite,
+    SolverError,
     build,
     delayed_velocity,
     discretize,
@@ -135,6 +138,21 @@ def test_zero_state_is_equilibrium():
     assert np.all(state.q == 0.0)
 
 
+@pytest.mark.parametrize("term", [(1e-8, 1e-7), (1e-12, 1e-11)])
+def test_unmappable_history_is_refused_with_its_size(term):
+    # (1e-8, 1e-7): n_hist = 737 564 056 990 rows x nx = 1000, 5.24 PiB, beyond
+    # a 47-bit address space, so the reservation fails at once under any
+    # overcommit mode; (1e-12, 1e-11): more bytes than numpy can index
+    params = ModelParams(kernel=MemoryKernel.from_terms([term]))
+    disc = discretize(params, nx=1000)
+    with pytest.raises(HistoryTooLarge) as err:
+        build(params, InitialData(), disc)
+    assert isinstance(err.value, SolverError)
+    message = str(err.value)
+    assert f"n_hist={disc.n_hist}" in message and "nx=1000" in message
+    assert f"{8 * disc.n_hist * 1000} bytes" in message
+
+
 # -- step invariants ----------------------------------------------------------------
 
 def test_boundary_values_stay_zero():
@@ -250,6 +268,25 @@ def test_run_zero_horizon_single_sample():
     assert trace.times.size == 1
     assert trace.times[0] == 0.0
     assert trace.aborted_step is None
+
+
+def test_snapshot_samples_reconstruct_eta_once(monkeypatch):
+    calls = []
+    original = solver.eta_field
+
+    def counted(*args):
+        calls.append(args[0].step_index)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "eta_field", counted)
+    params = ModelParams(kernel=KERNEL)
+    disc = discretize(params, nx=40)
+    init = InitialData(history="modulated", omega=2.0)
+    trace = run(params, init, disc, 0.5, sample_every=10, snapshots=True)
+    assert len(calls) == trace.times.size == len(trace.snapshots)
+    plain = run(params, init, disc, 0.5, sample_every=10)
+    np.testing.assert_array_equal(trace.memory, plain.memory)
+    np.testing.assert_array_equal(trace.mu_prime_eta, plain.mu_prime_eta)
 
 
 def test_memory_only_run_decays():
