@@ -380,8 +380,8 @@ def _fit_and_classify(trace: solver.Trace):
     return fit, analysis.classify(fit)
 
 
-def _best_certificate(cfg: RunConfig, k: float):
-    """Certificate report at |k|, scanning theta_values for the best sigma."""
+def _best_certificate(cfg: RunConfig, k: float, tau: float):
+    """Certificate report at |k| and delay ``tau``, best sigma over theta_values."""
     if cfg.kernel.is_empty:
         return None
     thetas = cfg.theta_values or [cfg.theta]
@@ -390,7 +390,7 @@ def _best_certificate(cfg: RunConfig, k: float):
         if theta <= 1.0:
             continue
         report = certificate.compute_constants(
-            _certificate_inputs(cfg, theta=theta, k=k)
+            _certificate_inputs(cfg, tau=tau, theta=theta, k=k)
         )
         if best is None or report.sigma > best.sigma:
             best = report
@@ -413,7 +413,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     fit, classification = _fit_and_classify(trace)
     theorem = None
     dissipation = None
-    cert = _best_certificate(cfg, cfg.k)
+    cert = _best_certificate(cfg, cfg.k, disc.tau)
     if cert is not None and cfg.mode == "original" and cert.sigma > 0.0 \
             and cert.certified and trace.aborted_step is None:
         theorem = analysis.check_theorem_bound(trace, cert.sigma)
@@ -479,12 +479,12 @@ def _sweep_row(cfg: RunConfig, k: float) -> analysis.SweepRow:
             # exponential blow-up outruns float range; that IS a growth verdict
             return analysis.SweepRow(
                 k=k, sigma_emp=math.nan, r_squared=math.nan,
-                classification="growing", certified=_certified_flag(cfg, k),
+                classification="growing", certified=_certified_flag(cfg, k, disc.tau),
                 theorem_bound_ok=None,
                 error=f"non-finite at step {trace.aborted_step}",
             )
         fit, classification = _fit_and_classify(trace)
-        cert = _best_certificate(cfg, k)
+        cert = _best_certificate(cfg, k, disc.tau)
         certified = None if cert is None else (abs(k) < cert.k0)
         theorem_ok = None
         if cert is not None and cfg.mode == "original" and cert.sigma > 0.0 \
@@ -506,9 +506,9 @@ def _sweep_row(cfg: RunConfig, k: float) -> analysis.SweepRow:
         )
 
 
-def _certified_flag(cfg: RunConfig, k: float) -> bool | None:
+def _certified_flag(cfg: RunConfig, k: float, tau: float) -> bool | None:
     try:
-        cert = _best_certificate(cfg, k)
+        cert = _best_certificate(cfg, k, tau)
     except Exception:
         return None
     return None if cert is None else (abs(k) < cert.k0)

@@ -30,15 +30,17 @@ The delay likewise has an exact ring-buffer realization (default) and a
 first-order upwind rho-grid realization for cross-checks.
 
 Time stepping is the classical 4-stage explicit scheme applied to the one
-generator ``_rhs``.  The system is linear and its only spatial operator is
-the Dirichlet Laplacian L, so with ``prony_modes`` memory and the ring-buffer
-delay (or none) one step is a fixed map C0 + C1 L + C2 L^2 acting on
-[u; v; q; two delay-line rows]; ``_step_map`` computes its small scalar
-coefficient matrices once per (params, grid) and ``step`` applies it with
-one matmul and two in-place second differences.  The ``eta_grid`` and
-``rho_grid`` realizations carry (ns - 1) or n_delay extra field rows and
-run the four ``_rhs`` stages, which also serve as the reference the map
-is tested against.
+generator ``_rhs``, the only place the system is written down.  The system
+is linear and its only spatial operator is the Dirichlet Laplacian L, so
+with ``prony_modes`` memory and the ring-buffer delay (or none) one step is
+a fixed map C0 + C1 L + C2 L^2 acting on [u; v; q; two delay-line rows].
+``_step_map`` obtains its small scalar coefficient matrices once per
+(params, grid) by running the stage loop ``_step_by_stages`` on fields that
+are polynomials in L, and ``step`` applies the map with one matmul and two
+in-place second differences.  The ``eta_grid`` and ``rho_grid``
+realizations carry (ns - 1) or n_delay extra field rows and run the stage
+loop on the fields themselves, which is also the reference the map is
+tested against.
 """
 
 from __future__ import annotations
@@ -528,11 +530,19 @@ def build(params: ModelParams, init: InitialData, disc: Discretization) -> SimSt
     return state
 
 
+def _add_second_difference(target: np.ndarray, w: np.ndarray) -> None:
+    """target += dx^2 L w, the Dirichlet second difference w[i-1] - 2 w[i] + w[i+1]."""
+    # -2 w stays an operation, not a coefficient: a rounded -2 in the map's
+    # constant term would shift the decay rate of smooth modes step after step
+    target -= 2.0 * w
+    target[..., 1:] += w[..., :-1]
+    target[..., :-1] += w[..., 1:]
+
+
 def laplacian(w: np.ndarray, dx: float) -> np.ndarray:
     """Standard 3-point second difference with homogeneous Dirichlet rows."""
-    out = -2.0 * w
-    out[..., 1:] += w[..., :-1]
-    out[..., :-1] += w[..., 1:]
+    out = np.zeros(w.shape)
+    _add_second_difference(out, w)
     out /= dx * dx
     return out
 
@@ -573,26 +583,28 @@ def _delayed(params: ModelParams, disc: Discretization, state: SimState | None,
 
 
 def _rhs(params: ModelParams, disc: Discretization, state: SimState | None,
-         u: np.ndarray, v: np.ndarray, mem, z, c: float):
+         u: np.ndarray, v: np.ndarray, mem, z, c: float,
+         lap: Callable[[np.ndarray, float], np.ndarray] = laplacian):
     """Stage derivative of (u, v, mem, z) at stage offset c in [0, 1].
 
     This is the one definition of the semi-discrete generator: ``step``
-    integrates it and ``dissipativity_spot_check`` takes its Rayleigh
-    quotient.  ``state`` is read only for the velocity ring buffer.
+    integrates it, ``_step_map`` runs it on polynomial fields with its own
+    ``lap``, and ``dissipativity_spot_check`` takes its Rayleigh quotient.
+    ``state`` is read only for the velocity ring buffer.
     """
     if mem is None:
-        dv = laplacian(u, disc.dx)
+        dv = lap(u, disc.dx)
         dmem = None
     elif params.memory_realization == "prony_modes":
         # int mu(s) eta_xx ds = mu_tilde u_xx - sum_i a_i q_i_xx, exactly
         a = params.kernel.amplitudes
         b = params.kernel.rates
-        dv = laplacian(u - a @ mem, disc.dx)
+        dv = lap(u - a @ mem, disc.dx)
         dmem = u[None, :] - b[:, None] * mem
     else:
         mu_tilde = params.kernel.mu_tilde
         wmu = _kernel_on_grid(params.kernel, disc).w_mu
-        dv = laplacian((1.0 - mu_tilde) * u + wmu @ mem, disc.dx)
+        dv = lap((1.0 - mu_tilde) * u + wmu @ mem, disc.dx)
         gaps = np.diff(disc.s_nodes)
         upwind = mem.copy()
         upwind[1:] -= mem[:-1]
@@ -615,41 +627,27 @@ def _rhs(params: ModelParams, disc: Discretization, state: SimState | None,
     return v, dv, dmem, dz
 
 
-def _axpy(y, a: float, d):
-    if y is None:
-        return None
-    return y + a * d
+def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
+                    lap: Callable[[np.ndarray, float], np.ndarray] = laplacian) -> None:
+    """One step of the classical RK4 tableau on (u, v, mem, z), by four ``_rhs`` stages.
 
-
-def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization) -> None:
-    """One step by four ``_rhs`` stages; the path of the evolved eta and z fields."""
+    The path of the evolved eta and z fields, and how ``_step_map`` is built.
+    """
     dt = disc.dt
-    u0, v0, m0, z0 = state.u, state.v, state.q, state.z_rho
-    if m0 is None:
-        m0 = state.eta
-
-    k1 = _rhs(params, disc, state, u0, v0, m0, z0, 0.0)
-    k2 = _rhs(params, disc, state,
-              u0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
-              _axpy(m0, 0.5 * dt, k1[2]), _axpy(z0, 0.5 * dt, k1[3]), 0.5)
-    k3 = _rhs(params, disc, state,
-              u0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],
-              _axpy(m0, 0.5 * dt, k2[2]), _axpy(z0, 0.5 * dt, k2[3]), 0.5)
-    k4 = _rhs(params, disc, state,
-              u0 + dt * k3[0], v0 + dt * k3[1],
-              _axpy(m0, dt, k3[2]), _axpy(z0, dt, k3[3]), 1.0)
-
+    x0 = (state.u, state.v, state.eta if state.q is None else state.q, state.z_rho)
+    slopes = [_rhs(params, disc, state, *x0, 0.0, lap)]
+    for h, c in ((0.5 * dt, 0.5), (0.5 * dt, 0.5), (dt, 1.0)):
+        x = (None if y is None else y + h * d for y, d in zip(x0, slopes[-1]))
+        slopes.append(_rhs(params, disc, state, *x, c, lap))
     w = dt / 6.0
-    state.u = u0 + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    state.v = v0 + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    if m0 is not None:
-        mnew = m0 + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        if params.memory_realization == "prony_modes":
-            state.q = mnew
-        else:
-            state.eta = mnew
-    if z0 is not None:
-        state.z_rho = z0 + w * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    state.u, state.v, mem, state.z_rho = (
+        None if y is None else y + w * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        for y, d1, d2, d3, d4 in zip(x0, *slopes)
+    )
+    if state.q is None:
+        state.eta = mem
+    else:
+        state.q = mem
 
 
 @functools.lru_cache(maxsize=32)
@@ -657,66 +655,40 @@ def _step_map(params: ModelParams, disc: Discretization) -> np.ndarray:
     """One RK4 step without eta or z fields, as the map C0 + C1 L + C2 L^2.
 
     The map takes X = [u; v; q_1..q_m; v(t - tau); v(t - tau + dt)] (the
-    delay rows only when k != 0 and tau > 0) to the next [u; v; q].  The
-    generator is G0 + L G1 with scalar blocks; G1 maps u and q into the v
-    row and reads no v, so G1 G1 = 0 and four stages reach at most L^2.
-    The stages run on polynomials in D = dx^2 L, with the delayed input at
-    stage offset c weighted as ``back_interp(n_delay - c)`` reads it:
-    (1, 0), (1/2, 1/2), (0, 1) at c = 0, 1/2, 1.  Returns C0, C1 / dx^2 and
-    C2 / dx^4 stacked by rows, shape (3 (2 + m), 2 + m + n_in), read-only.
+    delay rows only when k != 0 and tau > 0) to the next [u; v; q].  It is
+    ``_step_by_stages`` run on a state whose fields are polynomials in
+    D = dx^2 L: each field is a row of five blocks, the coefficients of
+    D^0 .. D^4 acting on X, and the Laplacian moves a row up one block and
+    divides it by dx^2.  The two delay inputs sit at ``v_hist`` slots
+    n_delay and n_delay - 1, so ``back_interp(n_delay - c)`` weights them
+    (1, 0), (1/2, 1/2), (0, 1) at c = 0, 1/2, 1, and at tau = 0 ``_rhs``
+    folds -k v itself.  The generator is G0 + L G1 with scalar blocks; G1
+    maps u and q into the v row and reads no v, so G1 G1 = 0 and four
+    stages reach at most L^2.  Returns C0, C1 / dx^2 and C2 / dx^4 stacked
+    by rows, shape (3 (2 + m), rows of X), read-only.
     """
-    a = params.kernel.amplitudes
-    b = params.kernel.rates
-    nw = 2 + a.size
+    nw = 2 + params.kernel.amplitudes.size
     delayed = params.k != 0.0 and disc.n_delay > 0
     n_in = nw + (2 if delayed else 0)
-    g0 = np.zeros((nw, nw))
-    g1 = np.zeros((nw, nw))
-    g0[0, 1] = 1.0
-    g0[1, 1] = -extra_damping(params, disc)
-    if disc.n_delay == 0:
-        g0[1, 1] -= params.k  # the delayed velocity is v itself
-    g0[2:, 0] = 1.0
-    g0[2:, 2:] = np.diag(-b)
-    g1[1, 0] = 1.0
-    g1[1, 2:] = -a
-    g1 /= disc.dx ** 2  # G0 + L G1 = G0 + D G1 / dx^2
+    unit = np.eye(n_in, 5 * n_in)  # row i: input i at degree 0
+    poly = SimState(t=0.0, step_index=0, u=unit[0], v=unit[1],
+                    q=unit[2:nw] if nw > 2 else None)
+    if delayed:
+        # a two-slot ring reads back(p) from slot p % 2
+        poly.v_hist = RingBuffer(2, 5 * n_in)
+        poly.v_hist.data[disc.n_delay % 2] = unit[nw]
+        poly.v_hist.data[(disc.n_delay - 1) % 2] = unit[nw + 1]
 
-    def inputs(c: float) -> np.ndarray:
-        out = np.zeros((nw, n_in))
-        if delayed:
-            out[1, nw:] = -params.k * np.array([1.0 - c, c])
+    def raise_degree(w: np.ndarray, dx: float) -> np.ndarray:
+        out = np.zeros(w.shape)
+        out[..., n_in:] = w[..., :-n_in] / (dx * dx)
         return out
 
-    def generator(p: np.ndarray) -> np.ndarray:
-        out = g0 @ p
-        out[1:] += g1 @ p[:-1]
-        return out
-
-    # coefficients of D^0 .. D^4 of each stage; only D^0 .. D^2 survive
-    dt = disc.dt
-    w0 = np.zeros((5, nw, n_in))
-    w0[0, :, :nw] = np.eye(nw)
-    k1 = generator(w0)
-    k1[0] += inputs(0.0)
-    k2 = generator(w0 + 0.5 * dt * k1)
-    k2[0] += inputs(0.5)
-    k3 = generator(w0 + 0.5 * dt * k2)
-    k3[0] += inputs(0.5)
-    k4 = generator(w0 + dt * k3)
-    k4[0] += inputs(1.0)
-    coeffs = (w0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[:3].reshape(3 * nw, n_in)
+    _step_by_stages(poly, params, disc, raise_degree)
+    fields = np.vstack([poly.u, poly.v] + ([] if poly.q is None else [poly.q]))
+    coeffs = fields.reshape(nw, 5, n_in)[:, :3].swapaxes(0, 1).reshape(3 * nw, n_in)
     coeffs.flags.writeable = False
     return coeffs
-
-
-def _add_second_difference(target: np.ndarray, w: np.ndarray) -> None:
-    """target += dx^2 L w, the Dirichlet second difference w[i-1] - 2 w[i] + w[i+1]."""
-    # -2 w stays an operation, not a coefficient: a rounded -2 in the map's
-    # constant term would shift the decay rate of smooth modes step after step
-    target -= 2.0 * w
-    target[..., 1:] += w[..., :-1]
-    target[..., :-1] += w[..., 1:]
 
 
 def _step_by_map(state: SimState, params: ModelParams, disc: Discretization) -> None:
@@ -905,12 +877,11 @@ class SpotCheckReport:
     passed: bool
 
 
-def _edge_inner(w1: np.ndarray, w2: np.ndarray, dx: float) -> float:
-    f1 = np.zeros(w1.size + 2)
-    f1[1:-1] = w1
-    f2 = np.zeros(w2.size + 2)
-    f2[1:-1] = w2
-    return float(np.diff(f1) @ np.diff(f2)) / dx
+def _edge_inner(w1: np.ndarray, w2: np.ndarray, dx: float) -> np.ndarray:
+    """Edge-form pairing -<w1, L w2> along the last axis, one value per row."""
+    d1 = np.diff(w1, prepend=0.0, append=0.0)
+    d2 = np.diff(w2, prepend=0.0, append=0.0)
+    return np.einsum("...i,...i->...", d1, d2) / dx
 
 
 def dissipativity_spot_check(params: ModelParams, disc: Discretization,
@@ -937,11 +908,9 @@ def dissipativity_spot_check(params: ModelParams, disc: Discretization,
     d_rho = 1.0 / disc.n_delay if use_z else 0.0
 
     def pairing(du, dv, deta, dz, u, v, eta, z) -> float:
-        out = (1.0 - mu_tilde) * _edge_inner(du, u, dx) + dx * float(dv @ v)
+        out = (1.0 - mu_tilde) * float(_edge_inner(du, u, dx)) + dx * float(dv @ v)
         if use_eta:
-            out += sum(
-                wmu[j] * _edge_inner(deta[j], eta[j], dx) for j in range(eta.shape[0])
-            )
+            out += float(wmu @ _edge_inner(deta, eta, dx))
         if use_z:
             out += d_rho * dx * float((dz * z).sum())
         return out

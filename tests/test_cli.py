@@ -197,6 +197,38 @@ def test_outputs_echo_resolved_discretization(tmp_path):
     assert report["config"]["resolved"] == echo["resolved"]
 
 
+def test_simulate_certifies_at_the_snapped_delay(tmp_path):
+    # at nx=37 the delay 0.3 snaps to 46 steps of 0.25/38
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, simulate_config(nx=37, tau=0.3, T=1.0))
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    tau_snapped = report["config"]["resolved"]["tau_snapped"]
+    assert tau_snapped == pytest.approx(46 * 0.25 / 38, rel=1e-15)
+    assert report["certificate"]["inputs"]["tau"] == tau_snapped
+
+
+def test_sweep_certifies_at_the_snapped_delay(tmp_path, monkeypatch):
+    from viscodelay import cli
+
+    taus = []
+    inputs = cli._certificate_inputs
+
+    def recorded(cfg, tau=None, **kwargs):
+        taus.append(tau)
+        return inputs(cfg, tau=tau, **kwargs)
+
+    monkeypatch.setattr(cli, "_certificate_inputs", recorded)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, sweep_config(nx=37, tau=0.3, T=1.0,
+                                              k_values=[0.0005, 0.02]))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    header = (out / "sweep.csv").read_text().splitlines()[0]
+    tau_snapped = json.loads(header[len("# config "):])["resolved"]["tau_snapped"]
+    assert tau_snapped == pytest.approx(46 * 0.25 / 38, rel=1e-15)
+    assert taus == [tau_snapped] * 2
+
+
 def test_simulate_auxiliary_reports_dissipation(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, simulate_config(mode="auxiliary", T=10.0))

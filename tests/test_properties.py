@@ -1,19 +1,32 @@
-"""Property: every admissible kernel is refused before stepping or runs finite."""
+"""Properties of the solver and the certificate over drawn configurations.
+
+* every admissible kernel is refused before stepping or runs finite;
+* the precomputed one-step map agrees with the four-stage loop it is built from;
+* the certificate's thresholds are ordered and its rate falls with |k|.
+"""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viscodelay.kernel import MemoryKernel
+from viscodelay import solver
+from viscodelay.certificate import (CertificateInputs, compute_constants,
+                                    poincare_constant_interval)
+from viscodelay.kernel import MemoryKernel, validate_kernel
 from viscodelay.solver import InitialData, ModelParams, SolverError, discretize, run
 
 RATES = st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)  # b in [1e-2, 1e4]
 
 
 @st.composite
-def kernels(draw):
-    """1-4 Prony terms with total mass mu_tilde in [0.05, 0.95]."""
-    shares = draw(st.lists(st.tuples(st.floats(0.05, 1.0), RATES), min_size=1, max_size=4))
+def kernels(draw, min_terms=1):
+    """min_terms-4 Prony terms with total mass mu_tilde in [0.05, 0.95]."""
+    shares = draw(st.lists(st.tuples(st.floats(0.05, 1.0), RATES),
+                           min_size=min_terms, max_size=4))
+    if not shares:
+        return MemoryKernel()
     mass = draw(st.floats(0.05, 0.95))
     total = sum(share for share, _ in shares)
     return MemoryKernel.from_terms([(mass * share / total * b, b) for share, b in shares])
@@ -31,3 +44,53 @@ def test_admissible_kernel_refused_or_runs_finite(kernel, memory_realization):
     trace = run(params, InitialData(shape="gaussian"), disc, 0.5)
     assert trace.aborted_step is None
     assert np.isfinite(trace.total).all()
+
+
+@st.composite
+def map_configs(draw):
+    params = ModelParams(
+        tau=draw(st.one_of(st.just(0.0), st.floats(0.05, 0.5))),
+        k=draw(st.floats(-1.0, 1.0)),
+        theta=draw(st.floats(1.0, 4.0, exclude_min=True)),
+        kernel=draw(kernels(min_terms=0)),
+        mode=draw(st.sampled_from(["original", "auxiliary"])),
+    )
+    init = InitialData(shape="gaussian", width=0.08,
+                       history=draw(st.sampled_from(["frozen", "modulated"])),
+                       omega=draw(st.floats(0.5, 5.0)))
+    return params, init
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(config=map_configs())
+def test_map_matches_stage_loop(config):
+    params, init = config
+    try:
+        disc = discretize(params, nx=20)
+    except SolverError:
+        return
+    horizon = 20 * disc.dt
+    by_map = run(params, init, disc, horizon, sample_every=1)
+    with mock.patch.object(solver, "_step_by_map", solver._step_by_stages):
+        by_stages = run(params, init, disc, horizon, sample_every=1)
+    assert by_map.aborted_step is None and by_stages.aborted_step is None
+    assert by_map.times.size == 21
+    np.testing.assert_allclose(by_map.total, by_stages.total, rtol=1e-10, atol=0.0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(kernel=kernels(), tau=st.floats(0.0, 2.0), theta=st.floats(1.01, 5.0),
+       k_pair=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)))
+def test_certificate_invariants(kernel, tau, theta, k_pair):
+    report = validate_kernel(kernel)
+    small, large = sorted(k_pair, key=abs)
+    reports = [
+        compute_constants(CertificateInputs(
+            mu0=report.mu0, mu_tilde=report.mu_tilde, alpha=report.alpha, tau=tau,
+            theta=theta, c_poincare=poincare_constant_interval(1.0), k=k))
+        for k in (small, large)
+    ]
+    for r in reports:
+        assert r.k0 <= r.k_bar
+        assert r.k0_explicit_lb <= r.k_hat
+    assert reports[0].sigma >= reports[1].sigma

@@ -145,16 +145,29 @@ def test_grid_realizations_keep_the_stage_loop(monkeypatch):
         assert state.step_index == 1
 
 
-def test_map_path_makes_no_stage_calls(monkeypatch):
-    def no_stage(*args):
-        raise AssertionError("a stage ran")
+def test_map_is_built_by_four_stage_calls(monkeypatch):
+    # the map is the stage loop run once on polynomial fields; steps after
+    # that make no stage call
+    calls = []
+    rhs = solver._rhs
 
-    monkeypatch.setattr(solver, "_rhs", no_stage)
+    def counted(*args):
+        calls.append(args)
+        return rhs(*args)
+
+    monkeypatch.setattr(solver, "_rhs", counted)
     for params, init in CASES.values():
         disc = discretize(params, nx=30)
         state = build(params, init, disc)
+        misses = solver._step_map.cache_info().misses
         step(state, params, disc)
-        assert state.step_index == 1
+        assert solver._step_map.cache_info().misses == misses + 1
+        assert len(calls) == 4
+        calls.clear()
+        for _ in range(3):
+            step(state, params, disc)
+        assert calls == []
+        assert state.step_index == 4
 
 
 def test_non_finite_state_raises_from_the_map():
