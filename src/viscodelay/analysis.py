@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Trace, _kernel_on_grid, extra_damping
+from .solver import Trace, extra_damping
 
 __all__ = [
     "InsufficientData",
@@ -25,7 +25,9 @@ __all__ = [
     "check_memory_identity",
 ]
 
-ENERGY_FLOOR = 1e-30
+ENERGY_FLOOR = 1e-30     # fit_decay_rate drops samples at or below this
+GROWTH_THRESHOLD = 1e-3  # classify: |sigma_emp| needed for a trend
+IDENTITY_FLOOR = 1e-300  # keeps the identity residual of a zero trace finite
 
 
 class InsufficientData(ValueError):
@@ -67,11 +69,10 @@ def default_window(times: np.ndarray) -> tuple[float, float]:
     return (0.2 * t_end, 0.9 * t_end)
 
 
-def fit_decay_rate(trace: Trace, window: tuple[float, float] | None = None,
-                   floor: float = ENERGY_FLOOR) -> DecayFit:
+def fit_decay_rate(trace: Trace, window: tuple[float, float] | None = None) -> DecayFit:
     """Ordinary least squares on (t, ln F(t)) inside the fit window.
 
-    Samples at or below ``floor`` are dropped; fewer than 10 usable
+    Samples at or below ``ENERGY_FLOOR`` are dropped; fewer than 10 usable
     samples raises :class:`InsufficientData`.
     """
     t = trace.times
@@ -79,7 +80,7 @@ def fit_decay_rate(trace: Trace, window: tuple[float, float] | None = None,
     if window is None:
         window = default_window(t)
     lo, hi = window
-    mask = (t >= lo) & (t <= hi) & (f > floor) & np.isfinite(f)
+    mask = (t >= lo) & (t <= hi) & (f > ENERGY_FLOOR) & np.isfinite(f)
     if int(mask.sum()) < 10:
         raise InsufficientData(
             f"only {int(mask.sum())} usable samples in window [{lo}, {hi}]"
@@ -103,11 +104,11 @@ def fit_decay_rate(trace: Trace, window: tuple[float, float] | None = None,
                     n_samples=int(mask.sum()))
 
 
-def classify(fit: DecayFit, growth_threshold: float = 1e-3) -> str:
+def classify(fit: DecayFit) -> str:
     """'decaying', 'growing', or 'inconclusive' from a decay fit."""
-    if fit.sigma_emp > growth_threshold and fit.r_squared > 0.9:
+    if fit.sigma_emp > GROWTH_THRESHOLD and fit.r_squared > 0.9:
         return "decaying"
-    if fit.sigma_emp < -growth_threshold and fit.r_squared > 0.9:
+    if fit.sigma_emp < -GROWTH_THRESHOLD and fit.r_squared > 0.9:
         return "growing"
     return "inconclusive"
 
@@ -196,14 +197,13 @@ class IdentityCheckResult:
     n_snapshots: int
 
 
-def check_memory_identity(trace: Trace, s_start: float, t_end: float,
-                          floor: float = 1e-300) -> IdentityCheckResult:
+def check_memory_identity(trace: Trace, s_start: float, t_end: float) -> IdentityCheckResult:
     """Evaluate both sides of the seven-term memory identity on [S, T].
 
     Needs volumetric snapshots in the trace (run with ``snapshots=True``).
-    Returns |LHS - RHS| / (|LHS| + |RHS| + floor); the identity is exact in
-    the continuum, so the residual is pure discretization error and must
-    shrink under refinement.
+    Returns |LHS - RHS| / (|LHS| + |RHS| + IDENTITY_FLOOR); the identity is
+    exact in the continuum, so the residual is pure discretization error
+    and must shrink under refinement.
     """
     from .energy import grad_full, integral_x  # local import to avoid a cycle
 
@@ -215,47 +215,37 @@ def check_memory_identity(trace: Trace, s_start: float, t_end: float,
             f"only {len(snaps)} snapshots inside [{s_start}, {t_end}]"
         )
     params = trace.params
-    disc = trace.disc
-    kernel = params.kernel
-    dx = disc.dx
-    if kernel.is_empty:
+    if params.kernel.is_empty:
         return IdentityCheckResult(residual=0.0, lhs=0.0, rhs=0.0,
                                    n_snapshots=len(snaps))
-    mu_tilde = kernel.mu_tilde
-    on_grid = _kernel_on_grid(kernel, disc)
-    w_mu = on_grid.w_mu
-    w_mu_prime = disc.s_weights[1:] * on_grid.mu_prime
-    damp = extra_damping(params, disc)
+    mu_tilde = params.kernel.mu_tilde
+    dx = trace.disc.dx
+    damp = extra_damping(params, trace.disc)
 
-    times = np.array([s.t for s in snaps])
-    ut_sq = np.empty(times.size)        # ||u_t||^2
-    v_dot_p = np.empty(times.size)      # <u_t, int mu eta>
-    v_dot_pp = np.empty(times.size)     # <u_t, int mu' eta>
-    gu_dot_gp = np.empty(times.size)    # <grad u, grad int mu eta>
-    gp_sq = np.empty(times.size)        # ||grad int mu eta||^2
-    vtau_dot_p = np.empty(times.size)   # <u_t(t - tau), int mu eta>
+    times, u, v, v_delayed, p, pp = (
+        np.array([getattr(snap, name) for snap in snaps])
+        for name in ("t", "u", "v", "v_delayed", "int_mu_eta", "int_mu_prime_eta")
+    )
+    gu = grad_full(u, dx)
+    gp = grad_full(p, dx)
 
-    for i, snap in enumerate(snaps):
-        p_field = w_mu @ snap.eta
-        pp_field = w_mu_prime @ snap.eta
-        ut_sq[i] = dx * float(snap.v @ snap.v)
-        v_dot_p[i] = dx * float(snap.v @ p_field)
-        v_dot_pp[i] = dx * float(snap.v @ pp_field)
-        gu = grad_full(snap.u, dx)
-        gp = grad_full(p_field, dx)
-        gu_dot_gp[i] = float(integral_x(gu * gp, dx))
-        gp_sq[i] = float(integral_x(gp * gp, dx))
-        vtau_dot_p[i] = dx * float(snap.v_delayed @ p_field)
+    def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # per-snapshot x-integral; Dirichlet zeros make the trapezoid a sum
+        return dx * np.einsum("ij,ij->i", a, b)
 
-    lhs = mu_tilde * float(np.trapezoid(ut_sq, times))
+    def over_time(values: np.ndarray) -> float:
+        return float(np.trapezoid(values, times))
+
+    v_dot_p = inner(v, p)  # <u_t, int mu eta>
+    lhs = mu_tilde * over_time(inner(v, v))
     rhs = (
         (v_dot_p[-1] - v_dot_p[0])
-        - float(np.trapezoid(v_dot_pp, times))
-        + (1.0 - mu_tilde) * float(np.trapezoid(gu_dot_gp, times))
-        + float(np.trapezoid(gp_sq, times))
-        + damp * float(np.trapezoid(v_dot_p, times))
-        + params.k * float(np.trapezoid(vtau_dot_p, times))
+        - over_time(inner(v, pp))
+        + (1.0 - mu_tilde) * over_time(integral_x(gu * gp, dx))
+        + over_time(integral_x(gp * gp, dx))
+        + damp * over_time(v_dot_p)
+        + params.k * over_time(inner(v_delayed, p))
     )
-    residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + floor)
+    residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + IDENTITY_FLOOR)
     return IdentityCheckResult(residual=residual, lhs=lhs, rhs=rhs,
                                n_snapshots=len(snaps))

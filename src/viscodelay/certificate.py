@@ -176,8 +176,11 @@ def k_bar_threshold(inputs: CertificateInputs) -> float:
     )
 
 
-def khat_fixed_point(inputs: CertificateInputs, abs_tol: float = 1e-14,
-                     max_iter: int = 200) -> float:
+KHAT_ABS_TOL = 1e-14  # bisection stops once the bracket is this narrow
+KHAT_MAX_ITER = 200
+
+
+def khat_fixed_point(inputs: CertificateInputs) -> float:
     """Unique k_hat > 0 with k_hat = g(k_hat), by bisection on [0, g(0)].
 
     g is strictly decreasing, so f(k) = g(k) - k changes sign exactly once
@@ -191,15 +194,15 @@ def khat_fixed_point(inputs: CertificateInputs, abs_tol: float = 1e-14,
         raise NoConvergence(f"g(0) = {hi!r} is not a positive bracket")
     if amplitude_budget(inputs, hi) - hi >= 0.0:
         raise NoConvergence("g(g(0)) >= g(0): g is not decreasing")
-    for _ in range(max_iter):
+    for _ in range(KHAT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if amplitude_budget(inputs, mid) - mid > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= abs_tol:
+        if hi - lo <= KHAT_ABS_TOL:
             return 0.5 * (lo + hi)
-    raise NoConvergence(f"bisection did not reach {abs_tol} in {max_iter} iterations")
+    raise NoConvergence(f"bisection did not reach {KHAT_ABS_TOL} in {KHAT_MAX_ITER} steps")
 
 
 def explicit_lower_bound(inputs: CertificateInputs):

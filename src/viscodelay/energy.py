@@ -33,6 +33,9 @@ __all__ = [
     "check_dissipation",
 ]
 
+INCREMENT_TOL = 1e-6  # check_dissipation's tolerances, relative to F(0)
+VIOLATION_TOL = 0.5
+
 
 class WrongMode(ValueError):
     """The dissipation estimate only holds for auxiliary-problem traces."""
@@ -169,13 +172,11 @@ class DissipationReport:
     n_pairs: int
 
 
-def check_dissipation(trace: Trace, params: ModelParams,
-                      increment_tol: float = 1e-6,
-                      violation_tol: float = 0.5) -> DissipationReport:
+def check_dissipation(trace: Trace, params: ModelParams) -> DissipationReport:
     """Verify F is non-increasing and satisfies the derivative estimate.
 
-    Both tolerances are relative to F(0): ``increment_tol`` bounds any
-    positive per-sample increment, ``violation_tol`` bounds the difference
+    Both tolerances are relative to F(0): ``INCREMENT_TOL`` bounds any
+    positive per-sample increment, ``VIOLATION_TOL`` bounds the difference
     quotient's excess over the estimate's right-hand side (evaluated at the
     left sample; the excess is first order in the sampling interval and
     must shrink under refinement).
@@ -187,10 +188,11 @@ def check_dissipation(trace: Trace, params: ModelParams,
         )
     t = trace.times
     f = trace.total
+    scale = f[0] if t.size and f[0] > 0.0 else 1.0
+    inc_tol_abs = float(INCREMENT_TOL * scale)
+    vio_tol_abs = float(VIOLATION_TOL * scale)
     if t.size < 2:
-        return DissipationReport(0.0, 0.0, increment_tol, violation_tol, True, 0)
-    f0 = f[0]
-    scale = f0 if f0 > 0.0 else 1.0
+        return DissipationReport(0.0, 0.0, inc_tol_abs, vio_tol_abs, True, 0)
     increments = np.diff(f)
     max_increment = float(increments.max())
     k_abs = abs(params.k)
@@ -207,8 +209,6 @@ def check_dissipation(trace: Trace, params: ModelParams,
     ok = dt_pair > 0.0
     # fmax drops NaN excesses; the floor 0 also covers "no pair with dt > 0"
     worst = float(np.fmax.reduce(increments[ok] / dt_pair[ok] - rhs[ok], initial=0.0))
-    inc_tol_abs = float(increment_tol * scale)
-    vio_tol_abs = float(violation_tol * scale)
     passed = max_increment <= inc_tol_abs and worst <= vio_tol_abs
     return DissipationReport(
         max_increment=float(max_increment),

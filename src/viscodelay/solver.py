@@ -554,6 +554,7 @@ class KernelOnGrid:
     mu: np.ndarray          # mu(s_j)
     mu_prime: np.ndarray    # mu'(s_j)
     w_mu: np.ndarray        # w_j mu(s_j), the memory force quadrature
+    w_mu_prime: np.ndarray  # w_j mu'(s_j), the memory identity's mu' moment
 
 
 @functools.lru_cache(maxsize=32)
@@ -564,10 +565,10 @@ def _kernel_on_grid(kernel: MemoryKernel, disc: Discretization) -> KernelOnGrid:
     gets its own entry; the arrays are read-only because every caller
     shares them.
     """
-    s = disc.s_nodes[1:]
-    mu = kernel.value(s)
-    tables = KernelOnGrid(mu=mu, mu_prime=kernel.derivative(s), w_mu=disc.s_weights[1:] * mu)
-    for arr in (tables.mu, tables.mu_prime, tables.w_mu):
+    s, w = disc.s_nodes[1:], disc.s_weights[1:]
+    mu, mu_prime = kernel.value(s), kernel.derivative(s)
+    tables = KernelOnGrid(mu=mu, mu_prime=mu_prime, w_mu=w * mu, w_mu_prime=w * mu_prime)
+    for arr in vars(tables).values():
         arr.flags.writeable = False
     return tables
 
@@ -759,13 +760,18 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization) -> np.
 
 @dataclass
 class Snapshot:
-    """Volumetric record used by the memory-identity check."""
+    """What the memory-identity check reads at one sample: 5 nx-wide fields.
+
+    ``u``, ``v``, the delayed velocity and the two s-quadrature moments of
+    eta, ``w_mu @ eta`` and ``(w mu') @ eta``; eta itself is not kept.
+    """
 
     t: float
     u: np.ndarray
     v: np.ndarray
-    eta: np.ndarray
     v_delayed: np.ndarray
+    int_mu_eta: np.ndarray
+    int_mu_prime_eta: np.ndarray
 
 
 @dataclass
@@ -820,15 +826,12 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
         eta = eta_field(state, params, disc) if snapshots else None
         rows.append(sample_state(state, params, disc, eta=eta))
         if snapshots:
-            snaps.append(
-                Snapshot(
-                    t=state.t,
-                    u=state.u.copy(),
-                    v=state.v.copy(),
-                    eta=eta.copy(),
-                    v_delayed=delayed_velocity(state, params, disc).copy(),
-                )
-            )
+            on_grid = _kernel_on_grid(params.kernel, disc)
+            snaps.append(Snapshot(
+                t=state.t, u=state.u.copy(), v=state.v.copy(),
+                v_delayed=delayed_velocity(state, params, disc).copy(),
+                int_mu_eta=on_grid.w_mu @ eta, int_mu_prime_eta=on_grid.w_mu_prime @ eta,
+            ))
 
     take_sample()
     aborted = None

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,36 @@ def test_memory_identity_small_residual_on_auxiliary_run():
                 sample_every=max(1, int(round(0.05 / disc.dt))), snapshots=True)
     res = check_memory_identity(trace, 0.5, 6.0)
     assert res.residual < 1e-2
+
+
+_TWO_TERMS = MemoryKernel.from_terms([(0.3, 1.0), (2.0, 8.0)])
+_AUX = ModelParams(tau=0.5, k=0.02, theta=2.0, kernel=KERNEL, mode="auxiliary")
+IDENTITY_CASES = {
+    "sine-frozen": (_AUX, InitialData()),
+    "gaussian-modulated-2terms": (ModelParams(tau=0.3, k=-0.4, kernel=_TWO_TERMS),
+                                  InitialData(shape="gaussian", width=0.1,
+                                              history="modulated", omega=3.0)),
+    "sine-frozen-eta-grid": (replace(_AUX, memory_realization="eta_grid"), InitialData()),
+}
+# (residual, lhs, rhs) as computed from snapshots that stored the whole eta
+PINNED_IDENTITY = {
+    "sine-frozen": (5.5072665235582905e-05, 0.45801761750852465, 0.457967171784863),
+    "gaussian-modulated-2terms": (0.006349086896231408, 0.981128011109828,
+                                  0.9687480783807683),
+    "sine-frozen-eta-grid": (0.010677316034114424, 0.46718409807666966,
+                             0.45731295091201135),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+def test_memory_identity_pinned(case):
+    params, init = IDENTITY_CASES[case]
+    disc = discretize(params, nx=40)
+    trace = run(params, init, disc, 2.0, sample_every=10, snapshots=True)
+    for snap in trace.snapshots:
+        for name in ("u", "v", "v_delayed", "int_mu_eta", "int_mu_prime_eta"):
+            assert getattr(snap, name).shape == (disc.nx,), name
+    res = check_memory_identity(trace, 0.0, 2.0)
+    assert res.n_snapshots == 33
+    np.testing.assert_allclose((res.residual, res.lhs, res.rhs), PINNED_IDENTITY[case],
+                               rtol=1e-12, atol=0.0)

@@ -117,3 +117,15 @@ def test_memory_term_tracks_kernel_mass():
         state = build(params, init, disc)
         e[kern] = sample_state(state, params, disc).memory
     assert e[k2] == pytest.approx(2.0 * e[k1], rel=1e-9)
+
+
+def test_one_sample_trace_reports_scaled_tolerances():
+    # a trace of one sample reports the same F(0)-scaled tolerances as a longer one
+    params = ModelParams(tau=1.0, k=0.02, theta=2.0, kernel=KERNEL, mode="auxiliary")
+    disc = discretize(params, nx=40)
+    one = check_dissipation(run(params, InitialData(), disc, 0.0), params)
+    two = check_dissipation(run(params, InitialData(), disc, disc.dt), params)
+    assert (one.n_pairs, two.n_pairs) == (0, 1)
+    assert one.passed
+    assert one.increment_tol == two.increment_tol != 1e-6
+    assert one.violation_tol == two.violation_tol != 0.5

@@ -11,7 +11,8 @@ import pytest
 
 from viscodelay import solver
 from viscodelay.kernel import MemoryKernel
-from viscodelay.solver import InitialData, ModelParams, NonFinite, build, discretize, run, step
+from viscodelay.solver import (InitialData, ModelParams, NonFinite, build, discretize,
+                               eta_field, run, step)
 
 KERNELS = {
     1: MemoryKernel.from_terms([(1.0, 2.0)]),
@@ -67,9 +68,14 @@ def test_map_matches_stages(monkeypatch, case):
         if a is not None:
             np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10 * scale, err_msg=name)
     # reconstructed history and delay line follow the pushed fields
-    eta_map = np.array([s.eta for s in by_map.snapshots])
-    eta_stages = np.array([s.eta for s in by_stages.snapshots])
-    np.testing.assert_allclose(eta_map, eta_stages, rtol=0.0, atol=1e-10 * scale)
+    for name in ("int_mu_eta", "int_mu_prime_eta"):
+        moment_map = np.array([getattr(s, name) for s in by_map.snapshots])
+        moment_stages = np.array([getattr(s, name) for s in by_stages.snapshots])
+        np.testing.assert_allclose(moment_map, moment_stages, rtol=0.0, atol=1e-10 * scale,
+                                   err_msg=name)
+    np.testing.assert_allclose(eta_field(final_map, params, by_map.disc),
+                               eta_field(final_stages, params, by_stages.disc),
+                               rtol=0.0, atol=1e-10 * scale)
 
 
 @pytest.mark.parametrize("params", [ModelParams(tau=0.0, k=-1000.0),
