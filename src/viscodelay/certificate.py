@@ -13,6 +13,7 @@ inputs when exactness matters (the test suite does this).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -28,6 +29,9 @@ __all__ = [
     "nodelay_threshold",
     "amplitude_budget",
 ]
+
+
+TAU_MAX = math.log(sys.float_info.max)  # the largest delay whose e^tau is finite
 
 
 class InvalidInputs(ValueError):
@@ -75,8 +79,9 @@ class CertificateInputs:
             )
         if not self.alpha > 0.0:
             raise InvalidInputs(f"alpha must be positive, got {self.alpha!r}")
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
-            raise InvalidInputs(f"tau must be >= 0, got {self.tau!r}")
+        if not 0.0 <= self.tau <= TAU_MAX:
+            raise InvalidInputs(
+                f"tau must lie in [0, {TAU_MAX:.6g}], where e^tau is finite, got {self.tau!r}")
         if not (math.isfinite(self.c_poincare) and self.c_poincare > 0.0):
             raise InvalidInputs(f"c_poincare must be positive, got {self.c_poincare!r}")
         if not math.isfinite(self.k):
@@ -176,7 +181,7 @@ def k_bar_threshold(inputs: CertificateInputs) -> float:
     )
 
 
-KHAT_ABS_TOL = 1e-14  # bisection stops once the bracket is this narrow
+KHAT_REL_TOL = 1e-15  # bisection stops once the bracket is this narrow relative to hi
 KHAT_MAX_ITER = 200
 
 
@@ -184,25 +189,30 @@ def khat_fixed_point(inputs: CertificateInputs) -> float:
     """Unique k_hat > 0 with k_hat = g(k_hat), by bisection on [0, g(0)].
 
     g is strictly decreasing, so f(k) = g(k) - k changes sign exactly once
-    on (0, g(0)).  Raises :class:`NoConvergence` if the bracket fails,
-    which would indicate a non-monotone g (an implementation bug).
+    on (0, g(0)), inside [g(g(0)), g(0)]; a weak kernel makes those bounds
+    one double, and k_hat is g(0).  Raises :class:`NoConvergence` if the
+    bracket fails, which would indicate a non-monotone g (an implementation bug).
     """
     inputs.validate()
     lo = 0.0
     hi = amplitude_budget(inputs, 0.0)
     if not (hi > 0.0 and math.isfinite(hi)):
         raise NoConvergence(f"g(0) = {hi!r} is not a positive bracket")
-    if amplitude_budget(inputs, hi) - hi >= 0.0:
-        raise NoConvergence("g(g(0)) >= g(0): g is not decreasing")
+    g_hi = amplitude_budget(inputs, hi)
+    if g_hi == hi:
+        return hi
+    if g_hi > hi:
+        raise NoConvergence("g(g(0)) > g(0): g is not decreasing")
     for _ in range(KHAT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if amplitude_budget(inputs, mid) - mid > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= KHAT_ABS_TOL:
+        if hi - lo <= KHAT_REL_TOL * hi:
             return 0.5 * (lo + hi)
-    raise NoConvergence(f"bisection did not reach {KHAT_ABS_TOL} in {KHAT_MAX_ITER} steps")
+    raise NoConvergence(
+        f"bisection did not reach {KHAT_REL_TOL} relative in {KHAT_MAX_ITER} steps")
 
 
 def explicit_lower_bound(inputs: CertificateInputs):

@@ -350,34 +350,9 @@ def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int) -> int:
 
 # -- simulate --------------------------------------------------------------------
 
-def _write_energy_csv(path: Path, trace: solver.Trace, resolved: dict) -> None:
-    lines = [f"# config {_config_comment(resolved)}", ENERGY_HEADER]
-    for i in range(trace.times.size):
-        lines.append(",".join(
-            CSV_FLOAT % value for value in (
-                trace.times[i], trace.total[i], trace.kinetic[i],
-                trace.elastic[i], trace.memory[i], trace.delay[i],
-            )
-        ))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_snapshots_csv(path: Path, trace: solver.Trace, resolved: dict) -> None:
-    header = "t," + ",".join(f"u{i}" for i in range(1, trace.disc.nx + 1))
-    lines = [f"# config {_config_comment(resolved)}", header]
-    for snap in trace.snapshots:
-        lines.append(",".join(
-            CSV_FLOAT % value for value in np.concatenate(([snap.t], snap.u))
-        ))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _fit_and_classify(trace: solver.Trace):
-    try:
-        fit = analysis.fit_decay_rate(trace)
-    except analysis.InsufficientData:
-        return None, "inconclusive"
-    return fit, analysis.classify(fit)
+def _write_table(path: Path, header: str, rows: np.ndarray, resolved: dict) -> None:
+    np.savetxt(path, rows, fmt=CSV_FLOAT, delimiter=",", comments="",
+               header=f"# config {_config_comment(resolved)}\n{header}")
 
 
 def _best_certificate(cfg: RunConfig, k: float, tau: float):
@@ -397,6 +372,27 @@ def _best_certificate(cfg: RunConfig, k: float, tau: float):
     return best
 
 
+def _judge(cfg: RunConfig, trace: solver.Trace, k: float):
+    """(fit, classification, certificate, envelope check) of a finished run at ``k``.
+
+    The fit is None when too few samples survive, the certificate (best
+    over theta at |k| and the snapped delay) None without a kernel, and the
+    envelope is checked only in original mode on an unaborted run with a
+    certified |k| and a positive certified rate.
+    """
+    try:
+        fit = analysis.fit_decay_rate(trace)
+        classification = analysis.classify(fit)
+    except analysis.InsufficientData:
+        fit, classification = None, "inconclusive"
+    cert = _best_certificate(cfg, k, trace.disc.tau)
+    theorem = None
+    if cert is not None and cfg.mode == "original" and cert.sigma > 0.0 \
+            and cert.certified and trace.aborted_step is None:
+        theorem = analysis.check_theorem_bound(trace, cert.sigma)
+    return fit, classification, cert, theorem
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     if cfg.horizon is None:
         raise ConfigError("T", "simulate needs a horizon")
@@ -406,17 +402,17 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
     trace = solver.run(params, cfg.init, disc, cfg.horizon,
                        sample_every=cfg.sample_every, snapshots=cfg.snapshots)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_energy_csv(out_dir / "energy.csv", trace, resolved)
+    _write_table(out_dir / "energy.csv", ENERGY_HEADER, np.column_stack((
+        trace.times, trace.total, trace.kinetic, trace.elastic, trace.memory, trace.delay,
+    )), resolved)
     if cfg.snapshots:
-        _write_snapshots_csv(out_dir / "snapshots.csv", trace, resolved)
+        header = "t," + ",".join(f"u{i}" for i in range(1, disc.nx + 1))
+        _write_table(out_dir / "snapshots.csv", header, np.column_stack((
+            [snap.t for snap in trace.snapshots], [snap.u for snap in trace.snapshots],
+        )), resolved)
 
-    fit, classification = _fit_and_classify(trace)
-    theorem = None
+    fit, classification, cert, theorem = _judge(cfg, trace, cfg.k)
     dissipation = None
-    cert = _best_certificate(cfg, cfg.k, disc.tau)
-    if cert is not None and cfg.mode == "original" and cert.sigma > 0.0 \
-            and cert.certified and trace.aborted_step is None:
-        theorem = analysis.check_theorem_bound(trace, cert.sigma)
     if cfg.mode == "auxiliary" and trace.aborted_step is None:
         dissipation = check_dissipation(trace, params)
 
@@ -468,50 +464,31 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
 
 # -- sweep -----------------------------------------------------------------------
 
-def _sweep_row(cfg: RunConfig, k: float) -> analysis.SweepRow:
+def _sweep_row(cfg: RunConfig, disc: solver.Discretization, k: float) -> analysis.SweepRow:
     try:
-        row_cfg = replace(cfg, k=k)
-        params = row_cfg.params()
-        disc = row_cfg.discretize()
-        trace = solver.run(params, cfg.init, disc, cfg.horizon,
+        trace = solver.run(replace(cfg.params(), k=k), cfg.init, disc, cfg.horizon,
                            sample_every=cfg.sample_every)
-        if trace.aborted_step is not None:
-            # exponential blow-up outruns float range; that IS a growth verdict
-            return analysis.SweepRow(
-                k=k, sigma_emp=math.nan, r_squared=math.nan,
-                classification="growing", certified=_certified_flag(cfg, k, disc.tau),
-                theorem_bound_ok=None,
-                error=f"non-finite at step {trace.aborted_step}",
-            )
-        fit, classification = _fit_and_classify(trace)
-        cert = _best_certificate(cfg, k, disc.tau)
-        certified = None if cert is None else (abs(k) < cert.k0)
-        theorem_ok = None
-        if cert is not None and cfg.mode == "original" and cert.sigma > 0.0 \
-                and certified:
-            theorem_ok = analysis.check_theorem_bound(trace, cert.sigma).ok
-        return analysis.SweepRow(
-            k=k,
-            sigma_emp=math.nan if fit is None else fit.sigma_emp,
-            r_squared=math.nan if fit is None else fit.r_squared,
-            classification=classification,
-            certified=certified,
-            theorem_bound_ok=theorem_ok,
-        )
+        fit, classification, cert, theorem = _judge(cfg, trace, k)
     except Exception as err:  # per-row failures recorded, sweep continues
         return analysis.SweepRow(
             k=k, sigma_emp=math.nan, r_squared=math.nan,
             classification="error", certified=None, theorem_bound_ok=None,
             error=str(err),
         )
-
-
-def _certified_flag(cfg: RunConfig, k: float, tau: float) -> bool | None:
-    try:
-        cert = _best_certificate(cfg, k, tau)
-    except Exception:
-        return None
-    return None if cert is None else (abs(k) < cert.k0)
+    error = None
+    if trace.aborted_step is not None:
+        # exponential blow-up outruns float range; that IS a growth verdict
+        fit, classification = None, "growing"
+        error = f"non-finite at step {trace.aborted_step}"
+    return analysis.SweepRow(
+        k=k,
+        sigma_emp=math.nan if fit is None else fit.sigma_emp,
+        r_squared=math.nan if fit is None else fit.r_squared,
+        classification=classification,
+        certified=None if cert is None else cert.certified,
+        theorem_bound_ok=None if theorem is None else theorem.ok,
+        error=error,
+    )
 
 
 def _bool_cell(value: bool | None) -> str:
@@ -526,13 +503,15 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
     if cfg.horizon is None:
         raise ConfigError("T", "sweep needs a horizon")
     ks = sorted(cfg.k_values)
-    # a refused discretization (e.g. a stiff kernel) fails before any stepping
-    resolved = resolved_config(cfg, cfg.discretize(), seed)
+    # a refused discretization (e.g. a stiff kernel) fails before any stepping;
+    # the grid does not depend on k, so every row runs on this one
+    disc = cfg.discretize()
+    resolved = resolved_config(cfg, disc, seed)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, [cfg] * len(ks), ks))
+            rows = list(pool.map(_sweep_row, [cfg] * len(ks), [disc] * len(ks), ks))
     else:
-        rows = [_sweep_row(cfg, k) for k in ks]
+        rows = [_sweep_row(cfg, disc, k) for k in ks]
 
     text = io.StringIO()
     text.write(f"# config {_config_comment(resolved)}\n{SWEEP_HEADER}\n")

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .certificate import TAU_MAX
 from .kernel import MemoryKernel, validate_kernel, quadrature_weights
 
 __all__ = [
@@ -102,14 +103,14 @@ class DelayUnresolvable(SolverError):
 
 
 class HistoryTooLarge(SolverError):
-    """The displacement history's n_hist x nx reservation cannot be mapped."""
+    """A history ring buffer's rows x nx reservation cannot be mapped."""
 
-    def __init__(self, n_hist: int, nx: int):
-        nbytes = 8 * n_hist * nx
+    def __init__(self, history: str, rows: str, n_rows: int, nx: int, remedy: str):
+        nbytes = 8 * n_rows * nx
         super().__init__(
-            f"the displacement history needs n_hist={n_hist} rows x nx={nx} = "
+            f"{history} needs {rows}={n_rows} rows x nx={nx} = "
             f"{nbytes} bytes ({nbytes / 2**30:.4g} GiB) of address space, which "
-            "cannot be reserved; raise the kernel rates or coarsen the grid"
+            f"cannot be reserved; {remedy}"
         )
 
 
@@ -243,6 +244,9 @@ def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
                 "refine the grid or drop the delay"
             )
         tau_snapped = n_delay * dt
+        if tau_snapped > TAU_MAX:
+            raise DelayUnresolvable(f"tau={tau_snapped} (snapped to the step grid) "
+                                    f"exceeds {TAU_MAX:.6g}, where e^tau overflows")
     else:
         n_delay = 0
         tau_snapped = 0.0
@@ -511,14 +515,19 @@ def build(params: ModelParams, init: InitialData, disc: Discretization) -> SimSt
                 state.u_hist = RingBuffer(disc.n_hist, disc.nx, past=phi, factor=factor)
             except (MemoryError, ValueError) as err:
                 # numpy raises ValueError when the size overflows its index range
-                raise HistoryTooLarge(disc.n_hist, disc.nx) from err
+                raise HistoryTooLarge("the displacement history", "n_hist", disc.n_hist, disc.nx,
+                                      "raise the kernel rates or coarsen the grid") from err
         else:
             state.eta = np.multiply.outer(
                 [1.0 - init.history_factor(-s) for s in disc.s_nodes[1:]], phi
             )
 
     if disc.n_delay > 0:
-        vbuf = RingBuffer(disc.n_delay + 2, disc.nx)
+        try:
+            vbuf = RingBuffer(disc.n_delay + 2, disc.nx)
+        except (MemoryError, ValueError) as err:
+            raise HistoryTooLarge("the delay line", "n_delay+2", disc.n_delay + 2, disc.nx,
+                                  "shorten the delay, raise cfl or coarsen the grid") from err
         rates = np.fromiter((init.history_rate(-j * disc.dt)
                              for j in range(vbuf.capacity)), float, vbuf.capacity)
         np.multiply.outer(rates, phi, out=vbuf.data)

@@ -21,6 +21,8 @@ from viscodelay.certificate import (
     poincare_constant_interval,
 )
 
+from viscodelay.kernel import MemoryKernel, validate_kernel
+
 from _oracles import dense_scan_khat, poincare_fd_oracle
 
 C_P = 1.0 / math.pi ** 2
@@ -92,6 +94,17 @@ def test_khat_fixed_point_residual():
     khat = khat_fixed_point(inputs)
     assert abs(amplitude_budget(inputs, khat) - khat) <= 1e-10
     assert abs(amplitude_budget(inputs, khat) - khat) / khat <= 1e-10
+
+
+@pytest.mark.parametrize("a", [1e-8, 1e-12, 1e-14])
+def test_khat_relative_precision_for_weak_kernels(a):
+    # kernel (a, 2): k_hat ~ 1.45 a, far below any absolute bracket width;
+    # at a = 1e-14, g(g(0)) == g(0) in floating point and k_hat is g(0)
+    report = validate_kernel(MemoryKernel.from_terms([(a, 2.0)]))
+    inputs = CertificateInputs(mu0=report.mu0, mu_tilde=report.mu_tilde,
+                               alpha=report.alpha, tau=0.5, theta=2.0, c_poincare=C_P)
+    k_hat = khat_fixed_point(inputs)
+    assert abs(amplitude_budget(inputs, k_hat) - k_hat) <= 1e-12 * k_hat
 
 
 def test_khat_against_dense_scan():

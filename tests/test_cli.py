@@ -317,6 +317,49 @@ def test_unmappable_history_reported_as_error(tmp_path, capsys, command):
     assert re.search(r"n_hist=\d+ rows x nx=1000 = \d+ bytes", text)
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unmappable_delay_line_reported_as_error(tmp_path, capsys, command):
+    # (n_delay + 2) x nx x 8 bytes = 286 PiB, more than a 47-bit address space
+    doc = {"nx": 200, "cfl": 1e-12, "tau": 1.0, "T": 1e-9, "k_values": [0.0]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    if command == "simulate":
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        text = capsys.readouterr().err
+        assert text.startswith("error: ")
+    else:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        (row,) = read_sweep_rows(out)
+        assert row["classification"] == "error"
+        text = row["error"]
+    assert re.search(r"n_delay\+2=\d+ rows x nx=200 = \d+ bytes", text)
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate", "sweep"])
+def test_delay_with_overflowing_exponential_refused(tmp_path, capsys, command):
+    # e^720 overflows a double; at nx=3 the delay snaps to 11520 steps exactly
+    cfg = write_config(tmp_path, certify_config(0.0, nx=3, tau=720.0, T=1.0,
+                                                k_values=[0.0]))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "709.783" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_delay_snapped_past_the_exponent_limit_refused(tmp_path, capsys, command):
+    # 709.782 is below ln(max double) = 709.7827, but at nx=3 (dt = 1/16) it
+    # snaps up to 11357 steps, 709.8125
+    cfg = write_config(tmp_path, certify_config(0.0, nx=3, tau=709.782, T=1.0,
+                                                k_values=[0.0]))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "709.8125" in err
+    assert not out.exists()
+
+
 # -- sweep -----------------------------------------------------------------------
 
 def sweep_config(**extra) -> dict:
@@ -345,6 +388,22 @@ def test_sweep_rows_sorted_and_classified(tmp_path):
     assert by_k[0.0005][4] == "true"       # certified
     assert by_k[0.02][4] == "false"
     assert by_k[0.0005][5] == "true"       # envelope verified
+
+
+def test_simulate_and_one_row_sweep_agree(tmp_path):
+    # original mode at a certified k, so both run the envelope check
+    doc = sweep_config(k=0.0005, k_values=[0.0005])
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 0
+    report = json.loads((tmp_path / "sim" / "report.json").read_text())
+    (row,) = read_sweep_rows(tmp_path / "sweep")
+    assert report["theorem_bound"] is not None
+    assert float(row["sigma_emp"]) == report["fit"]["sigma_emp"]
+    assert float(row["r_squared"]) == report["fit"]["r_squared"]
+    assert row["classification"] == report["classification"]
+    assert row["certified"] == json.dumps(report["certificate"]["certified"])
+    assert row["theorem_bound_ok"] == json.dumps(report["theorem_bound"]["ok"])
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

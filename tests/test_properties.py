@@ -1,6 +1,7 @@
 """Properties of the solver and the certificate over drawn configurations.
 
-* every admissible kernel is refused before stepping or runs finite;
+* every admissible kernel is refused before stepping or runs finite, and so
+  is every auxiliary-mode configuration with a delay, in every realization;
 * the precomputed one-step map agrees with the four-stage loop it is built from;
 * the certificate's thresholds are ordered and its rate falls with |k|.
 """
@@ -42,6 +43,27 @@ def test_admissible_kernel_refused_or_runs_finite(kernel, memory_realization):
     except SolverError:
         return
     trace = run(params, InitialData(shape="gaussian"), disc, 0.5)
+    assert trace.aborted_step is None
+    assert np.isfinite(trace.total).all()
+
+
+@pytest.mark.parametrize("delay_realization", ["ring_buffer", "rho_grid"])
+@pytest.mark.parametrize("memory_realization", ["prony_modes", "eta_grid"])
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(kernel=kernels(), tau=st.one_of(st.just(0.0), st.floats(0.05, 0.5)),
+       k=st.floats(-2.0, 2.0), theta=st.floats(1.0, 4.0, exclude_min=True),
+       history=st.sampled_from(["frozen", "modulated"]))
+def test_auxiliary_config_refused_or_runs_finite(kernel, tau, k, theta, history,
+                                                 memory_realization, delay_realization):
+    # finite, not monotone: the centered-gradient energy can grow ~1% at nx = 20
+    params = ModelParams(tau=tau, k=k, theta=theta, kernel=kernel, mode="auxiliary",
+                         memory_realization=memory_realization,
+                         delay_realization=delay_realization)
+    try:
+        disc = discretize(params, nx=20)
+    except SolverError:
+        return
+    trace = run(params, InitialData(shape="gaussian", history=history), disc, 0.5)
     assert trace.aborted_step is None
     assert np.isfinite(trace.total).all()
 
