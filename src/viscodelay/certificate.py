@@ -32,6 +32,9 @@ __all__ = [
 
 
 TAU_MAX = math.log(sys.float_info.max)  # the largest delay whose e^tau is finite
+# the smallest mu_tilde whose square is a normal double (gamma2 divides by it)
+MU_TILDE_MIN = math.sqrt(sys.float_info.min)
+LENGTH_MAX = math.pi * math.sqrt(sys.float_info.max)  # the largest L whose (L/pi)^2 is finite
 
 
 class InvalidInputs(ValueError):
@@ -50,6 +53,9 @@ def poincare_constant_interval(length: float) -> float:
     """Sharp Poincare constant (L/pi)^2 on (0, L) with Dirichlet ends."""
     if not (math.isfinite(length) and length > 0.0):
         raise InvalidInputs(f"interval length must be positive, got {length!r}")
+    if length > LENGTH_MAX:
+        raise InvalidInputs(f"interval length must be at most {LENGTH_MAX:.6g}, where "
+                            f"(L/pi)^2 overflows, got {length!r}")
     return (length / math.pi) ** 2
 
 
@@ -90,6 +96,21 @@ class CertificateInputs:
             raise ThetaOutOfRange(
                 f"theta must exceed 1 on the delayed path, got {self.theta!r}"
             )
+        # the constants divide by mu_tilde^2 and multiply theta e^tau: inputs
+        # that push them out of the float range are refused, not bisected
+        if self.mu_tilde < MU_TILDE_MIN:
+            raise InvalidInputs(f"mu_tilde must be at least {MU_TILDE_MIN:.6g}, where "
+                                f"mu_tilde^2 leaves the normal range, got {self.mu_tilde!r}")
+        if not math.isfinite(self.theta * math.exp(self.tau)):
+            raise InvalidInputs(f"theta * e^tau must be at most {sys.float_info.max:.6g}, "
+                                f"got theta = {self.theta!r}, tau = {self.tau!r}")
+        budget = amplitude_budget(self, 0.0)
+        if not budget > 0.0:
+            *_, c_big = _chain(self, 0.0)
+            raise InvalidInputs(
+                f"C e theta e^tau must be at most {sys.float_info.max:.6g}, but C = {c_big!r} "
+                f"(c_poincare = {self.c_poincare!r}, mu0 = {self.mu0!r}, alpha = {self.alpha!r}) "
+                f"leaves the amplitude budget g(0) = {budget!r}")
 
 
 # -- scalar constant formulas -------------------------------------------------

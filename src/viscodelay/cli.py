@@ -14,7 +14,8 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,10 @@ __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 CSV_FLOAT = "%.17g"
 ENERGY_HEADER = "t,total,kinetic,elastic,memory,delay"
 SWEEP_HEADER = "k,sigma_emp,r_squared,classification,certified,theorem_bound_ok,error"
+# the most k values a sweep advances as one batch: each row of a batch keeps
+# its own resident history (about 0.65 MB at nx = 100, T = 1), so a larger
+# batch costs memory in every worker
+SWEEP_BATCH = 4
 
 
 class ConfigError(ValueError):
@@ -464,17 +469,20 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
 
 # -- sweep -----------------------------------------------------------------------
 
-def _sweep_row(cfg: RunConfig, disc: solver.Discretization, k: float) -> analysis.SweepRow:
+def _error_row(k: float, err: Exception) -> analysis.SweepRow:
+    return analysis.SweepRow(
+        k=k, sigma_emp=math.nan, r_squared=math.nan,
+        classification="error", certified=None, theorem_bound_ok=None,
+        error=str(err),
+    )
+
+
+def _sweep_row(cfg: RunConfig, trace: solver.Trace, k: float) -> analysis.SweepRow:
+    """One row's verdict from its trace; a failure to judge it becomes an error row."""
     try:
-        trace = solver.run(replace(cfg.params(), k=k), cfg.init, disc, cfg.horizon,
-                           sample_every=cfg.sample_every)
         fit, classification, cert, theorem = _judge(cfg, trace, k)
     except Exception as err:  # per-row failures recorded, sweep continues
-        return analysis.SweepRow(
-            k=k, sigma_emp=math.nan, r_squared=math.nan,
-            classification="error", certified=None, theorem_bound_ok=None,
-            error=str(err),
-        )
+        return _error_row(k, err)
     error = None
     if trace.aborted_step is not None:
         # exponential blow-up outruns float range; that IS a growth verdict
@@ -489,6 +497,17 @@ def _sweep_row(cfg: RunConfig, disc: solver.Discretization, k: float) -> analysi
         theorem_bound_ok=None if theorem is None else theorem.ok,
         error=error,
     )
+
+
+def _sweep_batch(cfg: RunConfig, disc: solver.Discretization,
+                 ks: list[float]) -> list[analysis.SweepRow]:
+    """The rows of ``ks``, advanced as one batch; if the run fails, every row is an error."""
+    try:
+        traces = solver.run(cfg.params(), cfg.init, disc, cfg.horizon,
+                            sample_every=cfg.sample_every, ks=ks)
+    except Exception as err:  # per-batch failures recorded, sweep continues
+        return [_error_row(k, err) for k in ks]
+    return [_sweep_row(cfg, trace, k) for trace, k in zip(traces, ks)]
 
 
 def _bool_cell(value: bool | None) -> str:
@@ -507,11 +526,13 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
     # the grid does not depend on k, so every row runs on this one
     disc = cfg.discretize()
     resolved = resolved_config(cfg, disc, seed)
+    batches = [ks[i:i + SWEEP_BATCH] for i in range(0, len(ks), SWEEP_BATCH)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, [cfg] * len(ks), [disc] * len(ks), ks))
+            done = list(pool.map(_sweep_batch, repeat(cfg), repeat(disc), batches))
     else:
-        rows = [_sweep_row(cfg, disc, k) for k in ks]
+        done = [_sweep_batch(cfg, disc, batch) for batch in batches]
+    rows = [row for batch in done for row in batch]
 
     text = io.StringIO()
     text.write(f"# config {_config_comment(resolved)}\n{SWEEP_HEADER}\n")
@@ -616,6 +637,13 @@ def cmd_selfcheck(seed: int) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="viscodelay",
@@ -631,7 +659,8 @@ def main(argv=None) -> int:
             p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_positive_int, default=1,
+                           help="worker processes (default 1: run in this process)")
     args = parser.parse_args(argv)
 
     try:

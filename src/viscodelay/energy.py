@@ -62,12 +62,22 @@ class SampleRow:
 
 def grad_full(interior: np.ndarray, dx: float) -> np.ndarray:
     """Gradient on the padded grid: centered inside, one-sided at the ends."""
-    full = np.zeros(interior.shape[:-1] + (interior.shape[-1] + 2,))
-    full[..., 1:-1] = interior
-    g = np.empty_like(full)
-    g[..., 1:-1] = (full[..., 2:] - full[..., :-2]) / (2.0 * dx)
-    g[..., 0] = (full[..., 1] - full[..., 0]) / dx
-    g[..., -1] = (full[..., -1] - full[..., -2]) / dx
+    return _grad_into(interior, np.empty(interior.shape[:-1] + (interior.shape[-1] + 2,)), dx)
+
+
+def _grad_into(f: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
+    """``grad_full`` of interior values ``f`` written into ``g``.
+
+    Each entry is the padded formula's own quotient: its neighbours past
+    the ends are the Dirichlet zeros, and w - 0 and 0 - w are w and -w.
+    """
+    h = 2.0 * dx
+    np.subtract(f[..., 2:], f[..., :-2], out=g[..., 2:-2])
+    g[..., 2:-2] /= h
+    np.divide(f[..., 1], h, out=g[..., 1])
+    np.divide(f[..., -2], -h, out=g[..., -2])
+    np.divide(f[..., 0], dx, out=g[..., 0])
+    np.divide(f[..., -1], -dx, out=g[..., -1])
     return g
 
 
@@ -78,9 +88,15 @@ def integral_x(values_full: np.ndarray, dx: float) -> np.ndarray:
     )
 
 
-def _interior_sq_integral(interior: np.ndarray, dx: float) -> float:
-    # trapezoid with zero Dirichlet endpoints collapses to a plain sum
-    return dx * float(interior @ interior)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b along the last axis, one value per leading index.
+
+    Each row is one BLAS dot of two contiguous rows, the bits of a 1-D
+    ``a @ b``, so a batch row reduces exactly as its solo run does.
+    """
+    if a.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -101,63 +117,71 @@ def _delay_weights(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.nda
     return offsets, w, decay
 
 
-def _delay_integral(state: SimState, disc: Discretization) -> float:
-    """int_{t-tau}^t e^{-(t-s)} ||u_t(s)||^2 ds from the delay line's slot norms."""
+def _delay_integral(state: SimState, disc: Discretization) -> np.ndarray:
+    """int_{t-tau}^t e^{-(t-s)} ||u_t(s)||^2 ds from the delay line's slot norms,
+    one value per batch row."""
     if disc.n_delay == 0 or state.v_hist is None:
-        return 0.0
+        return np.zeros(state.u.shape[:-1])
     buf = state.v_hist
     offsets, w, decay = _delay_weights(disc)
-    norms = disc.dx * buf.norms[(buf.head + offsets) % buf.capacity]
-    return float(w @ (decay * norms))
+    # np.take lays the batch axis first, so each row's norms are contiguous
+    slots = (buf.head + offsets) % buf.capacity
+    norms = disc.dx * np.take(buf.norms.T, slots, axis=-1)
+    return _row_dot(decay * norms, w)
 
 
 def sample_state(state: SimState, params: ModelParams, disc: Discretization,
                  eta: np.ndarray | None = None) -> SampleRow:
-    """One energy row; ``eta`` is ``eta_field(state, ...)`` when the caller has it."""
+    """One energy row; ``eta`` is ``eta_field(state, ...)`` when the caller has it.
+
+    The terms are floats for one row and arrays over the batch axis for a
+    batched state, every row's terms formed in one pass.
+    """
     # near-blow-up states report inf/nan energy instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _sample_state(state, params, disc, eta)
+        terms = _sample_terms(state, params, disc, eta)
+    if state.ks is None:
+        terms = [float(term) for term in terms]
+    return SampleRow(*terms)
 
 
-def _sample_state(state: SimState, params: ModelParams, disc: Discretization,
-                  eta: np.ndarray | None) -> SampleRow:
+def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
+                  eta: np.ndarray | None) -> list[np.ndarray]:
     dx = disc.dx
-    kinetic = 0.5 * _interior_sq_integral(state.v, dx)
+    ut_sq = dx * _row_dot(state.v, state.v)
     mu_tilde = params.kernel.mu_tilde
     gu = grad_full(state.u, dx)
-    elastic = 0.5 * (1.0 - mu_tilde) * float(integral_x(gu * gu, dx))
+    elastic = 0.5 * (1.0 - mu_tilde) * integral_x(gu * gu, dx)
 
     if params.kernel.is_empty:
-        memory = 0.0
-        mu_prime_eta = 0.0
+        memory = mu_prime_eta = np.zeros(state.u.shape[:-1])
     else:
+        # eta and its gradient in scratch memory; the gradient takes the
+        # memory eta_field gathered into, which it no longer reads
+        shape = (disc.ns - 1,) + state.u.shape
         if eta is None:
-            eta = solver_mod.eta_field(state, params, disc)
-        ge = grad_full(eta, dx)
-        grad_sq = integral_x(ge * ge, dx)  # per s-node
+            eta = solver_mod.eta_field(state, params, disc, state.scratch(shape, "eta"))
+        ge = _grad_into(eta, state.scratch(shape[:-1] + (disc.nx + 2,), "work"), dx)
+        # per s-node, batch axes first, so each row's s-sum is over contiguous values
+        grad_sq = np.ascontiguousarray(integral_x(np.multiply(ge, ge, out=ge), dx).T)
         # w @ (mu * grad_sq), not (w * mu) @ grad_sq: keeps the reported bits
         on_grid = solver_mod._kernel_on_grid(params.kernel, disc)
         w_inner = disc.s_weights[1:]
-        memory = 0.5 * float(w_inner @ (on_grid.mu * grad_sq))
-        mu_prime_eta = 0.5 * float(w_inner @ (on_grid.mu_prime * grad_sq))
+        memory = 0.5 * _row_dot(on_grid.mu * grad_sq, w_inner)
+        mu_prime_eta = 0.5 * _row_dot(on_grid.mu_prime * grad_sq, w_inner)
 
     delay_raw = _delay_integral(state, disc)
-    coeff = params.theta * abs(params.k) * math.exp(disc.tau)
-    delay = 0.5 * coeff * delay_raw if params.k != 0.0 and disc.tau > 0.0 else 0.0
+    if state.ks is None:
+        coeff = params.theta * abs(params.k) * math.exp(disc.tau)
+        delay = 0.5 * coeff * delay_raw if params.k != 0.0 and disc.tau > 0.0 else 0.0
+    else:
+        k = np.array(state.ks)
+        coeff = params.theta * np.abs(k) * math.exp(disc.tau)
+        delay = np.where((k != 0.0) & (disc.tau > 0.0), 0.5 * coeff * delay_raw, 0.0)
 
-    ut_sq = _interior_sq_integral(state.v, dx)
-    ut_tau_sq = _interior_sq_integral(solver_mod.delayed_velocity(state, params, disc), dx)
-
-    return SampleRow(
-        kinetic=kinetic,
-        elastic=elastic,
-        memory=memory,
-        delay=delay,
-        ut_sq=ut_sq,
-        ut_tau_sq=ut_tau_sq,
-        delay_raw=delay_raw,
-        mu_prime_eta=mu_prime_eta,
-    )
+    v_tau = solver_mod.delayed_velocity(state, params, disc)
+    ut_tau_sq = dx * _row_dot(v_tau, v_tau)
+    return [0.5 * ut_sq, elastic, memory, delay, ut_sq, ut_tau_sq, delay_raw, mu_prime_eta]
 
 
 @dataclass(frozen=True)

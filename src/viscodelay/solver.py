@@ -29,6 +29,14 @@ Two realizations of the memory term are provided:
 The delay likewise has an exact ring-buffer realization (default) and a
 first-order upwind rho-grid realization for cross-checks.
 
+A state built with ``ks`` carries R rows on a batch axis: one grid and
+one initial datum, one delay amplitude k per row.  u and v are (R, nx), q
+is (m, R, nx), each ring-buffer slot holds an (R, nx) block, and one
+``step`` advances every row by its own map.  No operation reduces
+across the batch axis, and every per-row reduction is the one a single
+row makes, so a row of a batch has the bits of its solo run.  Only the
+map path is batched; the grid realizations step one row at a time.
+
 Time stepping is the classical 4-stage explicit scheme applied to the one
 generator ``_rhs``, the only place the system is written down.  The system
 is linear and its only spatial operator is the Dirichlet Laplacian L, so
@@ -47,6 +55,8 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -88,6 +98,8 @@ RK4_REAL_AXIS_LIMIT = 2.785
 # largest dt / min(s-gap) accepted for the eta_grid transport: its upwind
 # bidiagonal form is non-normal and already grew 1e8-fold at 1.69
 ETA_GRID_COURANT_LIMIT = 1.5
+# the largest history frequency whose square (in the memory weights) is finite
+OMEGA_MAX = math.sqrt(sys.float_info.max)
 
 
 class SolverError(RuntimeError):
@@ -103,23 +115,28 @@ class DelayUnresolvable(SolverError):
 
 
 class HistoryTooLarge(SolverError):
-    """A history ring buffer's rows x nx reservation cannot be mapped."""
+    """A history ring buffer's rows x nx (x batch rows) reservation cannot be mapped."""
 
-    def __init__(self, history: str, rows: str, n_rows: int, nx: int, remedy: str):
-        nbytes = 8 * n_rows * nx
+    def __init__(self, history: str, rows: str, n_rows: int, nx: int, remedy: str,
+                 batch: int = 1):
+        nbytes = 8 * n_rows * nx * batch
+        per_batch = f" x {batch} batch rows" if batch > 1 else ""
         super().__init__(
-            f"{history} needs {rows}={n_rows} rows x nx={nx} = "
+            f"{history} needs {rows}={n_rows} rows x nx={nx}{per_batch} = "
             f"{nbytes} bytes ({nbytes / 2**30:.4g} GiB) of address space, which "
             f"cannot be reserved; {remedy}"
         )
 
 
 class NonFinite(SolverError):
-    """A field left the finite range; carries the offending step index."""
+    """A field left the finite range; carries the offending step index and,
+    for a batched state, the indices of the rows that did (``rows``)."""
 
-    def __init__(self, step_index: int):
-        super().__init__(f"state became non-finite at step {step_index}")
+    def __init__(self, step_index: int, rows: list[int] | None = None):
+        where = "" if rows is None else f" in batch rows {rows}"
+        super().__init__(f"state became non-finite at step {step_index}{where}")
         self.step_index = step_index
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -316,6 +333,9 @@ class InitialData:
             raise ValueError(
                 f"history must be 'frozen' or 'modulated', got {self.history!r}"
             )
+        if not abs(self.omega) <= OMEGA_MAX:
+            raise ValueError(f"omega must be at most {OMEGA_MAX:.6g} in magnitude, where "
+                             f"omega^2 overflows, got {self.omega!r}")
 
     def profile(self, x: np.ndarray, length: float) -> np.ndarray:
         if self.shape == "sine":
@@ -347,26 +367,50 @@ class InitialData:
         return b / (b * b + self.omega ** 2)
 
 
+# what reserving a ring buffer raises when the address space cannot hold it:
+# numpy's MemoryError, or ValueError past its index range; mmap's OSError,
+# or OverflowError past its length range
+RESERVE_ERRORS = (MemoryError, ValueError, OSError, OverflowError)
+
+
+def _lazy_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros on a private anonymous mapping, whose pages become resident only
+    when written.  ``np.zeros`` gives that only while malloc maps the block
+    afresh; once a freed block has raised malloc's mmap threshold, it takes
+    the block from the heap and clears every page."""
+    buf = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)
+    return np.frombuffer(buf, dtype=float).reshape(shape)
+
+
 class RingBuffer:
     """Fixed-capacity ring of past fields; ``back(0)`` is the newest.
 
-    With a prescribed past (``past`` = the profile phi; ``factor`` maps the
-    ages of past rows to their time factors, None for a frozen past) the
-    buffer stores only the rows pushed since t = 0: a read ``p >= pushed``
-    steps back returns ``factor(p - pushed) * phi``, evaluated on demand.
-    The slots come from ``np.zeros`` and none is written before its first
-    push, so unpushed slots never become resident: the buffer keeps
-    8 * width * min(pushed, capacity) bytes in memory, not ``nbytes``.
+    A slot holds one row of shape ``row_shape``: (nx,), or (R, nx) for a
+    batched state.  With a prescribed past (``past`` = the profile phi,
+    shaped to broadcast against a row; ``factor`` maps the ages of past
+    rows to their time factors, None for a frozen past) the buffer stores
+    only the rows pushed since t = 0: a read ``p >= pushed`` steps back
+    returns ``factor(p - pushed) * phi``, evaluated on demand.  With
+    ``lazy`` the slots are a fresh anonymous mapping and none is written
+    before its first push, so unpushed slots never become resident: the
+    buffer keeps 8 * row size * min(pushed, capacity) bytes in memory, not
+    ``nbytes``.  Without it they come from ``np.zeros``, whose pages a
+    process reuses from run to run, for a buffer that every slot will fill.
 
     After ``keep_norms()`` the buffer also holds each slot's squared norm
-    in ``norms`` (indexed like ``data``) and keeps it current on ``push``.
+    per batch row in ``norms`` (shape (capacity,) + batch, indexed like
+    ``data``) and keeps it current on ``push``.
     """
 
     __slots__ = ("data", "head", "norms", "pushed", "past", "factor")
 
-    def __init__(self, capacity: int, width: int, past: np.ndarray | None = None,
-                 factor: Callable[[np.ndarray], np.ndarray] | None = None):
-        self.data = np.zeros((capacity, width))
+    def __init__(self, capacity: int, row_shape: int | tuple[int, ...],
+                 past: np.ndarray | None = None,
+                 factor: Callable[[np.ndarray], np.ndarray] | None = None,
+                 lazy: bool = False):
+        if isinstance(row_shape, int):
+            row_shape = (row_shape,)
+        self.data = (_lazy_zeros if lazy else np.zeros)((capacity, *row_shape))
         self.head = 0
         self.norms = None
         self.pushed = 0
@@ -383,9 +427,9 @@ class RingBuffer:
         return self.data.nbytes + (0 if self.norms is None else self.norms.nbytes)
 
     def keep_norms(self) -> None:
-        # the batched and the single-row einsum reduce a row in the same
-        # order, so a slot's norm is the same bits whichever wrote it
-        self.norms = np.einsum("ij,ij->i", self.data, self.data)
+        # every einsum here reduces a row in the same order, so a slot's norm
+        # is the same bits whichever call wrote it, batched or not
+        self.norms = np.einsum("i...j,i...j->i...", self.data, self.data)
 
     def push(self, row: np.ndarray) -> None:
         self.head = (self.head - 1) % self.capacity
@@ -393,17 +437,18 @@ class RingBuffer:
         self.data[self.head] = row
         if self.norms is not None:
             slot = self.data[self.head]
-            self.norms[self.head] = np.einsum("i,i->", slot, slot)
+            self.norms[self.head] = np.einsum("...i,...i->...", slot, slot)
 
     def _past_rows(self, ages: np.ndarray) -> np.ndarray:
         if self.factor is None:
-            return np.broadcast_to(self.past, (ages.size, self.past.size))
+            return np.broadcast_to(self.past, ages.shape + self.past.shape)
         # one IEEE multiply per entry, as a stored factor * phi row had
         return np.multiply.outer(self.factor(ages), self.past)
 
     def back(self, steps: int) -> np.ndarray:
         if self.past is not None and steps >= self.pushed:
-            return self._past_rows(np.array([steps - self.pushed]))[0]
+            row = self._past_rows(np.array([steps - self.pushed]))[0]
+            return np.broadcast_to(row, self.data.shape[1:])
         return self.data[(self.head + steps) % self.capacity]
 
     def back_interp(self, steps: float) -> np.ndarray:
@@ -416,8 +461,11 @@ class RingBuffer:
         # written so equal neighbours interpolate bitwise-exactly
         return newer + frac * (self.back(j + 1) - newer)
 
-    def back_interp_rows(self, steps: np.ndarray) -> np.ndarray:
-        """``back_interp`` at every offset in ``steps`` (ascending), one row each."""
+    def back_interp_rows(self, steps: np.ndarray, out: np.ndarray | None = None,
+                         work: np.ndarray | None = None) -> np.ndarray:
+        """``back_interp`` at every offset in ``steps`` (ascending), one row each,
+        shape (steps.size,) + row shape; written into ``out`` when given.
+        ``work``, shaped like ``out``, takes the gathered newer rows."""
         j = np.floor(steps)
         frac = steps - j
         j = j.astype(np.intp)
@@ -428,14 +476,18 @@ class RingBuffer:
             a = b = m
         else:
             a, b = np.searchsorted(j, (self.pushed - 1, self.pushed)).tolist()
-        out = np.empty((m, self.data.shape[1]))
-        if b > 0:
-            newer_idx = (self.head + j[:b]) % self.capacity
-            newer = self.data[newer_idx]
-            older = self.data[(newer_idx[:a] + 1) % self.capacity]
-            if a < b:
-                older = np.concatenate((older, self._past_rows(j[a:b] + 1 - self.pushed)))
-            _interp(newer, older, frac[:b], out[:b])
+        if out is None:
+            out = np.empty((m,) + self.data.shape[1:])
+        newer_idx = (self.head + j[:b]) % self.capacity
+        if a > 0:
+            # the older rows go straight into out, where _interp overwrites them
+            newer = self.data.take(newer_idx[:a], axis=0,
+                                   out=None if work is None else work[:a])
+            self.data.take((newer_idx[:a] + 1) % self.capacity, axis=0, out=out[:a])
+            _interp(newer, out[:a], frac[:a], out[:a])
+        if a < b:
+            _interp(self.data[newer_idx[a:]], self._past_rows(j[a:b] + 1 - self.pushed),
+                    frac[a:b], out[a:b])
         if b < m and self.factor is None:
             # a frozen past is phi throughout, and phi + frac * (phi - phi) is phi
             out[b:] = self.past
@@ -447,7 +499,11 @@ class RingBuffer:
 
 
 def _interp(newer: np.ndarray, older: np.ndarray, frac: np.ndarray, out: np.ndarray) -> None:
-    np.add(newer, frac[:, None] * (older - newer), out=out)
+    """out = newer + frac * (older - newer) row by row along axis 0; ``older``
+    may be ``out`` itself."""
+    np.subtract(older, newer, out=out)
+    np.multiply(frac.reshape(frac.shape + (1,) * (out.ndim - 1)), out, out=out)
+    np.add(newer, out, out=out)
     exact = frac == 0.0
     if exact.any():
         out[exact] = newer[exact]
@@ -455,17 +511,23 @@ def _interp(newer: np.ndarray, older: np.ndarray, frac: np.ndarray, out: np.ndar
 
 @dataclass
 class SimState:
-    """One snapshot of the discrete system; owned by a single integrator."""
+    """One snapshot of the discrete system; owned by a single integrator.
+
+    A batched state (``ks`` set) has R = len(ks) rows on the leading axis
+    of u, v and every ring-buffer slot, and on the axis after the modes of q.
+    """
 
     t: float
     step_index: int
     u: np.ndarray
     v: np.ndarray
-    q: np.ndarray | None = None        # (n_terms, nx) exponential memory modes
+    q: np.ndarray | None = None        # (n_terms, nx) exponential memory modes; (n_terms, R, nx)
     eta: np.ndarray | None = None      # (ns-1, nx) evolved history field
     u_hist: RingBuffer | None = None   # past u fields, for eta reconstruction
     v_hist: RingBuffer | None = None   # past u_t fields, the delay line, with norms
     z_rho: np.ndarray | None = None    # (n_delay, nx) transported delay field
+    ks: tuple[float, ...] | None = None  # each batch row's k; None for one row
+    work: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def full_grid(self, values: np.ndarray) -> np.ndarray:
         """Interior values padded with the Dirichlet boundary zeros."""
@@ -487,36 +549,78 @@ class SimState:
                 total += buf.nbytes
         return total
 
+    def scratch(self, shape: tuple[int, ...], use: str) -> np.ndarray:
+        """A float array of ``shape`` on memory this state reuses for ``use``.
 
-def build(params: ModelParams, init: InitialData, disc: Discretization) -> SimState:
+        A batch's sampling temporaries exceed malloc's mmap threshold, so
+        fresh ones would cost new pages at every sample.  The memory grows
+        to the largest shape asked for; what it holds is valid until the
+        next call with the same ``use``.
+        """
+        size = math.prod(shape)
+        buf = self.work.get(use)
+        if buf is None or buf.size < size:
+            buf = self.work[use] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+    def retire(self, rows: list[int]) -> None:
+        """Zero batch ``rows`` and their delay line: a row that left the finite
+        range goes on as the zero solution, which the other rows never read."""
+        self.u[rows] = 0.0
+        self.v[rows] = 0.0
+        if self.q is not None:
+            self.q[:, rows] = 0.0
+        if self.v_hist is not None:
+            self.v_hist.data[:, rows] = 0.0
+            self.v_hist.norms[:, rows] = 0.0
+
+
+def _steps_by_map(params: ModelParams, disc: Discretization) -> bool:
+    """Whether ``build`` leaves no evolved eta or z field, so ``step`` uses the map."""
+    eta = params.memory_realization == "eta_grid" and not params.kernel.is_empty
+    z = params.delay_realization == "rho_grid" and disc.n_delay > 0
+    return not (eta or z)
+
+
+def build(params: ModelParams, init: InitialData, disc: Discretization,
+          ks: list[float] | None = None, steps: int | None = None) -> SimState:
     """State at t = 0 with its history structures set from the prescribed past.
 
     The delay line and the evolved fields are filled; the displacement
-    history stores nothing and evaluates the past when it is read.
+    history stores nothing and evaluates the past when it is read.  Unless
+    ``steps``, the number of steps the state will take, fills it, the
+    displacement history is mapped lazily.  With ``ks`` the state is a
+    batch of len(ks) copies, row r stepped with k = ks[r] (``params.k`` is
+    not read).
     """
     if disc.tau > 0.0 and params.tau <= 0.0:
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
+    if ks is not None and not _steps_by_map(params, disc):
+        raise ValueError("the eta_grid and rho_grid realizations step one row at a time")
+    batch = () if ks is None else (len(ks),)
     x = disc.x_interior()
     phi = init.profile(x, params.length)
-    u = phi.copy()
-    v = phi * init.history_rate(0.0)
-    state = SimState(t=0.0, step_index=0, u=u, v=v)
+    u = np.broadcast_to(phi, batch + phi.shape).copy()
+    v = u * init.history_rate(0.0)
+    state = SimState(t=0.0, step_index=0, u=u, v=v, ks=None if ks is None else tuple(ks))
 
     kernel = params.kernel
     if not kernel.is_empty:
         if params.memory_realization == "prony_modes":
-            state.q = np.multiply.outer([init.memory_weight(b) for b in kernel.rates], phi)
+            state.q = np.multiply.outer([init.memory_weight(b) for b in kernel.rates], u)
             # the past is evaluated on demand, with the scalar math.cos factor
             # a stored row would have had; a frozen past is phi itself
             factor = None if init.history == "frozen" else (
                 lambda ages: init.history_factors(-ages * disc.dt))
             phi.flags.writeable = False
             try:
-                state.u_hist = RingBuffer(disc.n_hist, disc.nx, past=phi, factor=factor)
-            except (MemoryError, ValueError) as err:
-                # numpy raises ValueError when the size overflows its index range
-                raise HistoryTooLarge("the displacement history", "n_hist", disc.n_hist, disc.nx,
-                                      "raise the kernel rates or coarsen the grid") from err
+                state.u_hist = RingBuffer(disc.n_hist, batch + (disc.nx,),
+                                          past=phi if ks is None else phi[None], factor=factor,
+                                          lazy=steps is None or steps < disc.n_hist)
+            except RESERVE_ERRORS as err:
+                raise HistoryTooLarge("the displacement history", "n_hist", disc.n_hist,
+                                      disc.nx, "raise the kernel rates or coarsen the grid",
+                                      math.prod(batch)) from err
         else:
             state.eta = np.multiply.outer(
                 [1.0 - init.history_factor(-s) for s in disc.s_nodes[1:]], phi
@@ -524,18 +628,19 @@ def build(params: ModelParams, init: InitialData, disc: Discretization) -> SimSt
 
     if disc.n_delay > 0:
         try:
-            vbuf = RingBuffer(disc.n_delay + 2, disc.nx)
-        except (MemoryError, ValueError) as err:
+            vbuf = RingBuffer(disc.n_delay + 2, batch + (disc.nx,))
+        except RESERVE_ERRORS as err:
             raise HistoryTooLarge("the delay line", "n_delay+2", disc.n_delay + 2, disc.nx,
-                                  "shorten the delay, raise cfl or coarsen the grid") from err
+                                  "shorten the delay, raise cfl or coarsen the grid",
+                                  math.prod(batch)) from err
         rates = np.fromiter((init.history_rate(-j * disc.dt)
                              for j in range(vbuf.capacity)), float, vbuf.capacity)
-        np.multiply.outer(rates, phi, out=vbuf.data)
+        np.multiply.outer(rates, u, out=vbuf.data)
         vbuf.keep_norms()
         state.v_hist = vbuf
         if params.delay_realization == "rho_grid":
             # z(x, rho_l, 0) = u_t history at -tau*rho_l; rho_l = l/n_delay, l >= 1
-            state.z_rho = np.multiply.outer(rates[1:disc.n_delay + 1], phi)
+            state.z_rho = vbuf.data[1:disc.n_delay + 1].copy()
     return state
 
 
@@ -701,20 +806,47 @@ def _step_map(params: ModelParams, disc: Discretization) -> np.ndarray:
     return coeffs
 
 
+@functools.lru_cache(maxsize=32)
+def _stacked_maps(params: ModelParams, disc: Discretization,
+                  ks: tuple[float, ...]) -> np.ndarray:
+    """``_step_map`` of each row k in ``ks``, stacked, shape (R, 3 (2 + m), n_in).
+
+    A row without delay inputs (k = 0) gets zero columns for them when
+    another row has them.  Read-only, one stack per (params, grid, ks).
+    """
+    maps = [_step_map(replace(params, k=k), disc) for k in ks]
+    stacked = np.zeros((len(maps), maps[0].shape[0], max(c.shape[1] for c in maps)))
+    for out, coeffs in zip(stacked, maps):
+        out[:, :coeffs.shape[1]] = coeffs
+    stacked.flags.writeable = False
+    return stacked
+
+
 def _step_by_map(state: SimState, params: ModelParams, disc: Discretization) -> None:
-    coeffs = _step_map(params, disc)
-    nw = coeffs.shape[0] // 3
-    x = np.empty((coeffs.shape[1], disc.nx))
-    x[0] = state.u
-    x[1] = state.v
+    if state.ks is None:
+        coeffs = _step_map(params, disc)
+        nw = coeffs.shape[0] // 3
+        x = rows = np.empty((coeffs.shape[1], disc.nx))
+    else:
+        coeffs = _stacked_maps(params, disc, state.ks)
+        nw = coeffs.shape[1] // 3
+        x = np.empty((len(state.ks), coeffs.shape[2], disc.nx))
+        rows = x.swapaxes(0, 1)  # a batch's input rows, (n_in, R, nx)
+    rows[0] = state.u
+    rows[1] = state.v
     if state.q is not None:
-        x[2:nw] = state.q
-    if x.shape[0] > nw:
-        x[nw] = state.v_hist.back(disc.n_delay)
-        x[nw + 1] = state.v_hist.back(disc.n_delay - 1)
+        rows[2:nw] = state.q
+    if rows.shape[0] > nw:
+        rows[nw] = state.v_hist.back(disc.n_delay)
+        rows[nw + 1] = state.v_hist.back(disc.n_delay - 1)
     # Horner, C0 X + L (C1 X + L C2 X), in place in a fresh array, so the
-    # fields handed out by earlier steps survive
-    y = (coeffs @ x).reshape(3, nw, disc.nx)
+    # fields handed out by earlier steps survive; a batch multiplies each
+    # row's X by its own map
+    y = coeffs @ x
+    if state.ks is None:
+        y = y.reshape(3, nw, disc.nx)
+    else:
+        y = y.reshape(-1, 3, nw, disc.nx).transpose(1, 2, 0, 3)  # (3, nw, R, nx)
     _add_second_difference(y[1], y[2])
     _add_second_difference(y[0], y[1])
     state.u = y[0, 0]
@@ -728,6 +860,8 @@ def step(state: SimState, params: ModelParams, disc: Discretization) -> SimState
 
     A state with no evolved eta or z fields advances by ``_step_map``; the
     ``eta_grid`` and ``rho_grid`` realizations run the four ``_rhs`` stages.
+    A non-finite u or v raises ``NonFinite`` after the step; for a batch it
+    names the rows that went non-finite, and the others have advanced.
     """
     # a blowing-up state overflows to inf/nan and is caught below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -743,7 +877,11 @@ def step(state: SimState, params: ModelParams, disc: Discretization) -> SimState
     if state.v_hist is not None:
         state.v_hist.push(state.v)
     if not (np.isfinite(state.u).all() and np.isfinite(state.v).all()):
-        raise NonFinite(state.step_index)
+        rows = None
+        if state.ks is not None:
+            finite = np.isfinite(state.u).all(axis=-1) & np.isfinite(state.v).all(axis=-1)
+            rows = np.flatnonzero(~finite).tolist()
+        raise NonFinite(state.step_index, rows)
     return state
 
 
@@ -753,18 +891,26 @@ def delayed_velocity(state: SimState, params: ModelParams,
     return _delayed(params, disc, state, state.v, state.z_rho, 0.0)
 
 
-def eta_field(state: SimState, params: ModelParams, disc: Discretization) -> np.ndarray:
-    """History field eta(x, s_j) on the interior s-nodes (shape (ns-1, nx)).
+def eta_field(state: SimState, params: ModelParams, disc: Discretization,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """History field eta(x, s_j) on the interior s-nodes, shape (ns-1, nx),
+    or (ns-1, R, nx) for a batch; written into ``out`` when given.
 
     For the prony_modes realization this is the exact characteristics
     solution eta(s) = u(t) - u(t - s) read off the u ring buffer; for
     eta_grid it is the evolved array itself.
     """
     if params.kernel.is_empty:
-        return np.zeros((0, disc.nx))
+        return np.zeros((0,) + state.u.shape)
     if state.eta is not None:
-        return state.eta
-    return state.u - state.u_hist.back_interp_rows(disc.s_nodes[1:] / disc.dt)
+        if out is None:
+            return state.eta
+        out[...] = state.eta
+        return out
+    steps = disc.s_nodes[1:] / disc.dt
+    rows = state.u_hist.back_interp_rows(
+        steps, out, state.scratch((steps.size,) + state.u.shape, "work"))
+    return np.subtract(state.u, rows, out=rows)
 
 
 @dataclass
@@ -809,31 +955,49 @@ class Trace:
 
 
 def run(params: ModelParams, init: InitialData, disc: Discretization,
-        horizon: float, sample_every: int = 0, snapshots: bool = False) -> Trace:
+        horizon: float, sample_every: int = 0, snapshots: bool = False,
+        ks: list[float] | None = None) -> Trace | list[Trace]:
     """Integrate to ``horizon`` sampling the energy every ``sample_every`` steps.
 
     ``sample_every = 0`` picks a cadence of about 1000 samples.  A
     non-finite state aborts the run; the partial trace is still returned
     with ``aborted_step`` set.
+
+    With ``ks`` the rows k = ks[r] run as one batch and the result is one
+    Trace per row, in order, each the trace its solo run gives; rows
+    advanced together keep no ``final_state``.  A row that goes non-finite
+    gets its own ``aborted_step`` and is sampled no further; the others go
+    on.  Snapshots are kept for solo runs only.
     """
     from .energy import sample_state  # deferred: energy imports this module
 
     if horizon < 0.0:
         raise ValueError(f"horizon must be >= 0, got {horizon!r}")
+    if ks is not None:
+        rows = [replace(params, k=k) for k in ks]
+        if snapshots:
+            raise ValueError("snapshots are kept for solo runs only, not for a batch")
+        if not _steps_by_map(params, disc):
+            # the grid realizations step their fields through _rhs, one k at a time
+            return [run(row, init, disc, horizon, sample_every) for row in rows]
     n_steps = int(round(horizon / disc.dt))
     if sample_every <= 0:
         sample_every = max(1, n_steps // 1000)
 
-    state = build(params, init, disc)
+    state = build(params, init, disc, ks=ks, steps=n_steps)
     times = []
-    rows = []
+    # per sample the eight SampleRow terms (kinetic, elastic, memory, delay,
+    # ut_sq, ut_tau_sq, delay_raw, mu_prime_eta), then the batch axis
+    cols = np.empty((2 + n_steps // sample_every, 8) + state.u.shape[:-1])
     snaps = []
 
     def take_sample():
-        times.append(state.t)
         # a snapshot shares the sample's eta, reconstructed once
         eta = eta_field(state, params, disc) if snapshots else None
-        rows.append(sample_state(state, params, disc, eta=eta))
+        r = sample_state(state, params, disc, eta=eta)
+        cols[len(times)] = (r.kinetic, r.elastic, r.memory, r.delay,
+                            r.ut_sq, r.ut_tau_sq, r.delay_raw, r.mu_prime_eta)
+        times.append(state.t)
         if snapshots:
             on_grid = _kernel_on_grid(params.kernel, disc)
             snaps.append(Snapshot(
@@ -843,27 +1007,35 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
             ))
 
     take_sample()
-    aborted = None
+    # per row: the step it aborted at, and how many samples it kept
+    aborted = [None] * (1 if ks is None else len(ks))
+    kept = [None] * len(aborted)
     for n in range(1, n_steps + 1):
         try:
             step(state, params, disc)
         except NonFinite as err:
-            aborted = err.step_index
-            break
+            for r in err.rows or [0]:
+                aborted[r], kept[r] = err.step_index, len(times)
+            if None not in aborted:
+                break
+            state.retire(err.rows)
         if n % sample_every == 0 or n == n_steps:
             take_sample()
 
-    cols = np.array(
-        [
-            [r.kinetic, r.elastic, r.memory, r.delay,
-             r.ut_sq, r.ut_tau_sq, r.delay_raw, r.mu_prime_eta]
-            for r in rows
-        ]
-    )
+    cols = cols[:len(times)]
+    times = np.array(times)
+    if ks is None:
+        return _trace(params, disc, times, cols, aborted[0], snaps, state)
+    return [_trace(row, disc, times[:n], cols[:n, :, r], step_index, [], None)
+            for r, (row, n, step_index) in enumerate(zip(rows, kept, aborted))]
+
+
+def _trace(params: ModelParams, disc: Discretization, times: np.ndarray, cols: np.ndarray,
+           aborted: int | None, snaps: list[Snapshot], state: SimState | None) -> Trace:
     return Trace(
         params=params,
         disc=disc,
-        times=np.array(times),
+        times=times,
         kinetic=cols[:, 0],
         elastic=cols[:, 1],
         memory=cols[:, 2],

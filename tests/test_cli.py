@@ -526,3 +526,33 @@ def test_selfcheck_catches_tampered_constant(monkeypatch, capsys):
                         lambda *args: original(*args) * 1.001)
     assert main(["selfcheck"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# -- inputs at the edge of the float range ---------------------------------------------
+
+@pytest.mark.parametrize("command, extra, limit", [
+    ("certify", {"theta": 1e308}, "theta * e^tau must be at most 1.79769e+308"),
+    ("certify", {"tau": 709.5}, "theta * e^tau must be at most 1.79769e+308"),
+    ("certify", {"c_poincare": 1e308}, "C e theta e^tau must be at most 1.79769e+308"),
+    ("certify", {"L": 1e300}, "interval length must be at most 4.21219e+154"),
+    ("certify", {"kernel": {"terms": [{"a": 1e-300, "b": 2.0}]}},
+     "mu_tilde must be at least 1.49167e-154"),
+    ("simulate", {"nx": 20, "T": 0.1, "init": {"history": "modulated", "omega": 1e308}},
+     "omega must be at most 1.34078e+154"),
+])
+def test_inputs_past_the_float_range_refused(tmp_path, capsys, command, extra, limit):
+    cfg = write_config(tmp_path, certify_config(0.0, **extra))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and limit in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, sweep_config())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert f"must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
