@@ -104,13 +104,6 @@ class CertificateInputs:
         if not math.isfinite(self.theta * math.exp(self.tau)):
             raise InvalidInputs(f"theta * e^tau must be at most {sys.float_info.max:.6g}, "
                                 f"got theta = {self.theta!r}, tau = {self.tau!r}")
-        budget = amplitude_budget(self, 0.0)
-        if not budget > 0.0:
-            *_, c_big = _chain(self, 0.0)
-            raise InvalidInputs(
-                f"C e theta e^tau must be at most {sys.float_info.max:.6g}, but C = {c_big!r} "
-                f"(c_poincare = {self.c_poincare!r}, mu0 = {self.mu0!r}, alpha = {self.alpha!r}) "
-                f"leaves the amplitude budget g(0) = {budget!r}")
 
 
 # -- scalar constant formulas -------------------------------------------------
@@ -212,13 +205,19 @@ def khat_fixed_point(inputs: CertificateInputs) -> float:
     g is strictly decreasing, so f(k) = g(k) - k changes sign exactly once
     on (0, g(0)), inside [g(g(0)), g(0)]; a weak kernel makes those bounds
     one double, and k_hat is g(0).  Raises :class:`NoConvergence` if the
-    bracket fails, which would indicate a non-monotone g (an implementation bug).
+    bracket fails, which would indicate a non-monotone g (an implementation
+    bug), and :class:`InvalidInputs` if C e theta e^tau overflows, so that
+    g(0) = 0 leaves no bracket.
     """
     inputs.validate()
     lo = 0.0
     hi = amplitude_budget(inputs, 0.0)
-    if not (hi > 0.0 and math.isfinite(hi)):
-        raise NoConvergence(f"g(0) = {hi!r} is not a positive bracket")
+    if not hi > 0.0:
+        *_, c_big = _chain(inputs, 0.0)
+        raise InvalidInputs(
+            f"C e theta e^tau must be at most {sys.float_info.max:.6g}, but C = {c_big!r} "
+            f"(c_poincare = {inputs.c_poincare!r}, mu0 = {inputs.mu0!r}, "
+            f"alpha = {inputs.alpha!r}) leaves the amplitude budget g(0) = {hi!r}")
     g_hi = amplitude_budget(inputs, hi)
     if g_hi == hi:
         return hi
