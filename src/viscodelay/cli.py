@@ -29,9 +29,9 @@ __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 CSV_FLOAT = "%.17g"
 ENERGY_HEADER = "t,total,kinetic,elastic,memory,delay"
 SWEEP_HEADER = "k,sigma_emp,r_squared,classification,certified,theorem_bound_ok,error"
-# the most k values a sweep advances as one batch: each row of a batch keeps
-# its own resident history (about 0.65 MB at nx = 100, T = 1), so a larger
-# batch costs memory in every worker
+# the most k values a sweep advances as one batch: each row of a batch has its
+# own history, a slot per step up to n_hist plus the delay line (about 0.65 MB
+# at nx = 100, T = 1), so a larger batch costs memory in every worker
 SWEEP_BATCH = 4
 
 

@@ -145,8 +145,12 @@ def _tail_cut(kernel: MemoryKernel, target: float) -> float:
     hi = 1.0
     while kernel.tail_mass(hi) > target:
         hi *= 2.0
-        if hi > 1e300:  # pragma: no cover - unreachable for valid kernels
-            raise KernelInvalid("kernel tail does not decay")
+        if hi > 1e300:
+            raise KernelInvalid(
+                f"the kernel's tail mass stays above tail_tol*mu_tilde = {target:.6g} "
+                "up to s = 1e300, where the search for s_max stops; "
+                "raise the kernel rates or tail_tol"
+            )
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -18,9 +18,9 @@ Two realizations of the memory term are provided:
   The history field eta is reconstructed on the geometric s-grid from a
   ring buffer of past u fields (the transport equation is solved exactly
   along characteristics, eta(s) = u(t) - u(t - s)), one gather per sample.
-  The buffer stores only the fields pushed since t = 0: a read from before
-  t = 0 evaluates the prescribed past u0 = phi * factor(t) on demand, so
-  the resident history is 8 * nx * min(steps, n_hist) bytes.
+  The buffer holds only the fields pushed since t = 0, so a run of
+  ``steps`` steps gets min(steps, n_hist) slots: a read from before t = 0
+  evaluates the prescribed past u0 = phi * factor(t) on demand.
 * ``eta_grid``: eta is evolved directly on the s-grid with first-order
   upwinding and the memory force is the trapezoid s-quadrature.  Kept as
   a cross-validation mode; its first-order transport error is far too
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -115,7 +114,7 @@ class DelayUnresolvable(SolverError):
 
 
 class HistoryTooLarge(SolverError):
-    """A history ring buffer's rows x nx (x batch rows) reservation cannot be mapped."""
+    """A history ring buffer of rows x nx (x batch rows) doubles cannot be allocated."""
 
     def __init__(self, history: str, rows: str, n_rows: int, nx: int, remedy: str,
                  batch: int = 1):
@@ -123,8 +122,8 @@ class HistoryTooLarge(SolverError):
         per_batch = f" x {batch} batch rows" if batch > 1 else ""
         super().__init__(
             f"{history} needs {rows}={n_rows} rows x nx={nx}{per_batch} = "
-            f"{nbytes} bytes ({nbytes / 2**30:.4g} GiB) of address space, which "
-            f"cannot be reserved; {remedy}"
+            f"{nbytes} bytes ({nbytes / 2**30:.4g} GiB), which cannot be allocated; "
+            f"{remedy}"
         )
 
 
@@ -244,6 +243,15 @@ class Discretization:
         return self.dx * np.arange(1, self.nx + 1)
 
 
+def _steps_in(span: float, dt: float, name: str, remedy: str) -> float:
+    """span / dt, refused when it overflows a double: no step count is that large."""
+    ratio = span / dt
+    if not math.isfinite(ratio):
+        raise SolverError(f"{name}/dt = {span!r}/{dt!r} overflows a double, too many "
+                          f"steps to count; {remedy}")
+    return ratio
+
+
 def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
                ns: int = 64, tail_tol: float = 1e-8) -> Discretization:
     """Build the grids for ``params``; snaps tau to a whole number of steps."""
@@ -254,7 +262,7 @@ def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
     dx = params.length / (nx + 1)
     dt = cfl * dx
     if params.tau > 0.0:
-        n_delay = int(round(params.tau / dt))
+        n_delay = int(round(_steps_in(params.tau, dt, "tau", "raise cfl or shorten the delay")))
         if n_delay == 0:
             raise DelayUnresolvable(
                 f"tau={params.tau} is below the step size dt={dt}; "
@@ -296,7 +304,7 @@ def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
                 )
         s_weights = quadrature_weights(s_nodes)
         s_max = report.s_max
-        n_hist = int(math.ceil(s_max / dt)) + 2
+        n_hist = int(math.ceil(_steps_in(s_max, dt, "s_max", "raise cfl or the kernel rates"))) + 2
     return Discretization(
         nx=nx, dx=dx, dt=dt, cfl=cfl,
         tau=tau_snapped, n_delay=n_delay,
@@ -367,19 +375,9 @@ class InitialData:
         return b / (b * b + self.omega ** 2)
 
 
-# what reserving a ring buffer raises when the address space cannot hold it:
-# numpy's MemoryError, or ValueError past its index range; mmap's OSError,
-# or OverflowError past its length range
-RESERVE_ERRORS = (MemoryError, ValueError, OSError, OverflowError)
-
-
-def _lazy_zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """Zeros on a private anonymous mapping, whose pages become resident only
-    when written.  ``np.zeros`` gives that only while malloc maps the block
-    afresh; once a freed block has raised malloc's mmap threshold, it takes
-    the block from the heap and clears every page."""
-    buf = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)
-    return np.frombuffer(buf, dtype=float).reshape(shape)
+# what allocating a ring buffer raises when memory cannot hold it: numpy's
+# MemoryError, or ValueError past its index range
+RESERVE_ERRORS = (MemoryError, ValueError)
 
 
 class RingBuffer:
@@ -390,14 +388,8 @@ class RingBuffer:
     shaped to broadcast against a row; ``factor`` maps the ages of past
     rows to their time factors, None for a frozen past) the buffer stores
     only the rows pushed since t = 0: a read ``p >= pushed`` steps back
-    returns ``factor(p - pushed) * phi``, evaluated on demand.  With
-    ``lazy`` the slots are a fresh anonymous mapping and none is written
-    before its first push, so unpushed slots never become resident: the
-    buffer keeps 8 * row size * min(pushed, capacity) bytes in memory, not
-    ``nbytes``.  Without it they come from ``np.zeros``, whose pages a
-    process reuses from run to run, for a buffer that every slot will fill:
-    mapping those lazily too costs a page fault per page per run, +4.6%
-    wall time on a run that fills an 11 MB history and a 1.3 MB delay line.
+    returns ``factor(p - pushed) * phi``, evaluated on demand, so a buffer
+    that will see ``steps`` pushes needs no more than ``steps`` slots.
 
     After ``keep_norms()`` the buffer also holds each slot's squared norm
     per batch row in ``norms`` (shape (capacity,) + batch, indexed like
@@ -408,11 +400,10 @@ class RingBuffer:
 
     def __init__(self, capacity: int, row_shape: int | tuple[int, ...],
                  past: np.ndarray | None = None,
-                 factor: Callable[[np.ndarray], np.ndarray] | None = None,
-                 lazy: bool = False):
+                 factor: Callable[[np.ndarray], np.ndarray] | None = None):
         if isinstance(row_shape, int):
             row_shape = (row_shape,)
-        self.data = (_lazy_zeros if lazy else np.zeros)((capacity, *row_shape))
+        self.data = np.zeros((capacity, *row_shape))
         self.head = 0
         self.norms = None
         self.pushed = 0
@@ -425,7 +416,7 @@ class RingBuffer:
 
     @property
     def nbytes(self) -> int:
-        """Reserved bytes, resident or not."""
+        """Allocated bytes: the slots and their norms."""
         return self.data.nbytes + (0 if self.norms is None else self.norms.nbytes)
 
     def keep_norms(self) -> None:
@@ -538,10 +529,7 @@ class SimState:
         return out
 
     def nbytes(self) -> int:
-        """Rough state footprint, used to check that disabled terms cost nothing.
-
-        Ring buffers count their reserved capacity, not their resident pages.
-        """
+        """Bytes the state allocated, used to check that disabled terms cost nothing."""
         total = self.u.nbytes + self.v.nbytes
         for arr in (self.q, self.eta, self.z_rho):
             if arr is not None:
@@ -589,11 +577,12 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
     """State at t = 0 with its history structures set from the prescribed past.
 
     The delay line and the evolved fields are filled; the displacement
-    history stores nothing and evaluates the past when it is read.  Unless
-    ``steps``, the number of steps the state will take, fills it, the
-    displacement history is mapped lazily.  With ``ks`` the state is a
-    batch of len(ks) copies, row r stepped with k = ks[r] (``params.k`` is
-    not read).
+    history stores nothing and evaluates the past when it is read.  Given
+    ``steps``, the number of steps the state will take, the displacement
+    history has min(n_hist, steps) slots (at least 1), as a read from
+    further back than the pushes is the past; without it, n_hist.  With
+    ``ks`` the state is a batch of len(ks) copies, row r stepped with
+    k = ks[r] (``params.k`` is not read).
     """
     if disc.tau > 0.0 and params.tau <= 0.0:
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
@@ -615,13 +604,15 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
             factor = None if init.history == "frozen" else (
                 lambda ages: init.history_factors(-ages * disc.dt))
             phi.flags.writeable = False
+            capacity = disc.n_hist if steps is None else max(1, min(disc.n_hist, steps))
             try:
-                state.u_hist = RingBuffer(disc.n_hist, batch + (disc.nx,),
-                                          past=phi if ks is None else phi[None], factor=factor,
-                                          lazy=steps is None or steps < disc.n_hist)
+                state.u_hist = RingBuffer(capacity, batch + (disc.nx,),
+                                          past=phi if ks is None else phi[None], factor=factor)
             except RESERVE_ERRORS as err:
-                raise HistoryTooLarge("the displacement history", "n_hist", disc.n_hist,
-                                      disc.nx, "raise the kernel rates or coarsen the grid",
+                raise HistoryTooLarge("the displacement history",
+                                      "n_hist" if capacity == disc.n_hist else "steps",
+                                      capacity, disc.nx,
+                                      "raise the kernel rates, shorten T or coarsen the grid",
                                       math.prod(batch)) from err
         else:
             state.eta = np.multiply.outer(
@@ -982,7 +973,7 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
         if not _steps_by_map(params, disc):
             # the grid realizations step their fields through _rhs, one k at a time
             return [run(row, init, disc, horizon, sample_every) for row in rows]
-    n_steps = int(round(horizon / disc.dt))
+    n_steps = int(round(_steps_in(horizon, disc.dt, "T", "shorten T or raise cfl")))
     if sample_every <= 0:
         sample_every = max(1, n_steps // 1000)
 

@@ -4,10 +4,11 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from viscodelay import certificate
-from viscodelay.cli import ENERGY_HEADER, SWEEP_HEADER, main
+from viscodelay.cli import ENERGY_HEADER, SWEEP_HEADER, ConfigError, main, parse_config
 
 WORKED_KERNEL = {"terms": [{"a": 1.0, "b": 2.0}]}
 
@@ -89,6 +90,15 @@ def test_missing_horizon_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"kernel": WORKED_KERNEL})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "T" in capsys.readouterr().err
+
+
+def test_kernel_tail_past_the_search_limit_rejected():
+    # admissible (mu_tilde = 0.1), but s_max ~ 1.8e300 lies past the 1e300 search limit
+    doc = {"kernel": {"terms": [{"a": 1e-300, "b": 1e-299}]}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    message = str(err.value)
+    assert "s = 1e300" in message and "tail_tol*mu_tilde = 1e-09" in message
 
 
 def test_cfl_bound_rejected(tmp_path, capsys):
@@ -298,11 +308,14 @@ def test_eta_grid_transport_below_limit_runs(tmp_path):
     assert report["classification"] == "decaying"
 
 
+SLOW_KERNEL = {"terms": [{"a": 1e-8, "b": 1e-7}]}
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_unmappable_history_reported_as_error(tmp_path, capsys, command):
+    # T = 1e12 takes more steps than n_hist, so the history keeps n_hist rows:
     # n_hist x nx x 8 bytes = 5.24 PiB, more than a 47-bit address space
-    doc = {"kernel": {"terms": [{"a": 1e-8, "b": 1e-7}]}, "nx": 1000, "tau": 0.0,
-           "T": 1.0, "k_values": [0.0]}
+    doc = {"kernel": SLOW_KERNEL, "nx": 1000, "tau": 0.0, "T": 1e12, "k_values": [0.0]}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     if command == "simulate":
@@ -315,6 +328,45 @@ def test_unmappable_history_reported_as_error(tmp_path, capsys, command):
         assert row["classification"] == "error"
         text = row["error"]
     assert re.search(r"n_hist=\d+ rows x nx=1000 = \d+ bytes", text)
+
+
+def test_slow_kernel_runs_on_a_history_sized_to_its_steps(tmp_path):
+    # n_hist would be 5.24 PiB; the 4004 steps of T = 1 keep a 32 MB history
+    doc = {"kernel": SLOW_KERNEL, "nx": 1000, "tau": 0.0, "T": 1.0}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["aborted_step"] is None
+    energies = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=2)
+    assert energies.shape[0] > 2 and np.isfinite(energies).all()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("doc, ratio", [
+    # dt = 4.7e-322: s_max/dt, or tau/dt, overflows while the grid is built
+    ({"kernel": {"terms": [{"a": 0.5, "b": 1.0}]}, "nx": 20, "cfl": 1e-320, "T": 1.0},
+     "s_max/dt"),
+    ({"nx": 20, "cfl": 1e-320, "tau": 1.0, "T": 1.0}, "tau/dt"),
+    # T/dt = 2e313 overflows when the run counts its steps
+    ({"nx": 20, "cfl": 1e-12, "T": 1e300}, "T/dt"),
+], ids=["s_max", "tau", "T"])
+def test_overflowing_step_count_refused(tmp_path, capsys, command, doc, ratio):
+    cfg = write_config(tmp_path, dict(doc, k_values=[0.0]))
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    if command == "sweep" and ratio == "T/dt":
+        # the grid is accepted, so the row's run fails
+        assert code == 0
+        (row,) = read_sweep_rows(out)
+        assert row["classification"] == "error"
+        text = row["error"]
+    else:
+        assert code == 1
+        text = capsys.readouterr().err
+        assert text.startswith("error: ")
+        assert not out.exists()
+    assert f"{ratio} = " in text and "overflows a double" in text
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

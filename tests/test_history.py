@@ -142,17 +142,20 @@ disc = discretize(params, nx=200)
 trace = run(params, InitialData(history="modulated"), disc, 0.5)
 with open("/proc/self/status") as status:
     peak_kib = re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1)
-print(trace.final_state.u_hist.nbytes, trace.aborted_step, peak_kib)
+state = trace.final_state
+print(disc.n_hist, disc.nx, state.step_index, state.u_hist.nbytes, trace.aborted_step, peak_kib)
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
-def test_slow_kernel_history_is_reserved_not_resident():
+def test_slow_kernel_history_is_sized_to_the_run():
     src = Path(viscodelay.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout.split()
-    reserved, aborted, peak_kib = int(out[0]), out[1], int(out[2])
-    assert reserved >= 400e6  # what a stored past would have filled
+    n_hist, nx, steps, nbytes = (int(word) for word in out[:4])
+    aborted, peak_kib = out[4], int(out[5])
+    assert 8 * n_hist * nx >= 400e6  # what a history of n_hist rows would take
+    assert nbytes == 8 * nx * steps
     assert aborted == "None"
     assert peak_kib < 150 * 1024

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viscodelay import solver
+from viscodelay.energy import sample_state
 from viscodelay.kernel import MemoryKernel
 from viscodelay.solver import (
     CflViolation,
@@ -151,6 +152,21 @@ def test_unmappable_history_is_refused_with_its_size(term):
     message = str(err.value)
     assert f"n_hist={disc.n_hist}" in message and "nx=1000" in message
     assert f"{8 * disc.n_hist * 1000} bytes" in message
+
+
+@pytest.mark.parametrize("horizon", [1.0, 10.0])  # 84 and 840 steps; n_hist = 776
+def test_history_is_sized_to_the_run(horizon):
+    params = ModelParams(tau=0.3, k=0.05, kernel=KERNEL)
+    init = InitialData(shape="gaussian", history="modulated", omega=2.0)
+    disc = discretize(params, nx=20)
+    n_steps = int(round(horizon / disc.dt))
+    sized = run(params, init, disc, horizon).final_state
+    assert sized.u_hist.capacity == min(disc.n_hist, n_steps)
+    # a history of all n_hist rows reads the same bits
+    full = advance(build(params, init, disc), params, disc, horizon)
+    assert full.u_hist.capacity == disc.n_hist
+    assert np.array_equal(eta_field(sized, params, disc), eta_field(full, params, disc))
+    assert sample_state(sized, params, disc) == sample_state(full, params, disc)
 
 
 # -- step invariants ----------------------------------------------------------------
