@@ -59,6 +59,19 @@ def poincare_constant_interval(length: float) -> float:
     return (length / math.pi) ** 2
 
 
+def _check_shared_inputs(mu0: float, mu_tilde: float, alpha: float,
+                         c_poincare: float) -> None:
+    """The preconditions the delayed and the no-delay thresholds share."""
+    if not (math.isfinite(mu0) and mu0 > 0.0):
+        raise InvalidInputs(f"mu0 must be positive, got {mu0!r}")
+    if not (0.0 < mu_tilde < 1.0):
+        raise InvalidInputs(f"mu_tilde must lie strictly in (0, 1), got {mu_tilde!r}")
+    if not alpha > 0.0:
+        raise InvalidInputs(f"alpha must be positive, got {alpha!r}")
+    if not (math.isfinite(c_poincare) and c_poincare > 0.0):
+        raise InvalidInputs(f"c_poincare must be positive, got {c_poincare!r}")
+
+
 @dataclass(frozen=True)
 class CertificateInputs:
     """Scalar inputs of the constants pipeline.
@@ -77,19 +90,10 @@ class CertificateInputs:
     k: float = 0.0
 
     def validate(self) -> None:
-        if not (math.isfinite(self.mu0) and self.mu0 > 0.0):
-            raise InvalidInputs(f"mu0 must be positive, got {self.mu0!r}")
-        if not (0.0 < self.mu_tilde < 1.0):
-            raise InvalidInputs(
-                f"mu_tilde must lie strictly in (0, 1), got {self.mu_tilde!r}"
-            )
-        if not self.alpha > 0.0:
-            raise InvalidInputs(f"alpha must be positive, got {self.alpha!r}")
+        _check_shared_inputs(self.mu0, self.mu_tilde, self.alpha, self.c_poincare)
         if not 0.0 <= self.tau <= TAU_MAX:
             raise InvalidInputs(
                 f"tau must lie in [0, {TAU_MAX:.6g}], where e^tau is finite, got {self.tau!r}")
-        if not (math.isfinite(self.c_poincare) and self.c_poincare > 0.0):
-            raise InvalidInputs(f"c_poincare must be positive, got {self.c_poincare!r}")
         if not math.isfinite(self.k):
             raise InvalidInputs(f"k must be finite, got {self.k!r}")
         if not self.theta > 1.0:
@@ -251,14 +255,7 @@ def explicit_lower_bound(inputs: CertificateInputs):
 def nodelay_threshold(mu0: float, mu_tilde: float, alpha: float,
                       c_poincare: float) -> float:
     """Amplitude threshold for tau = 0 (anti-damping), where theta = 1 works."""
-    if not (math.isfinite(mu0) and mu0 > 0.0):
-        raise InvalidInputs(f"mu0 must be positive, got {mu0!r}")
-    if not (0.0 < mu_tilde < 1.0):
-        raise InvalidInputs(f"mu_tilde must lie strictly in (0, 1), got {mu_tilde!r}")
-    if not alpha > 0.0:
-        raise InvalidInputs(f"alpha must be positive, got {alpha!r}")
-    if not (math.isfinite(c_poincare) and c_poincare > 0.0):
-        raise InvalidInputs(f"c_poincare must be positive, got {c_poincare!r}")
+    _check_shared_inputs(mu0, mu_tilde, alpha, c_poincare)
     c1 = nodelay_c1_constant(mu_tilde, alpha, c_poincare)
     c2 = nodelay_c2_constant(mu0, mu_tilde, alpha, c_poincare)
     return 1.0 / ((c1 + 3.0 * c2 + 1.0 / alpha) * math.e)

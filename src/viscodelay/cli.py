@@ -593,10 +593,7 @@ def _check_wave_convergence() -> tuple[str, list[str]]:
         params = solver.ModelParams()
         disc = solver.discretize(params, nx=nx, cfl=0.25)
         init = solver.InitialData(shape="sine", mode_index=1, history="frozen")
-        state = solver.build(params, init, disc)
-        n_steps = int(round(horizon / disc.dt))
-        for _ in range(n_steps):
-            solver.step(state, params, disc)
+        state = solver.run(params, init, disc, horizon).final_state
         x = disc.x_interior()
         exact = np.sin(np.pi * x) * math.cos(math.pi * state.t)
         errors.append(float(np.abs(state.u - exact).max()))

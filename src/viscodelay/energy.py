@@ -88,17 +88,6 @@ def integral_x(values_full: np.ndarray, dx: float) -> np.ndarray:
     )
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b along the last axis, one value per leading index.
-
-    Each row is one BLAS dot of two contiguous rows, the bits of a 1-D
-    ``a @ b``, so a batch row reduces exactly as its solo run does.
-    """
-    if a.ndim == 1:
-        return a @ b
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 @functools.lru_cache(maxsize=32)
 def _delay_weights(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slot offsets 0..n_delay, trapezoid weights and e^{-s} at s = offset * dt.
@@ -127,15 +116,16 @@ def _delay_integral(state: SimState, disc: Discretization) -> np.ndarray:
     # np.take lays the batch axis first, so each row's norms are contiguous
     slots = (buf.head + offsets) % buf.capacity
     norms = disc.dx * np.take(buf.norms.T, slots, axis=-1)
-    return _row_dot(decay * norms, w)
+    return np.vecdot(decay * norms, w)
 
 
 def sample_state(state: SimState, params: ModelParams, disc: Discretization,
                  eta: np.ndarray | None = None) -> SampleRow:
     """One energy row; ``eta`` is ``eta_field(state, ...)`` when the caller has it.
 
-    The terms are floats for one row and arrays over the batch axis for a
-    batched state, every row's terms formed in one pass.
+    A solo state is sampled as a batch of one, and its terms are returned
+    as floats; a batched state gets arrays over the batch axis, every
+    row's terms formed in one pass.
     """
     # near-blow-up states report inf/nan energy instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -147,8 +137,10 @@ def sample_state(state: SimState, params: ModelParams, disc: Discretization,
 
 def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
                   eta: np.ndarray | None) -> list[np.ndarray]:
+    # np.vecdot reduces each row by the one BLAS dot a 1-D ``a @ b`` makes,
+    # so a batch row's terms have the bits of its solo run's
     dx = disc.dx
-    ut_sq = dx * _row_dot(state.v, state.v)
+    ut_sq = dx * np.vecdot(state.v, state.v)
     mu_tilde = params.kernel.mu_tilde
     gu = grad_full(state.u, dx)
     elastic = 0.5 * (1.0 - mu_tilde) * integral_x(gu * gu, dx)
@@ -167,20 +159,16 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
         # w @ (mu * grad_sq), not (w * mu) @ grad_sq: keeps the reported bits
         on_grid = solver_mod._kernel_on_grid(params.kernel, disc)
         w_inner = disc.s_weights[1:]
-        memory = 0.5 * _row_dot(on_grid.mu * grad_sq, w_inner)
-        mu_prime_eta = 0.5 * _row_dot(on_grid.mu_prime * grad_sq, w_inner)
+        memory = 0.5 * np.vecdot(on_grid.mu * grad_sq, w_inner)
+        mu_prime_eta = 0.5 * np.vecdot(on_grid.mu_prime * grad_sq, w_inner)
 
     delay_raw = _delay_integral(state, disc)
-    if state.ks is None:
-        coeff = params.theta * abs(params.k) * math.exp(disc.tau)
-        delay = 0.5 * coeff * delay_raw if params.k != 0.0 and disc.tau > 0.0 else 0.0
-    else:
-        k = np.array(state.ks)
-        coeff = params.theta * np.abs(k) * math.exp(disc.tau)
-        delay = np.where((k != 0.0) & (disc.tau > 0.0), 0.5 * coeff * delay_raw, 0.0)
+    k = params.k if state.ks is None else np.array(state.ks)
+    coeff = params.theta * abs(k) * math.exp(disc.tau)
+    delay = np.where((k != 0.0) & (disc.tau > 0.0), 0.5 * coeff * delay_raw, 0.0)
 
     v_tau = solver_mod.delayed_velocity(state, params, disc)
-    ut_tau_sq = dx * _row_dot(v_tau, v_tau)
+    ut_tau_sq = dx * np.vecdot(v_tau, v_tau)
     return [0.5 * ut_sq, elastic, memory, delay, ut_sq, ut_tau_sq, delay_raw, mu_prime_eta]
 
 

@@ -34,8 +34,10 @@ one initial datum, one delay amplitude k per row.  u and v are (R, nx), q
 is (m, R, nx), each ring-buffer slot holds an (R, nx) block, and one
 ``step`` advances every row by its own map.  No operation reduces
 across the batch axis, and every per-row reduction is the one a single
-row makes, so a row of a batch has the bits of its solo run.  Only the
-map path is batched; the grid realizations step one row at a time.
+row makes, so a row of a batch has the bits of its solo run.  A solo
+state keeps (nx,) fields but steps and samples as a batch of one, on the
+same code.  Only the map path is batched; the grid realizations step one
+row at a time.
 
 Time stepping is the classical 4-stage explicit scheme applied to the one
 generator ``_rhs``, the only place the system is written down.  The system
@@ -582,7 +584,9 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
     history has min(n_hist, steps) slots (at least 1), as a read from
     further back than the pushes is the past; without it, n_hist.  With
     ``ks`` the state is a batch of len(ks) copies, row r stepped with
-    k = ks[r] (``params.k`` is not read).
+    k = ks[r] (``params.k`` is not read).  Without it the fields are
+    (nx,), and ``step`` and ``sample_state`` treat the state as a batch of
+    one.
     """
     if disc.tau > 0.0 and params.tau <= 0.0:
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
@@ -816,30 +820,29 @@ def _stacked_maps(params: ModelParams, disc: Discretization,
 
 
 def _step_by_map(state: SimState, params: ModelParams, disc: Discretization) -> None:
-    if state.ks is None:
-        coeffs = _step_map(params, disc)
-        nw = coeffs.shape[0] // 3
-        x = rows = np.empty((coeffs.shape[1], disc.nx))
-    else:
-        coeffs = _stacked_maps(params, disc, state.ks)
-        nw = coeffs.shape[1] // 3
-        x = np.empty((len(state.ks), coeffs.shape[2], disc.nx))
-        rows = x.swapaxes(0, 1)  # a batch's input rows, (n_in, R, nx)
-    rows[0] = state.u
-    rows[1] = state.v
+    # a solo state steps as a batch of one, R = 1, its map broadcast over it
+    coeffs = (_step_map(params, disc) if state.ks is None
+              else _stacked_maps(params, disc, state.ks))
+    n_out, n_in = coeffs.shape[-2:]
+    nw = n_out // 3
+    # the input rows X, each shaped like u, and X as the matmul reads it,
+    # (R, n_in, nx): memory the state reuses, as no step hands X out
+    x = state.work.get("map_rows")
+    if x is None or x.shape[0] != n_in:
+        x = state.work["map_rows"] = np.empty((n_in,) + state.u.shape)
+        state.work["map_in"] = x.reshape(n_in, -1, disc.nx).swapaxes(0, 1)
+    x[0] = state.u
+    x[1] = state.v
     if state.q is not None:
-        rows[2:nw] = state.q
-    if rows.shape[0] > nw:
-        rows[nw] = state.v_hist.back(disc.n_delay)
-        rows[nw + 1] = state.v_hist.back(disc.n_delay - 1)
+        x[2:nw] = state.q
+    if n_in > nw:
+        x[nw] = state.v_hist.back(disc.n_delay)
+        x[nw + 1] = state.v_hist.back(disc.n_delay - 1)
     # Horner, C0 X + L (C1 X + L C2 X), in place in a fresh array, so the
-    # fields handed out by earlier steps survive; a batch multiplies each
-    # row's X by its own map
-    y = coeffs @ x
-    if state.ks is None:
-        y = y.reshape(3, nw, disc.nx)
-    else:
-        y = y.reshape(-1, 3, nw, disc.nx).transpose(1, 2, 0, 3)  # (3, nw, R, nx)
+    # fields handed out by earlier steps survive; each row's X is
+    # multiplied by its own map
+    y = np.empty((3, nw) + state.u.shape)
+    np.matmul(coeffs, state.work["map_in"], out=y.reshape(n_out, -1, disc.nx).swapaxes(0, 1))
     _add_second_difference(y[1], y[2])
     _add_second_difference(y[0], y[1])
     state.u = y[0, 0]
@@ -870,11 +873,9 @@ def step(state: SimState, params: ModelParams, disc: Discretization) -> SimState
     if state.v_hist is not None:
         state.v_hist.push(state.v)
     if not (np.isfinite(state.u).all() and np.isfinite(state.v).all()):
-        rows = None
-        if state.ks is not None:
-            finite = np.isfinite(state.u).all(axis=-1) & np.isfinite(state.v).all(axis=-1)
-            rows = np.flatnonzero(~finite).tolist()
-        raise NonFinite(state.step_index, rows)
+        finite = np.isfinite(state.u).all(axis=-1) & np.isfinite(state.v).all(axis=-1)
+        rows = np.flatnonzero(~finite).tolist()
+        raise NonFinite(state.step_index, None if state.ks is None else rows)
     return state
 
 
@@ -922,6 +923,12 @@ class Snapshot:
     int_mu_prime_eta: np.ndarray
 
 
+# the terms of one energy sample, in ``energy.SampleRow``'s field order; the
+# first four add up to F(t)
+SAMPLE_TERMS = ("kinetic", "elastic", "memory", "delay",
+                "ut_sq", "ut_tau_sq", "delay_raw", "mu_prime_eta")
+
+
 @dataclass
 class Trace:
     """Sampled energy history of one run (plus optional volumetric snapshots)."""
@@ -957,10 +964,12 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
     with ``aborted_step`` set.
 
     With ``ks`` the rows k = ks[r] run as one batch and the result is one
-    Trace per row, in order, each the trace its solo run gives; rows
-    advanced together keep no ``final_state``.  A row that goes non-finite
-    gets its own ``aborted_step`` and is sampled no further; the others go
-    on.  Snapshots are kept for solo runs only.
+    Trace per row, in order, each the trace its solo run gives, since a
+    solo run steps and samples as a batch of one; rows advanced together
+    keep no ``final_state``.  A row that goes non-finite gets its own
+    ``aborted_step`` and is sampled no further; the others go on.
+    Snapshots are kept for solo runs only.  A sample table that cannot be
+    allocated is refused before the first step.
     """
     from .energy import sample_state  # deferred: energy imports this module
 
@@ -979,17 +988,24 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
 
     state = build(params, init, disc, ks=ks, steps=n_steps)
     times = []
-    # per sample the eight SampleRow terms (kinetic, elastic, memory, delay,
-    # ut_sq, ut_tau_sq, delay_raw, mu_prime_eta), then the batch axis
-    cols = np.empty((2 + n_steps // sample_every, 8) + state.u.shape[:-1])
+    # per sample the SAMPLE_TERMS, then the batch axis
+    shape = (2 + n_steps // sample_every, len(SAMPLE_TERMS)) + state.u.shape[:-1]
+    try:
+        cols = np.empty(shape)
+    except RESERVE_ERRORS as err:
+        nbytes = 8 * math.prod(shape)
+        per_batch = "" if ks is None else f" x {len(ks)} batch rows"
+        raise SolverError(
+            f"the sample table needs {shape[0]} rows x {shape[1]} terms{per_batch} = "
+            f"{nbytes} bytes ({nbytes / 2**30:.4g} GiB), which cannot be allocated; "
+            "raise sample_every or shorten T") from err
     snaps = []
 
     def take_sample():
         # a snapshot shares the sample's eta, reconstructed once
         eta = eta_field(state, params, disc) if snapshots else None
         r = sample_state(state, params, disc, eta=eta)
-        cols[len(times)] = (r.kinetic, r.elastic, r.memory, r.delay,
-                            r.ut_sq, r.ut_tau_sq, r.delay_raw, r.mu_prime_eta)
+        cols[len(times)] = [getattr(r, name) for name in SAMPLE_TERMS]
         times.append(state.t)
         if snapshots:
             on_grid = _kernel_on_grid(params.kernel, disc)
@@ -1025,22 +1041,11 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
 
 def _trace(params: ModelParams, disc: Discretization, times: np.ndarray, cols: np.ndarray,
            aborted: int | None, snaps: list[Snapshot], state: SimState | None) -> Trace:
+    terms = dict(zip(SAMPLE_TERMS, cols.T))
     return Trace(
-        params=params,
-        disc=disc,
-        times=times,
-        kinetic=cols[:, 0],
-        elastic=cols[:, 1],
-        memory=cols[:, 2],
-        delay=cols[:, 3],
-        total=cols[:, 0] + cols[:, 1] + cols[:, 2] + cols[:, 3],
-        ut_sq=cols[:, 4],
-        ut_tau_sq=cols[:, 5],
-        delay_raw=cols[:, 6],
-        mu_prime_eta=cols[:, 7],
-        snapshots=snaps,
-        aborted_step=aborted,
-        final_state=state,
+        params=params, disc=disc, times=times, **terms,
+        total=terms["kinetic"] + terms["elastic"] + terms["memory"] + terms["delay"],
+        snapshots=snaps, aborted_step=aborted, final_state=state,
     )
 
 

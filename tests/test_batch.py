@@ -53,6 +53,37 @@ def test_batched_traces_match_solo_runs(size):
     assert all(trace.final_state is None for trace in batch)
 
 
+PREMISE_KERNELS = {0: MemoryKernel(), 1: KERNEL,
+                   2: MemoryKernel.from_terms([(0.3, 1.0), (2.0, 8.0)])}
+
+
+@pytest.mark.parametrize("history", ["frozen", "modulated"])
+@pytest.mark.parametrize("mode", ["original", "auxiliary"])
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+@pytest.mark.parametrize("terms", sorted(PREMISE_KERNELS))
+def test_solo_run_is_bitwise_its_batch_of_one(terms, tau, mode, history):
+    # byte-identical outputs rest on a solo run being exactly its batch of one
+    params = ModelParams(tau=tau, k=-0.4, theta=2.0, kernel=PREMISE_KERNELS[terms], mode=mode)
+    init = InitialData(shape="gaussian", width=0.08, history=history, omega=3.0)
+    disc = discretize(params, nx=30)
+    solo = run(params, init, disc, 1.0, sample_every=2)
+    (one,) = run(params, init, disc, 1.0, sample_every=2, ks=[params.k])
+    assert one.aborted_step == solo.aborted_step is None
+    for name in COLUMNS:
+        assert np.array_equal(getattr(one, name), getattr(solo, name)), name
+
+
+def test_aborted_solo_run_is_bitwise_its_batch_of_one():
+    params = ModelParams(tau=0.0, k=-1000.0)
+    disc = discretize(params, nx=40)
+    solo = run(params, InitialData(), disc, 10.0, sample_every=20)
+    (one,) = run(params, InitialData(), disc, 10.0, sample_every=20, ks=[params.k])
+    assert one.aborted_step == solo.aborted_step is not None
+    # the samples up to the abort overflow to inf and nan in the same places
+    for name in COLUMNS:
+        assert np.array_equal(getattr(one, name), getattr(solo, name), equal_nan=True), name
+
+
 def solo_fits(cfg_path):
     cfg = cli.load_config(cfg_path)
     disc = cfg.discretize()

@@ -387,6 +387,33 @@ def test_unmappable_delay_line_reported_as_error(tmp_path, capsys, command):
     assert re.search(r"n_delay\+2=\d+ rows x nx=200 = \d+ bytes", text)
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unallocatable_sample_table_refused(tmp_path, capsys, command):
+    # 8.4e13 steps sampled every step: (2 + 8.4e13) rows x 8 terms x 8 bytes
+    # = 4.77 PiB per row of k, refused before the first step
+    doc = {"nx": 20, "T": 1e12, "sample_every": 1, "k_values": [0.1, 0.2]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    if command == "simulate":
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        texts = [err]
+        pattern = r"sample table needs (\d+) rows x 8 terms = (\d+) bytes"
+    else:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        rows = read_sweep_rows(out)
+        assert [row["classification"] for row in rows] == ["error", "error"]
+        texts = [row["error"] for row in rows]
+        pattern = r"sample table needs (\d+) rows x 8 terms x 2 batch rows = (\d+) bytes"
+    for text in texts:
+        match = re.search(pattern, text)
+        assert match and "cannot be allocated" in text
+        n_rows, nbytes = map(int, match.groups())
+        assert n_rows > 8e13
+        assert nbytes == 8 * 8 * n_rows * (1 if command == "simulate" else 2)
+
+
 @pytest.mark.parametrize("command", ["certify", "simulate", "sweep"])
 def test_delay_with_overflowing_exponential_refused(tmp_path, capsys, command):
     # e^720 overflows a double; at nx=3 the delay snaps to 11520 steps exactly

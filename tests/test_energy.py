@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from viscodelay.energy import WrongMode, check_dissipation, sample_state
+from viscodelay.energy import SampleRow, WrongMode, check_dissipation, sample_state
 from viscodelay.kernel import MemoryKernel
-from viscodelay.solver import InitialData, ModelParams, build, discretize, run, step
+from viscodelay.solver import (SAMPLE_TERMS, InitialData, ModelParams, build, discretize,
+                               run, step)
 
 KERNEL = MemoryKernel.from_terms([(1.0, 2.0)])
 
@@ -129,3 +131,18 @@ def test_one_sample_trace_reports_scaled_tolerances():
     assert one.passed
     assert one.increment_tol == two.increment_tol != 1e-6
     assert one.violation_tol == two.violation_tol != 0.5
+
+
+def test_sample_terms_name_the_sample_row_fields_in_order():
+    assert SAMPLE_TERMS == tuple(f.name for f in dataclasses.fields(SampleRow))
+
+
+def test_solo_sample_is_floats_and_batch_sample_is_arrays():
+    params = ModelParams(tau=0.5, k=0.1, kernel=KERNEL, mode="auxiliary")
+    disc = discretize(params, nx=20)
+    solo = sample_state(build(params, InitialData(), disc), params, disc)
+    assert all(type(getattr(solo, name)) is float for name in SAMPLE_TERMS)
+    batch = sample_state(build(params, InitialData(), disc, ks=[0.0, 0.1]), params, disc)
+    for name in SAMPLE_TERMS:
+        assert getattr(batch, name).shape == (2,)
+        assert getattr(batch, name)[1] == getattr(solo, name)
