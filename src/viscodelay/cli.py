@@ -29,10 +29,10 @@ __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 CSV_FLOAT = "%.17g"
 ENERGY_HEADER = "t,total,kinetic,elastic,memory,delay"
 SWEEP_HEADER = "k,sigma_emp,r_squared,classification,certified,theorem_bound_ok,error"
-# the most k values a sweep advances as one batch: each row of a batch has its
-# own history, a slot per step up to n_hist plus the delay line (about 0.65 MB
-# at nx = 100, T = 1), so a larger batch costs memory in every worker
-SWEEP_BATCH = 4
+# the most k values a sweep advances as one batch; a worker runs one batch at
+# a time, and each row of it has its own history, a slot per step up to n_hist
+# plus the delay line (about 0.65 MB at nx = 100, T = 1, so 8 rows ~ 5 MB)
+SWEEP_BATCH = 8
 
 
 class ConfigError(ValueError):
@@ -516,6 +516,18 @@ def _bool_cell(value: bool | None) -> str:
     return "true" if value else "false"
 
 
+def _sweep_batches(ks: list[float], jobs: int) -> list[list[float]]:
+    """``ks`` in order, cut into contiguous batches of at most SWEEP_BATCH
+    rows and at least one per job (while rows last), their sizes within one
+    of each other, the larger first: a worker pays a step's and a sample's
+    fixed cost once per batch, so fewer, fuller batches cost less."""
+    n = len(ks)
+    count = max(-(-n // SWEEP_BATCH), min(jobs, n))
+    size, larger = divmod(n, count or 1)
+    edges = [i * size + min(i, larger) for i in range(count + 1)]
+    return [ks[a:b] for a, b in zip(edges, edges[1:])]
+
+
 def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
     if cfg.k_values is None:
         raise ConfigError("k_values", "sweep needs k_values or (k_min, k_max, count)")
@@ -526,9 +538,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
     # the grid does not depend on k, so every row runs on this one
     disc = cfg.discretize()
     resolved = resolved_config(cfg, disc, seed)
-    batches = [ks[i:i + SWEEP_BATCH] for i in range(0, len(ks), SWEEP_BATCH)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    batches = _sweep_batches(ks, jobs)
+    workers = min(jobs, len(batches))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_batch, repeat(cfg), repeat(disc), batches))
     else:
         done = [_sweep_batch(cfg, disc, batch) for batch in batches]

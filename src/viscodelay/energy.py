@@ -9,9 +9,13 @@ The energy of a state is
 Spatial integrals use the trapezoid rule on the x-grid with gradients by
 centered differences (one-sided at the boundary); the s-integral uses the
 discretization's own quadrature weights, with the kernel values on the
-s-grid computed once per grid; the delay integral is a trapezoid over the
-squared norms the velocity ring buffer stores per slot, so a sample reads
-n_delay + 1 scalars instead of reducing the whole delay line again.
+s-grid computed once per grid.  With a frozen past, every eta row from the
+first whose s-node reaches back past t = 0 is u - phi, so a sample forms
+the rows up to that one and copies its int |grad eta|^2 to the rest.  The
+delay integral is a trapezoid over the squared norms the velocity ring
+buffer stores per slot, so a sample reads n_delay + 1 scalars instead of
+reducing the whole delay line again, and its coefficient is computed once
+per (theta, tau, k).
 """
 
 from __future__ import annotations
@@ -106,6 +110,29 @@ def _delay_weights(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.nda
     return offsets, w, decay
 
 
+@functools.lru_cache(maxsize=32)
+def _node_steps(disc: Discretization) -> np.ndarray:
+    """floor(s_j / dt) on the interior s-nodes: the newer displacement slot
+    eta's row j reads, as ``RingBuffer.back_interp_rows`` computes it."""
+    steps = np.floor(disc.s_nodes[1:] / disc.dt)
+    steps.flags.writeable = False
+    return steps
+
+
+@functools.lru_cache(maxsize=32)
+def _delay_coefficient(theta: float, tau: float,
+                       k: float | tuple[float, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The delay term's factor 0.5 * theta |k| e^tau per batch row (``k`` a
+    tuple for a batch), and which rows have a delay term at all (k != 0 and
+    tau > 0), None when every row has; read-only, as every sample shares them."""
+    k = np.array(k)
+    half = np.asarray(0.5 * (theta * np.abs(k) * math.exp(tau)))
+    live = np.asarray((k != 0.0) & (tau > 0.0))
+    for arr in (half, live):
+        arr.flags.writeable = False
+    return half, None if live.all() else live
+
+
 def _delay_integral(state: SimState, disc: Discretization) -> np.ndarray:
     """int_{t-tau}^t e^{-(t-s)} ||u_t(s)||^2 ds from the delay line's slot norms,
     one value per batch row."""
@@ -148,14 +175,24 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
     if params.kernel.is_empty:
         memory = mu_prime_eta = np.zeros(state.u.shape[:-1])
     else:
+        n = m = disc.ns - 1
+        hist = state.u_hist
+        if eta is None and hist is not None and hist.past is not None and hist.factor is None:
+            # a frozen past is phi throughout, so every row from the first that
+            # reads the past alone, b, is u - phi: rows [0, b] are formed and
+            # row b's grad_sq stands for the rest
+            n = min(int(np.searchsorted(_node_steps(disc), hist.pushed)) + 1, m)
         # eta and its gradient in scratch memory; the gradient takes the
         # memory eta_field gathered into, which it no longer reads
-        shape = (disc.ns - 1,) + state.u.shape
+        shape = (n,) + state.u.shape
         if eta is None:
-            eta = solver_mod.eta_field(state, params, disc, state.scratch(shape, "eta"))
+            eta = solver_mod.eta_field(state, params, disc, state.scratch(shape, "eta"), n)
         ge = _grad_into(eta, state.scratch(shape[:-1] + (disc.nx + 2,), "work"), dx)
+        formed = integral_x(np.multiply(ge, ge, out=ge), dx)
         # per s-node, batch axes first, so each row's s-sum is over contiguous values
-        grad_sq = np.ascontiguousarray(integral_x(np.multiply(ge, ge, out=ge), dx).T)
+        grad_sq = np.empty(state.u.shape[:-1] + (m,))
+        grad_sq[..., :n] = formed.T
+        grad_sq[..., n:] = formed[-1, ..., None]
         # w @ (mu * grad_sq), not (w * mu) @ grad_sq: keeps the reported bits
         on_grid = solver_mod._kernel_on_grid(params.kernel, disc)
         w_inner = disc.s_weights[1:]
@@ -163,9 +200,10 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
         mu_prime_eta = 0.5 * np.vecdot(on_grid.mu_prime * grad_sq, w_inner)
 
     delay_raw = _delay_integral(state, disc)
-    k = params.k if state.ks is None else np.array(state.ks)
-    coeff = params.theta * abs(k) * math.exp(disc.tau)
-    delay = np.where((k != 0.0) & (disc.tau > 0.0), 0.5 * coeff * delay_raw, 0.0)
+    half, live = _delay_coefficient(params.theta, disc.tau,
+                                    params.k if state.ks is None else state.ks)
+    # a row without a delay term reads 0 even where its integral is not finite
+    delay = half * delay_raw if live is None else np.where(live, half * delay_raw, 0.0)
 
     v_tau = solver_mod.delayed_velocity(state, params, disc)
     ut_tau_sq = dx * np.vecdot(v_tau, v_tau)

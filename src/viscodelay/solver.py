@@ -886,9 +886,11 @@ def delayed_velocity(state: SimState, params: ModelParams,
 
 
 def eta_field(state: SimState, params: ModelParams, disc: Discretization,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, rows: int | None = None) -> np.ndarray:
     """History field eta(x, s_j) on the interior s-nodes, shape (ns-1, nx),
-    or (ns-1, R, nx) for a batch; written into ``out`` when given.
+    or (ns-1, R, nx) for a batch; written into ``out`` when given.  Given
+    ``rows``, only the first ``rows`` s-nodes, each row bitwise as in the
+    full field.
 
     For the prony_modes realization this is the exact characteristics
     solution eta(s) = u(t) - u(t - s) read off the u ring buffer; for
@@ -898,13 +900,13 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization,
         return np.zeros((0,) + state.u.shape)
     if state.eta is not None:
         if out is None:
-            return state.eta
-        out[...] = state.eta
+            return state.eta[:rows]
+        out[...] = state.eta[:rows]
         return out
-    steps = disc.s_nodes[1:] / disc.dt
-    rows = state.u_hist.back_interp_rows(
+    steps = disc.s_nodes[1:][:rows] / disc.dt
+    u_past = state.u_hist.back_interp_rows(
         steps, out, state.scratch((steps.size,) + state.u.shape, "work"))
-    return np.subtract(state.u, rows, out=rows)
+    return np.subtract(state.u, u_past, out=u_past)
 
 
 @dataclass

@@ -108,6 +108,53 @@ def test_sweep_rows_match_solo_fits(tmp_path, monkeypatch, size, jobs):
             assert float(row[name]) == pytest.approx(getattr(fit, name), rel=1e-12, abs=0.0)
 
 
+def test_sweep_csv_does_not_depend_on_batching(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, sweep_config(k_values=SWEEP_KS, T=5.0))
+    written = set()
+    for size in (1, 3, 8):
+        monkeypatch.setattr(cli, "SWEEP_BATCH", size)
+        for jobs in ("1", "2"):
+            out = tmp_path / f"batch{size}-jobs{jobs}"
+            assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+            written.add((out / "sweep.csv").read_bytes())
+    assert len(written) == 1
+
+
+class RecordingPool:
+    """A stand-in process pool that runs its map in this process."""
+
+    def __init__(self, max_workers, pools):
+        pools.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("n_rows, jobs, sizes, workers", [
+    (16, 2, [8, 8], 2), (6, 2, [3, 3], 2), (17, 1, [6, 6, 5], 1), (3, 4, [1, 1, 1], 3),
+])
+def test_sweep_gives_each_worker_one_batch(tmp_path, monkeypatch, n_rows, jobs, sizes, workers):
+    ks = [0.001 * i for i in range(n_rows)]
+    batches, pools = [], []
+    monkeypatch.setattr(cli, "_sweep_batch", lambda cfg, disc, batch: (
+        batches.append(batch) or [cli._error_row(k, RuntimeError("not run")) for k in batch]))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(max_workers, pools))
+    cfg = write_config(tmp_path, sweep_config(k_values=ks[::-1]))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--jobs", str(jobs)]) == 0
+    assert [len(batch) for batch in batches] == sizes
+    assert [k for batch in batches for k in batch] == ks
+    assert [float(row["k"]) for row in read_sweep_rows(out)] == ks
+    assert pools == ([] if workers == 1 else [workers])
+
+
 def test_blow_up_row_aborts_at_its_solo_step_alone():
     params = ModelParams(tau=0.0)
     disc = discretize(params, nx=40)

@@ -22,7 +22,10 @@ from viscodelay.solver import (
 
 # short memory, so the displacement ring buffer wraps after ~200 steps at nx=20
 KERNEL = MemoryKernel.from_terms([(2.0, 8.0)])
+TWO_TERMS = MemoryKernel.from_terms([(2.0, 8.0), (1.0, 12.0)])
+FROZEN = InitialData(shape="gaussian", center=0.4)
 MODULATED = InitialData(shape="gaussian", center=0.4, history="modulated", omega=3.0)
+BATCH_KS = [-0.3, 0.0, 0.4]
 
 
 def assert_matches_reference(state, params, disc):
@@ -119,3 +122,54 @@ def test_kernel_evaluated_once_per_grid(monkeypatch, memory_realization):
         dissipativity_spot_check(params, disc)
         per_run.append({name: calls[name] - before[name] for name in calls})
     assert per_run[0] == per_run[1] == {"value": 1, "derivative": 1}
+
+
+def memory_terms_from_every_row(state, params, disc):
+    """memory and mu_prime_eta from every row of eta_field, none shared."""
+    eta = eta_field(state, params, disc)
+    ge = energy.grad_full(eta, disc.dx)
+    grad_sq = np.ascontiguousarray(energy.integral_x(ge * ge, disc.dx).T)
+    s_inner, w_inner = disc.s_nodes[1:], disc.s_weights[1:]
+    return (0.5 * np.vecdot(params.kernel.value(s_inner) * grad_sq, w_inner),
+            0.5 * np.vecdot(params.kernel.derivative(s_inner) * grad_sq, w_inner))
+
+
+@pytest.mark.parametrize("kernel, init, ks", [
+    (KERNEL, FROZEN, None), (KERNEL, FROZEN, BATCH_KS),
+    (TWO_TERMS, FROZEN, None), (TWO_TERMS, FROZEN, BATCH_KS),
+    (KERNEL, MODULATED, BATCH_KS),
+], ids=["one-term-solo", "one-term-batch", "two-terms-solo", "two-terms-batch",
+        "modulated-batch"])
+def test_memory_terms_match_every_eta_row(kernel, init, ks):
+    # a frozen past's eta rows that read the past alone are formed once;
+    # the terms must be those of forming every row, whether all, some or
+    # none of the rows read the past, and after the history wraps
+    params = ModelParams(tau=0.2, k=0.3, kernel=kernel, mode="auxiliary")
+    disc = discretize(params, nx=20)
+    n_steps = disc.n_hist + 20
+    state = build(params, init, disc, ks=ks, steps=n_steps)
+    newer_slot = np.floor(disc.s_nodes[1:] / disc.dt)
+    reading_past = set()
+    for n in range(n_steps + 1):
+        if n % 17 == 0 or n == n_steps:
+            # how many rows read the past alone
+            reading_past.add(int(np.count_nonzero(newer_slot >= state.u_hist.pushed)))
+            row = energy.sample_state(state, params, disc)
+            memory, mu_prime_eta = memory_terms_from_every_row(state, params, disc)
+            assert np.array_equal(row.memory, memory)
+            assert np.array_equal(row.mu_prime_eta, mu_prime_eta)
+        if n < n_steps:
+            step(state, params, disc)
+    assert {0, disc.ns - 1} < reading_past
+    assert state.step_index > state.u_hist.capacity
+
+
+@pytest.mark.parametrize("ks", [None, [0.0, 0.3]])
+def test_row_without_delay_term_reads_zero_past_a_non_finite_integral(ks):
+    params = ModelParams(tau=0.2, k=0.0, kernel=KERNEL)
+    disc = discretize(params, nx=20)
+    state = build(params, FROZEN, disc, ks=ks)
+    state.v_hist.norms[:] = np.inf
+    row = energy.sample_state(state, params, disc)
+    assert np.all(np.isposinf(row.delay_raw))
+    assert np.array_equal(row.delay, 0.0 if ks is None else [0.0, np.inf])
