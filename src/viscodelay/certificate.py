@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "InvalidInputs",
@@ -288,25 +288,7 @@ class ConstantsReport:
         return abs(self.inputs.k) < self.k0
 
     def as_flat_dict(self) -> dict:
-        d = {
-            name: getattr(self, name)
-            for name in (
-                "c0", "c1", "c2", "c_star", "c_big", "sigma_tilde", "sigma",
-                "k_bar", "k_hat", "k0", "k0_explicit_lb", "gamma1", "gamma2",
-                "epsilon_star", "delta_star",
-            )
-        }
-        d["certified"] = self.certified
-        d["inputs"] = {
-            "mu0": self.inputs.mu0,
-            "mu_tilde": self.inputs.mu_tilde,
-            "alpha": self.inputs.alpha,
-            "tau": self.inputs.tau,
-            "theta": self.inputs.theta,
-            "c_poincare": self.inputs.c_poincare,
-            "k": self.inputs.k,
-        }
-        return d
+        return {**asdict(self), "certified": self.certified}
 
 
 def compute_constants(inputs: CertificateInputs) -> ConstantsReport:

@@ -45,14 +45,6 @@ class ConfigError(ValueError):
 
 # -- config ingestion -----------------------------------------------------------
 
-_TOP_LEVEL_KEYS = {
-    "kernel", "L", "nx", "cfl", "ns", "tail_tol",
-    "tau", "k", "theta", "mode", "delay_realization", "memory_realization",
-    "init", "T", "sample_every", "snapshots", "c_poincare",
-    "k_values", "k_min", "k_max", "count", "theta_values",
-}
-
-
 @dataclass
 class RunConfig:
     kernel: MemoryKernel = MemoryKernel()
@@ -100,31 +92,29 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _get_number(doc: dict, key: str, default, path: str, minimum=None,
-                strict_min: bool = False):
-    if key not in doc:
-        return default
+def _get(doc: dict, key: str, path: str, kind, bound=None):
+    """``doc[key]`` checked as ``kind``: "number" (a finite float), "integer",
+    "bool", a tuple of choices, or a parser called with the value and its
+    path; ``bound`` is (">" or ">=", lower bound) or None."""
     value = doc[key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{path}{key}", f"expected a number, got {value!r}")
-    value = float(value)
-    _require(math.isfinite(value), f"{path}{key}", "must be finite")
-    if minimum is not None:
-        if strict_min:
-            _require(value > minimum, f"{path}{key}", f"must be > {minimum}")
-        else:
-            _require(value >= minimum, f"{path}{key}", f"must be >= {minimum}")
-    return value
-
-
-def _get_int(doc: dict, key: str, default, path: str, minimum=None):
-    if key not in doc:
-        return default
-    value = doc[key]
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{path}{key}", f"expected an integer, got {value!r}")
-    if minimum is not None:
-        _require(value >= minimum, f"{path}{key}", f"must be >= {minimum}")
+    where = f"{path}{key}"
+    if callable(kind):
+        return kind(value, where)
+    if isinstance(kind, tuple):
+        _require(value in kind, where, f"must be one of {sorted(kind)}")
+    elif kind == "bool":
+        _require(isinstance(value, bool), where, "expected true or false")
+    elif kind == "integer":
+        _require(isinstance(value, int) and not isinstance(value, bool),
+                 where, f"expected an integer, got {value!r}")
+    else:
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                 where, f"expected a number, got {value!r}")
+        value = float(value)
+        _require(math.isfinite(value), where, "must be finite")
+    if bound is not None:
+        op, lo = bound
+        _require(value > lo if op == ">" else value >= lo, where, f"must be {op} {lo}")
     return value
 
 
@@ -138,14 +128,6 @@ def _get_number_list(doc: dict, key: str, above: float | None = None) -> list[fl
                  and (above is None or float(v) > above),
                  f"{key}[{i}]", message)
     return [float(v) for v in values]
-
-
-def _get_choice(doc: dict, key: str, default, path: str, choices):
-    if key not in doc:
-        return default
-    value = doc[key]
-    _require(value in choices, f"{path}{key}", f"must be one of {sorted(choices)}")
-    return value
 
 
 def _parse_kernel(doc, path: str) -> MemoryKernel:
@@ -176,58 +158,63 @@ def _parse_kernel(doc, path: str) -> MemoryKernel:
     return kernel
 
 
+# (JSON key, InitialData field, kind, lower bound), as ``_get`` reads them
+_INIT_KEYS = (
+    ("shape", "shape", ("sine", "gaussian", "zero"), None),
+    ("history", "history", ("frozen", "modulated"), None),
+    ("m", "mode_index", "integer", (">=", 1)),
+    ("center", "center", "number", None),
+    ("width", "width", "number", (">", 0.0)),
+    ("omega", "omega", "number", None),
+)
+
+
+def _parse_keys(doc: dict, path: str, keys) -> dict:
+    """The fields of ``keys`` present in ``doc``, parsed, by field name;
+    the dataclass defaults stand for the rest."""
+    return {name: _get(doc, key, path, kind, bound)
+            for key, name, kind, bound in keys if key in doc}
+
+
 def _parse_init(doc, path: str) -> solver.InitialData:
     _require(isinstance(doc, dict), path, "expected an object")
-    allowed = {"shape", "m", "center", "width", "history", "omega"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - {key for key, *_ in _INIT_KEYS}
     _require(not unknown, path, f"unknown keys {sorted(unknown)}")
-    shape = _get_choice(doc, "shape", "sine", f"{path}.", {"sine", "gaussian", "zero"})
-    history = _get_choice(doc, "history", "frozen", f"{path}.", {"frozen", "modulated"})
+    fields = _parse_keys(doc, f"{path}.", _INIT_KEYS)
     try:
-        return solver.InitialData(
-            shape=shape,
-            mode_index=_get_int(doc, "m", 1, f"{path}.", minimum=1),
-            center=_get_number(doc, "center", 0.5, f"{path}."),
-            width=_get_number(doc, "width", 0.1, f"{path}.", minimum=0.0,
-                              strict_min=True),
-            history=history,
-            omega=_get_number(doc, "omega", 1.0, f"{path}."),
-        )
+        return solver.InitialData(**fields)
     except ValueError as err:
         raise ConfigError(path, str(err)) from err
 
 
+# (JSON key, RunConfig field, kind, lower bound), as ``_get`` reads them
+_RUN_KEYS = (
+    ("kernel", "kernel", _parse_kernel, None),
+    ("L", "length", "number", (">", 0.0)),
+    ("nx", "nx", "integer", (">=", 3)),
+    ("cfl", "cfl", "number", (">", 0.0)),
+    ("ns", "ns", "integer", (">=", 2)),
+    ("tail_tol", "tail_tol", "number", (">", 0.0)),
+    ("tau", "tau", "number", (">=", 0.0)),
+    ("k", "k", "number", None),
+    ("theta", "theta", "number", (">", 0.0)),
+    ("mode", "mode", solver.MODES, None),
+    ("delay_realization", "delay_realization", solver.DELAY_REALIZATIONS, None),
+    ("memory_realization", "memory_realization", solver.MEMORY_REALIZATIONS, None),
+    ("init", "init", _parse_init, None),
+    ("T", "horizon", "number", (">=", 0.0)),
+    ("sample_every", "sample_every", "integer", (">=", 0)),
+    ("c_poincare", "c_poincare", "number", (">", 0.0)),
+    ("snapshots", "snapshots", "bool", None),
+)
+_SWEEP_KEYS = ("k_values", "k_min", "k_max", "count", "theta_values")
+
+
 def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(doc, dict), "config", "top level must be a JSON object")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
+    unknown = set(doc) - {key for key, *_ in _RUN_KEYS} - set(_SWEEP_KEYS)
     _require(not unknown, "config", f"unknown keys {sorted(unknown)}")
-
-    kernel = _parse_kernel(doc["kernel"], "kernel") if "kernel" in doc else MemoryKernel()
-    cfg = RunConfig(
-        kernel=kernel,
-        length=_get_number(doc, "L", 1.0, "", minimum=0.0, strict_min=True),
-        nx=_get_int(doc, "nx", 200, "", minimum=3),
-        cfl=_get_number(doc, "cfl", 0.25, "", minimum=0.0, strict_min=True),
-        ns=_get_int(doc, "ns", 64, "", minimum=2),
-        tail_tol=_get_number(doc, "tail_tol", 1e-8, "", minimum=0.0, strict_min=True),
-        tau=_get_number(doc, "tau", 0.0, "", minimum=0.0),
-        k=_get_number(doc, "k", 0.0, ""),
-        theta=_get_number(doc, "theta", 2.0, "", minimum=0.0, strict_min=True),
-        mode=_get_choice(doc, "mode", "original", "", set(solver.MODES)),
-        delay_realization=_get_choice(
-            doc, "delay_realization", "ring_buffer", "", set(solver.DELAY_REALIZATIONS)),
-        memory_realization=_get_choice(
-            doc, "memory_realization", "prony_modes", "", set(solver.MEMORY_REALIZATIONS)),
-        init=_parse_init(doc.get("init", {}), "init"),
-        horizon=_get_number(doc, "T", None, "", minimum=0.0),
-        sample_every=_get_int(doc, "sample_every", 0, "", minimum=0),
-        c_poincare=_get_number(doc, "c_poincare", None, "", minimum=0.0,
-                               strict_min=True),
-    )
-    if "snapshots" in doc:
-        _require(isinstance(doc["snapshots"], bool), "snapshots",
-                 "expected true or false")
-        cfg.snapshots = doc["snapshots"]
+    cfg = RunConfig(**_parse_keys(doc, "", _RUN_KEYS))
     _require(cfg.cfl <= 0.5, "cfl", "must be <= 0.5 (explicit scheme stability)")
 
     if "k_values" in doc:
@@ -237,9 +224,9 @@ def parse_config(doc: dict) -> RunConfig:
     elif any(key in doc for key in ("k_min", "k_max", "count")):
         for key in ("k_min", "k_max", "count"):
             _require(key in doc, key, "k_min, k_max and count go together")
-        k_min = _get_number(doc, "k_min", None, "")
-        k_max = _get_number(doc, "k_max", None, "")
-        count = _get_int(doc, "count", None, "", minimum=2)
+        k_min = _get(doc, "k_min", "", "number")
+        k_max = _get(doc, "k_max", "", "number")
+        count = _get(doc, "count", "", "integer", (">=", 2))
         _require(k_max > k_min, "k_max", "must exceed k_min")
         cfg.k_values = [float(v) for v in np.linspace(k_min, k_max, count)]
     if "theta_values" in doc:
@@ -259,33 +246,13 @@ def load_config(path: str | Path) -> RunConfig:
 
 def resolved_config(cfg: RunConfig, disc: solver.Discretization | None,
                     seed: int) -> dict:
-    out = {
-        "kernel": {"terms": [{"a": a, "b": b} for a, b in cfg.kernel.terms]},
-        "L": cfg.length,
-        "nx": cfg.nx,
-        "cfl": cfg.cfl,
-        "ns": cfg.ns,
-        "tail_tol": cfg.tail_tol,
-        "tau": cfg.tau,
-        "k": cfg.k,
-        "theta": cfg.theta,
-        "mode": cfg.mode,
-        "delay_realization": cfg.delay_realization,
-        "memory_realization": cfg.memory_realization,
-        "init": {
-            "shape": cfg.init.shape,
-            "m": cfg.init.mode_index,
-            "center": cfg.init.center,
-            "width": cfg.init.width,
-            "history": cfg.init.history,
-            "omega": cfg.init.omega,
-        },
-        "T": cfg.horizon,
-        "sample_every": cfg.sample_every,
-        "snapshots": cfg.snapshots,
-        "c_poincare": cfg.poincare(),
-        "seed": seed,
-    }
+    out = {key: getattr(cfg, name) for key, name, *_ in _RUN_KEYS}
+    out.update(
+        kernel={"terms": [{"a": a, "b": b} for a, b in cfg.kernel.terms]},
+        init={key: getattr(cfg.init, name) for key, name, *_ in _INIT_KEYS},
+        c_poincare=cfg.poincare(),
+        seed=seed,
+    )
     if cfg.k_values is not None:
         out["k_values"] = cfg.k_values
     if cfg.theta_values is not None:

@@ -9,13 +9,15 @@ The energy of a state is
 Spatial integrals use the trapezoid rule on the x-grid with gradients by
 centered differences (one-sided at the boundary); the s-integral uses the
 discretization's own quadrature weights, with the kernel values on the
-s-grid computed once per grid.  With a frozen past, every eta row from the
-first whose s-node reaches back past t = 0 is u - phi, so a sample forms
-the rows up to that one and copies its int |grad eta|^2 to the rest.  The
-delay integral is a trapezoid over the squared norms the velocity ring
-buffer stores per slot, so a sample reads n_delay + 1 scalars instead of
-reducing the whole delay line again, and its coefficient is computed once
-per (theta, tau, k).
+s-grid computed once per grid.  A sample forms only the eta rows that
+``solver._distinct_eta_rows`` says can differ (with a frozen past, every
+row from the first whose s-node reaches back past t = 0 is u - phi) and
+copies the last one's int |grad eta|^2 to the rest; how eta's rows are
+laid out in the displacement history is the solver's alone.  The delay
+integral is a trapezoid over the squared norms the velocity ring buffer
+keeps per slot (``RingBuffer.slot_norms``), so a sample reads n_delay + 1
+scalars instead of reducing the whole delay line again, and its
+coefficient is computed once per (theta, tau, k).
 """
 
 from __future__ import annotations
@@ -111,15 +113,6 @@ def _delay_weights(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 @functools.lru_cache(maxsize=32)
-def _node_steps(disc: Discretization) -> np.ndarray:
-    """floor(s_j / dt) on the interior s-nodes: the newer displacement slot
-    eta's row j reads, as ``RingBuffer.back_interp_rows`` computes it."""
-    steps = np.floor(disc.s_nodes[1:] / disc.dt)
-    steps.flags.writeable = False
-    return steps
-
-
-@functools.lru_cache(maxsize=32)
 def _delay_coefficient(theta: float, tau: float,
                        k: float | tuple[float, ...]) -> tuple[np.ndarray, np.ndarray | None]:
     """The delay term's factor 0.5 * theta |k| e^tau per batch row (``k`` a
@@ -138,11 +131,8 @@ def _delay_integral(state: SimState, disc: Discretization) -> np.ndarray:
     one value per batch row."""
     if disc.n_delay == 0 or state.v_hist is None:
         return np.zeros(state.u.shape[:-1])
-    buf = state.v_hist
     offsets, w, decay = _delay_weights(disc)
-    # np.take lays the batch axis first, so each row's norms are contiguous
-    slots = (buf.head + offsets) % buf.capacity
-    norms = disc.dx * np.take(buf.norms.T, slots, axis=-1)
+    norms = disc.dx * state.v_hist.slot_norms(offsets)
     return np.vecdot(decay * norms, w)
 
 
@@ -175,13 +165,10 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
     if params.kernel.is_empty:
         memory = mu_prime_eta = np.zeros(state.u.shape[:-1])
     else:
-        n = m = disc.ns - 1
-        hist = state.u_hist
-        if eta is None and hist is not None and hist.past is not None and hist.factor is None:
-            # a frozen past is phi throughout, so every row from the first that
-            # reads the past alone, b, is u - phi: rows [0, b] are formed and
-            # row b's grad_sq stands for the rest
-            n = min(int(np.searchsorted(_node_steps(disc), hist.pushed)) + 1, m)
+        m = disc.ns - 1
+        # only the leading rows of eta that differ are formed, and the last
+        # one's grad_sq stands for the rest
+        n = m if eta is not None else solver_mod._distinct_eta_rows(state, params, disc)
         # eta and its gradient in scratch memory; the gradient takes the
         # memory eta_field gathered into, which it no longer reads
         shape = (n,) + state.u.shape

@@ -20,7 +20,10 @@ Two realizations of the memory term are provided:
   along characteristics, eta(s) = u(t) - u(t - s)), one gather per sample.
   The buffer holds only the fields pushed since t = 0, so a run of
   ``steps`` steps gets min(steps, n_hist) slots: a read from before t = 0
-  evaluates the prescribed past u0 = phi * factor(t) on demand.
+  evaluates the prescribed past u0 = phi * factor(t) on demand.  One
+  gather reads either kind of row, and this module alone knows which eta
+  row reads which: ``_distinct_eta_rows`` tells the energy how many
+  leading rows a frozen past leaves distinct.
 * ``eta_grid``: eta is evolved directly on the s-grid with first-order
   upwinding and the memory force is the trapezoid s-quadrature.  Kept as
   a cross-validation mode; its first-order transport error is far too
@@ -60,6 +63,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import TypeVar
 
 import numpy as np
 
@@ -102,6 +106,8 @@ ETA_GRID_COURANT_LIMIT = 1.5
 # the largest history frequency whose square (in the memory weights) is finite
 OMEGA_MAX = math.sqrt(sys.float_info.max)
 
+T = TypeVar("T")
+
 
 class SolverError(RuntimeError):
     pass
@@ -117,16 +123,6 @@ class DelayUnresolvable(SolverError):
 
 class HistoryTooLarge(SolverError):
     """A history ring buffer of rows x nx (x batch rows) doubles cannot be allocated."""
-
-    def __init__(self, history: str, rows: str, n_rows: int, nx: int, remedy: str,
-                 batch: int = 1):
-        nbytes = 8 * n_rows * nx * batch
-        per_batch = f" x {batch} batch rows" if batch > 1 else ""
-        super().__init__(
-            f"{history} needs {rows}={n_rows} rows x nx={nx}{per_batch} = "
-            f"{nbytes} bytes ({nbytes / 2**30:.4g} GiB), which cannot be allocated; "
-            f"{remedy}"
-        )
 
 
 class NonFinite(SolverError):
@@ -377,9 +373,23 @@ class InitialData:
         return b / (b * b + self.omega ** 2)
 
 
-# what allocating a ring buffer raises when memory cannot hold it: numpy's
-# MemoryError, or ValueError past its index range
-RESERVE_ERRORS = (MemoryError, ValueError)
+def _reserve(make: Callable[[], T], shape: tuple[int, ...], batch: tuple[int, ...],
+             what: str, dims: str, remedy: str, error: type[SolverError]) -> T:
+    """``make()``, which allocates an array of ``shape`` doubles, or ``error``
+    saying that ``what`` needs ``dims`` (and the R > 1 rows of ``batch``) =
+    its bytes, which cannot be allocated, and ``remedy``.
+
+    The one place an allocation is refused: numpy raises MemoryError when
+    memory cannot hold an array, or ValueError past its index range.
+    """
+    try:
+        return make()
+    except (MemoryError, ValueError) as err:
+        rows = math.prod(batch)
+        per_batch = f" x {rows} batch rows" if rows > 1 else ""
+        nbytes = 8 * math.prod(shape)
+        raise error(f"{what} needs {dims}{per_batch} = {nbytes} bytes "
+                    f"({nbytes / 2**30:.4g} GiB), which cannot be allocated; {remedy}") from err
 
 
 class RingBuffer:
@@ -392,6 +402,8 @@ class RingBuffer:
     only the rows pushed since t = 0: a read ``p >= pushed`` steps back
     returns ``factor(p - pushed) * phi``, evaluated on demand, so a buffer
     that will see ``steps`` pushes needs no more than ``steps`` slots.
+    ``_rows`` is the one gather of such reads: stored slots up to the
+    first read past the pushes, the past from there on.
 
     After ``keep_norms()`` the buffer also holds each slot's squared norm
     per batch row in ``norms`` (shape (capacity,) + batch, indexed like
@@ -435,8 +447,10 @@ class RingBuffer:
             self.norms[self.head] = np.einsum("...i,...i->...", slot, slot)
 
     def _past_rows(self, ages: np.ndarray) -> np.ndarray:
+        """The past at each of 1-D ``ages``, broadcastable to (ages.size,) + past shape."""
         if self.factor is None:
-            return np.broadcast_to(self.past, ages.shape + self.past.shape)
+            # phi at every age: one row, as np.broadcast_to costs microseconds a call
+            return self.past[None]
         # one IEEE multiply per entry, as a stored factor * phi row had
         return np.multiply.outer(self.factor(ages), self.past)
 
@@ -456,6 +470,21 @@ class RingBuffer:
         # written so equal neighbours interpolate bitwise-exactly
         return newer + frac * (self.back(j + 1) - newer)
 
+    def slot_norms(self, offsets: np.ndarray) -> np.ndarray:
+        """The squared norms of ``back(p)`` for p in ``offsets``, batch axes
+        first, so each batch row's norms are contiguous (needs ``keep_norms``)."""
+        return np.take(self.norms.T, (self.head + offsets) % self.capacity, axis=-1)
+
+    def _rows(self, j: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``back(p)`` for every p in ``j`` (ascending integers), into ``out``:
+        the stored slots up to the first p that reaches back past the pushes,
+        the past from there on."""
+        n = j.size if self.past is None else int(np.searchsorted(j, self.pushed))
+        self.data.take((self.head + j[:n]) % self.capacity, axis=0, out=out[:n])
+        if n < j.size:
+            out[n:] = self._past_rows(j[n:] - self.pushed)
+        return out
+
     def back_interp_rows(self, steps: np.ndarray, out: np.ndarray | None = None,
                          work: np.ndarray | None = None) -> np.ndarray:
         """``back_interp`` at every offset in ``steps`` (ascending), one row each,
@@ -464,32 +493,11 @@ class RingBuffer:
         j = np.floor(steps)
         frac = steps - j
         j = j.astype(np.intp)
-        m = j.size
-        # rows [0, a) read two pushed slots, rows [a, b) a pushed newer slot
-        # and the past, rows [b, m) the past alone
-        if self.past is None:
-            a = b = m
-        else:
-            a, b = np.searchsorted(j, (self.pushed - 1, self.pushed)).tolist()
-        if out is None:
-            out = np.empty((m,) + self.data.shape[1:])
-        newer_idx = (self.head + j[:b]) % self.capacity
-        if a > 0:
-            # the older rows go straight into out, where _interp overwrites them
-            newer = self.data.take(newer_idx[:a], axis=0,
-                                   out=None if work is None else work[:a])
-            self.data.take((newer_idx[:a] + 1) % self.capacity, axis=0, out=out[:a])
-            _interp(newer, out[:a], frac[:a], out[:a])
-        if a < b:
-            _interp(self.data[newer_idx[a:]], self._past_rows(j[a:b] + 1 - self.pushed),
-                    frac[a:b], out[a:b])
-        if b < m and self.factor is None:
-            # a frozen past is phi throughout, and phi + frac * (phi - phi) is phi
-            out[b:] = self.past
-        elif b < m:
-            ages = j[b:] - self.pushed
-            rows = self._past_rows(np.concatenate((ages, ages + 1)))
-            _interp(rows[:m - b], rows[m - b:], frac[b:], out[b:])
+        shape = (j.size,) + self.data.shape[1:]
+        out = np.empty(shape) if out is None else out
+        newer = self._rows(j, np.empty(shape) if work is None else work)
+        # the older rows go straight into out, where _interp overwrites them
+        _interp(newer, self._rows(j + 1, out), frac, out)
         return out
 
 
@@ -609,27 +617,24 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
                 lambda ages: init.history_factors(-ages * disc.dt))
             phi.flags.writeable = False
             capacity = disc.n_hist if steps is None else max(1, min(disc.n_hist, steps))
-            try:
-                state.u_hist = RingBuffer(capacity, batch + (disc.nx,),
-                                          past=phi if ks is None else phi[None], factor=factor)
-            except RESERVE_ERRORS as err:
-                raise HistoryTooLarge("the displacement history",
-                                      "n_hist" if capacity == disc.n_hist else "steps",
-                                      capacity, disc.nx,
-                                      "raise the kernel rates, shorten T or coarsen the grid",
-                                      math.prod(batch)) from err
+            state.u_hist = _reserve(
+                lambda: RingBuffer(capacity, batch + (disc.nx,),
+                                   past=phi if ks is None else phi[None], factor=factor),
+                (capacity,) + batch + (disc.nx,), batch, "the displacement history",
+                f"{'n_hist' if capacity == disc.n_hist else 'steps'}={capacity} rows "
+                f"x nx={disc.nx}", "raise the kernel rates, shorten T or coarsen the grid",
+                HistoryTooLarge)
         else:
             state.eta = np.multiply.outer(
                 [1.0 - init.history_factor(-s) for s in disc.s_nodes[1:]], phi
             )
 
     if disc.n_delay > 0:
-        try:
-            vbuf = RingBuffer(disc.n_delay + 2, batch + (disc.nx,))
-        except RESERVE_ERRORS as err:
-            raise HistoryTooLarge("the delay line", "n_delay+2", disc.n_delay + 2, disc.nx,
-                                  "shorten the delay, raise cfl or coarsen the grid",
-                                  math.prod(batch)) from err
+        capacity = disc.n_delay + 2
+        vbuf = _reserve(lambda: RingBuffer(capacity, batch + (disc.nx,)),
+                        (capacity,) + batch + (disc.nx,), batch, "the delay line",
+                        f"n_delay+2={capacity} rows x nx={disc.nx}",
+                        "shorten the delay, raise cfl or coarsen the grid", HistoryTooLarge)
         rates = np.fromiter((init.history_rate(-j * disc.dt)
                              for j in range(vbuf.capacity)), float, vbuf.capacity)
         np.multiply.outer(rates, u, out=vbuf.data)
@@ -885,6 +890,31 @@ def delayed_velocity(state: SimState, params: ModelParams,
     return _delayed(params, disc, state, state.v, state.z_rho, 0.0)
 
 
+@functools.lru_cache(maxsize=32)
+def _node_steps(disc: Discretization) -> np.ndarray:
+    """s_j / dt on the interior s-nodes: how many steps back eta's row j
+    reads the displacement history; read-only, one per grid."""
+    steps = disc.s_nodes[1:] / disc.dt
+    steps.flags.writeable = False
+    return steps
+
+
+def _distinct_eta_rows(state: SimState, params: ModelParams, disc: Discretization) -> int:
+    """How many leading rows of ``eta_field`` can differ; every later row
+    repeats the last of them.
+
+    With a frozen past, every row from the first whose newer slot reaches
+    back past the pushes reads phi alone and is u - phi.  A modulated past
+    or an evolved eta has ns - 1 distinct rows.
+    """
+    hist = state.u_hist
+    m = disc.ns - 1
+    if hist is None or hist.past is None or hist.factor is not None:
+        return m
+    # floor(s_j / dt) >= pushed exactly when s_j / dt >= pushed, an integer
+    return min(int(np.searchsorted(_node_steps(disc), hist.pushed)) + 1, m)
+
+
 def eta_field(state: SimState, params: ModelParams, disc: Discretization,
               out: np.ndarray | None = None, rows: int | None = None) -> np.ndarray:
     """History field eta(x, s_j) on the interior s-nodes, shape (ns-1, nx),
@@ -893,8 +923,11 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization,
     full field.
 
     For the prony_modes realization this is the exact characteristics
-    solution eta(s) = u(t) - u(t - s) read off the u ring buffer; for
-    eta_grid it is the evolved array itself.
+    solution eta(s) = u(t) - u(t - s) read off the u ring buffer, by one
+    gather of the two neighbours of every s-node (``back_interp_rows``);
+    for eta_grid it is the evolved array itself.  The layout of these rows,
+    which read stored slots and which the past, is known to this module
+    alone: ``_distinct_eta_rows`` tells a caller how many differ.
     """
     if params.kernel.is_empty:
         return np.zeros((0,) + state.u.shape)
@@ -903,7 +936,7 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization,
             return state.eta[:rows]
         out[...] = state.eta[:rows]
         return out
-    steps = disc.s_nodes[1:][:rows] / disc.dt
+    steps = _node_steps(disc)[:rows]
     u_past = state.u_hist.back_interp_rows(
         steps, out, state.scratch((steps.size,) + state.u.shape, "work"))
     return np.subtract(state.u, u_past, out=u_past)
@@ -991,16 +1024,11 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
     state = build(params, init, disc, ks=ks, steps=n_steps)
     times = []
     # per sample the SAMPLE_TERMS, then the batch axis
-    shape = (2 + n_steps // sample_every, len(SAMPLE_TERMS)) + state.u.shape[:-1]
-    try:
-        cols = np.empty(shape)
-    except RESERVE_ERRORS as err:
-        nbytes = 8 * math.prod(shape)
-        per_batch = "" if ks is None else f" x {len(ks)} batch rows"
-        raise SolverError(
-            f"the sample table needs {shape[0]} rows x {shape[1]} terms{per_batch} = "
-            f"{nbytes} bytes ({nbytes / 2**30:.4g} GiB), which cannot be allocated; "
-            "raise sample_every or shorten T") from err
+    batch = state.u.shape[:-1]
+    shape = (2 + n_steps // sample_every, len(SAMPLE_TERMS)) + batch
+    cols = _reserve(lambda: np.empty(shape), shape, batch, "the sample table",
+                    f"{shape[0]} rows x {shape[1]} terms", "raise sample_every or shorten T",
+                    SolverError)
     snaps = []
 
     def take_sample():

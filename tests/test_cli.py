@@ -635,3 +635,83 @@ def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
     assert exit_info.value.code == 2
     assert f"must be at least 1, got {jobs}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"nx": 20, "T": 1e12, "sample_every": 1},
+    {"nx": 200, "cfl": 1e-12, "tau": 1.0, "T": 1e-9},
+], ids=["sample-table", "delay-line"])
+def test_one_row_sweep_refusal_names_no_batch_rows(tmp_path, doc):
+    # a batch of one row is worded as a solo run: "x 1 batch rows" says nothing
+    cfg = write_config(tmp_path, {**doc, "k_values": [0.1]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    [row] = read_sweep_rows(out)
+    assert row["classification"] == "error"
+    assert "cannot be allocated" in row["error"] and "batch rows" not in row["error"]
+    assert re.search(r"rows x (8 terms|nx=200) = \d+ bytes", row["error"])
+
+
+def test_certificate_json_keys(tmp_path):
+    cfg = write_config(tmp_path, certify_config(0.0005))
+    main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
+    doc = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert set(doc) == {
+        "c0", "c1", "c2", "c_star", "c_big", "sigma_tilde", "sigma",
+        "k_bar", "k_hat", "k0", "k0_explicit_lb", "gamma1", "gamma2",
+        "epsilon_star", "delta_star", "certified", "inputs", "config",
+        "nodelay_threshold",
+    }
+    assert set(doc["inputs"]) == {"mu0", "mu_tilde", "alpha", "tau", "theta",
+                                  "c_poincare", "k"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"L": 0}, 'L: must be > 0.0'),
+    ({"L": "1"}, "L: expected a number, got '1'"),
+    ({"nx": 2}, 'nx: must be >= 3'),
+    ({"nx": 3.0}, 'nx: expected an integer, got 3.0'),
+    ({"cfl": 0.0}, 'cfl: must be > 0.0'),
+    ({"cfl": 0.6}, 'cfl: must be <= 0.5 (explicit scheme stability)'),
+    ({"ns": 1}, 'ns: must be >= 2'),
+    ({"tail_tol": 0}, 'tail_tol: must be > 0.0'),
+    ({"tau": -1}, 'tau: must be >= 0.0'),
+    ({"k": float("inf")}, 'k: must be finite'),
+    ({"k": True}, 'k: expected a number, got True'),
+    ({"theta": 0}, 'theta: must be > 0.0'),
+    ({"mode": "x"}, "mode: must be one of ['auxiliary', 'original']"),
+    ({"mode": [1]}, "mode: must be one of ['auxiliary', 'original']"),
+    ({"delay_realization": "x"},
+     "delay_realization: must be one of ['rho_grid', 'ring_buffer']"),
+    ({"memory_realization": "x"},
+     "memory_realization: must be one of ['eta_grid', 'prony_modes']"),
+    ({"T": -1}, 'T: must be >= 0.0'),
+    ({"sample_every": -1}, 'sample_every: must be >= 0'),
+    ({"c_poincare": 0}, 'c_poincare: must be > 0.0'),
+    ({"snapshots": 1}, 'snapshots: expected true or false'),
+    ({"init": []}, 'init: expected an object'),
+    ({"init": {"q": 1}}, "init: unknown keys ['q']"),
+    ({"init": {"shape": "box"}},
+     "init.shape: must be one of ['gaussian', 'sine', 'zero']"),
+    ({"init": {"shape": {}}},
+     "init.shape: must be one of ['gaussian', 'sine', 'zero']"),
+    ({"init": {"m": 0}}, 'init.m: must be >= 1'),
+    ({"init": {"width": 0}}, 'init.width: must be > 0.0'),
+    ({"init": {"history": "x"}}, "init.history: must be one of ['frozen', 'modulated']"),
+    ({"init": {"center": "a"}}, "init.center: expected a number, got 'a'"),
+    ({"init": {"omega": 1e200}}, "init: omega must be at most 1.34078e+154 in magnitude, "
+                                 "where omega^2 overflows, got 1e+200"),
+    ({"kernel": {"terms": [{"a": 1}]}}, "kernel.terms[0]: needs both 'a' and 'b'"),
+    ({"k_min": 0}, 'k_max: k_min, k_max and count go together'),
+    ({"k_min": 0, "k_max": 1, "count": 1}, 'count: must be >= 2'),
+    ({"k_min": 1, "k_max": 0, "count": 3}, 'k_max: must exceed k_min'),
+    ({"k_values": []}, 'k_values: expected a non-empty list of numbers'),
+    ({"theta_values": [1.0]}, 'theta_values[0]: expected a number > 1'),
+    ({"foo": 1}, "config: unknown keys ['foo']"),
+])
+def test_config_error_messages(doc, message):
+    # each key's check, as the one table of keys drives it; a choice that is
+    # not hashable is refused like any other
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == message

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import delay_integral_rows, eta_field_rows, sample_state_rows
-from viscodelay import energy
+from viscodelay import energy, solver
 from viscodelay.analysis import check_memory_identity
 from viscodelay.kernel import MemoryKernel, quadrature_weights
 from viscodelay.solver import (
@@ -173,3 +173,44 @@ def test_row_without_delay_term_reads_zero_past_a_non_finite_integral(ks):
     row = energy.sample_state(state, params, disc)
     assert np.all(np.isposinf(row.delay_raw))
     assert np.array_equal(row.delay, 0.0 if ks is None else [0.0, np.inf])
+
+
+@pytest.mark.parametrize("kernel, ks", [
+    (KERNEL, None), (KERNEL, BATCH_KS), (TWO_TERMS, None), (TWO_TERMS, BATCH_KS),
+], ids=["one-term-solo", "one-term-batch", "two-terms-solo", "two-terms-batch"])
+def test_eta_rows_past_the_distinct_ones_repeat_the_last(kernel, ks):
+    # with a frozen past, every eta row from _distinct_eta_rows on has the
+    # bits of the last distinct row, before and after the history wraps
+    params = ModelParams(tau=0.2, k=0.3, kernel=kernel, mode="auxiliary")
+    disc = discretize(params, nx=20)
+    n_steps = disc.n_hist + 20
+    state = build(params, FROZEN, disc, ks=ks, steps=n_steps)
+    seen = set()
+    for n in range(n_steps + 1):
+        if n % 17 == 0 or n == n_steps:
+            distinct = solver._distinct_eta_rows(state, params, disc)
+            bits = eta_field(state, params, disc).view(np.uint64)
+            assert np.array_equal(bits[distinct:], np.broadcast_to(
+                bits[distinct - 1], bits[distinct:].shape))
+            if distinct > 1:
+                assert not np.array_equal(bits[distinct - 2], bits[distinct - 1])
+            seen.add(distinct)
+        if n < n_steps:
+            step(state, params, disc)
+    assert {1, disc.ns - 1} < seen
+    assert state.step_index > state.u_hist.capacity
+
+
+@pytest.mark.parametrize("init, memory_realization, ks", [
+    (MODULATED, "prony_modes", None), (MODULATED, "prony_modes", BATCH_KS),
+    (FROZEN, "eta_grid", None), (MODULATED, "eta_grid", None),
+], ids=["modulated-solo", "modulated-batch", "eta-grid-frozen", "eta-grid-modulated"])
+def test_every_eta_row_is_distinct_without_a_frozen_displacement_past(
+        init, memory_realization, ks):
+    params = ModelParams(tau=0.2, k=0.3, kernel=KERNEL, mode="auxiliary",
+                         memory_realization=memory_realization)
+    disc = discretize(params, nx=20)
+    state = build(params, init, disc, ks=ks)
+    for n in range(40):
+        assert solver._distinct_eta_rows(state, params, disc) == disc.ns - 1
+        step(state, params, disc)
