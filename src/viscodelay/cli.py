@@ -14,7 +14,8 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -22,13 +23,13 @@ import numpy as np
 
 from . import analysis, certificate, solver, svgplot
 from .energy import check_dissipation
-from .kernel import KernelInvalid, MemoryKernel, validate_kernel
+from .kernel import KernelInvalid, KernelReport, MemoryKernel, validate_kernel
 
 __all__ = ["main", "ConfigError", "RunConfig", "load_config"]
 
 CSV_FLOAT = "%.17g"
 ENERGY_HEADER = "t,total,kinetic,elastic,memory,delay"
-SWEEP_HEADER = "k,sigma_emp,r_squared,classification,certified,theorem_bound_ok,error"
+SWEEP_HEADER = ",".join(f.name for f in fields(analysis.SweepRow))
 # the most k values a sweep advances as one batch; a worker runs one batch at
 # a time, and each row of it has its own history, a slot per step up to n_hist
 # plus the delay line (about 0.65 MB at nx = 100, T = 1, so 8 rows ~ 5 MB)
@@ -80,6 +81,11 @@ class RunConfig:
             self.params(), nx=self.nx, cfl=self.cfl, ns=self.ns,
             tail_tol=self.tail_tol,
         )
+
+    @cached_property
+    def kernel_report(self) -> KernelReport:
+        """The kernel validated at this config's own ``tail_tol``, once."""
+        return validate_kernel(self.kernel, self.tail_tol)
 
     def poincare(self) -> float:
         if self.c_poincare is not None:
@@ -150,12 +156,7 @@ def _parse_kernel(doc, path: str) -> MemoryKernel:
         _require(isinstance(b, (int, float)) and not isinstance(b, bool),
                  f"{tpath}.b", "expected a number")
         pairs.append((float(a), float(b)))
-    kernel = MemoryKernel.from_terms(pairs)
-    try:
-        validate_kernel(kernel)
-    except KernelInvalid as err:
-        raise ConfigError(f"{path}.terms", str(err)) from err
-    return kernel
+    return MemoryKernel.from_terms(pairs)
 
 
 # (JSON key, InitialData field, kind, lower bound), as ``_get`` reads them
@@ -216,6 +217,11 @@ def parse_config(doc: dict) -> RunConfig:
     _require(not unknown, "config", f"unknown keys {sorted(unknown)}")
     cfg = RunConfig(**_parse_keys(doc, "", _RUN_KEYS))
     _require(cfg.cfl <= 0.5, "cfl", "must be <= 0.5 (explicit scheme stability)")
+    _require(cfg.tail_tol < 1.0, "tail_tol", "must be < 1.0")
+    try:
+        cfg.kernel_report
+    except KernelInvalid as err:
+        raise ConfigError("kernel.terms", str(err)) from err
 
     if "k_values" in doc:
         cfg.k_values = _get_number_list(doc, "k_values")
@@ -278,10 +284,10 @@ def _config_comment(resolved: dict) -> str:
 def _certificate_inputs(cfg: RunConfig, tau: float | None = None,
                         theta: float | None = None,
                         k: float | None = None) -> certificate.CertificateInputs:
-    report = validate_kernel(cfg.kernel, cfg.tail_tol)
     if cfg.kernel.is_empty:
         raise ConfigError("kernel.terms",
                           "certification needs a non-empty memory kernel")
+    report = cfg.kernel_report
     return certificate.CertificateInputs(
         mu0=report.mu0,
         mu_tilde=report.mu_tilde,
@@ -392,26 +398,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
         "config": resolved,
         "aborted_step": trace.aborted_step,
         "classification": classification,
-        "fit": None if fit is None else {
-            "sigma_emp": fit.sigma_emp,
-            "r_squared": fit.r_squared,
-            "window": list(fit.window),
-            "n_samples": fit.n_samples,
-        },
+        "fit": None if fit is None else asdict(fit),
         "certificate": None if cert is None else cert.as_flat_dict(),
-        "theorem_bound": None if theorem is None else {
-            "ok": theorem.ok,
-            "worst_margin": theorem.worst_margin,
-            "first_violation_t": theorem.first_violation_t,
-            "sigma": theorem.sigma,
-        },
+        "theorem_bound": None if theorem is None else asdict(theorem),
         "dissipation": None if dissipation is None else {
-            "passed": dissipation.passed,
-            "max_increment": dissipation.max_increment,
-            "max_violation": dissipation.max_violation,
-            "increment_tol": dissipation.increment_tol,
-            "violation_tol": dissipation.violation_tol,
-        },
+            name: value for name, value in asdict(dissipation).items() if name != "n_pairs"},
     }
     (out_dir / "report.json").write_text(
         json.dumps(report_doc, sort_keys=True, indent=2) + "\n"
@@ -477,10 +468,14 @@ def _sweep_batch(cfg: RunConfig, disc: solver.Discretization,
     return [_sweep_row(cfg, trace, k) for trace, k in zip(traces, ks)]
 
 
-def _bool_cell(value: bool | None) -> str:
+def _cell(value) -> str:
+    """One sweep.csv cell: a float to full precision, a flag as true or
+    false, None empty, text as it is."""
     if value is None:
         return ""
-    return "true" if value else "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return CSV_FLOAT % value if isinstance(value, float) else value
 
 
 def _sweep_batches(ks: list[float], jobs: int) -> list[list[float]]:
@@ -517,17 +512,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
     text = io.StringIO()
     text.write(f"# config {_config_comment(resolved)}\n{SWEEP_HEADER}\n")
     # the csv module quotes error text that holds commas or quotes
-    writer = csv.writer(text, lineterminator="\n")
-    for row in rows:
-        writer.writerow([
-            CSV_FLOAT % row.k,
-            CSV_FLOAT % row.sigma_emp,
-            CSV_FLOAT % row.r_squared,
-            row.classification,
-            _bool_cell(row.certified),
-            _bool_cell(row.theorem_bound_ok),
-            row.error or "",
-        ])
+    csv.writer(text, lineterminator="\n").writerows(map(_cell, astuple(row)) for row in rows)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text(text.getvalue())
     n_err = sum(1 for row in rows if row.error is not None)

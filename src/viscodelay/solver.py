@@ -17,13 +17,14 @@ Two realizations of the memory term are provided:
   with q_i' = u - b_i q_i, which integrates the s-direction exactly.
   The history field eta is reconstructed on the geometric s-grid from a
   ring buffer of past u fields (the transport equation is solved exactly
-  along characteristics, eta(s) = u(t) - u(t - s)), one gather per sample.
+  along characteristics, eta(s) = u(t) - u(t - s)) at every sample.
   The buffer holds only the fields pushed since t = 0, so a run of
   ``steps`` steps gets min(steps, n_hist) slots: a read from before t = 0
   evaluates the prescribed past u0 = phi * factor(t) on demand.  One
-  gather reads either kind of row, and this module alone knows which eta
-  row reads which: ``_distinct_eta_rows`` tells the energy how many
-  leading rows a frozen past leaves distinct.
+  gather per neighbour, at offsets ``_node_steps`` fixes once per grid,
+  reads either kind of row; this module alone knows which eta row reads
+  which, and ``_distinct_eta_rows`` tells the energy how many leading rows
+  a frozen past leaves distinct.
 * ``eta_grid``: eta is evolved directly on the s-grid with first-order
   upwinding and the memory force is the trapezoid s-quadrature.  Kept as
   a cross-validation mode; its first-order transport error is far too
@@ -302,7 +303,11 @@ def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
                 )
         s_weights = quadrature_weights(s_nodes)
         s_max = report.s_max
-        n_hist = int(math.ceil(_steps_in(s_max, dt, "s_max", "raise cfl or the kernel rates"))) + 2
+        reach = _steps_in(s_max, dt, "s_max", "raise cfl or the kernel rates")
+        if params.memory_realization == "prony_modes" and reach > np.iinfo(np.intp).max:
+            raise SolverError(f"s_max/dt = {reach:.6g} exceeds {np.iinfo(np.intp).max}, the "
+                              "largest history offset; raise cfl or the kernel rates")
+        n_hist = int(math.ceil(reach)) + 2
     return Discretization(
         nx=nx, dx=dx, dt=dt, cfl=cfl,
         tau=tau_snapped, n_delay=n_delay,
@@ -402,8 +407,9 @@ class RingBuffer:
     only the rows pushed since t = 0: a read ``p >= pushed`` steps back
     returns ``factor(p - pushed) * phi``, evaluated on demand, so a buffer
     that will see ``steps`` pushes needs no more than ``steps`` slots.
-    ``_rows`` is the one gather of such reads: stored slots up to the
-    first read past the pushes, the past from there on.
+    ``_rows`` is the one gather of such reads, stored slots up to the first
+    read past the pushes and the past from there on; ``back_interp_rows``
+    interpolates between two, at neighbour offsets its caller fixes.
 
     After ``keep_norms()`` the buffer also holds each slot's squared norm
     per batch row in ``norms`` (shape (capacity,) + batch, indexed like
@@ -476,7 +482,7 @@ class RingBuffer:
         return np.take(self.norms.T, (self.head + offsets) % self.capacity, axis=-1)
 
     def _rows(self, j: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``back(p)`` for every p in ``j`` (ascending integers), into ``out``:
+        """``back(p)`` for every p in ``j`` (non-decreasing integers), into ``out``:
         the stored slots up to the first p that reaches back past the pushes,
         the past from there on."""
         n = j.size if self.past is None else int(np.searchsorted(j, self.pushed))
@@ -485,31 +491,15 @@ class RingBuffer:
             out[n:] = self._past_rows(j[n:] - self.pushed)
         return out
 
-    def back_interp_rows(self, steps: np.ndarray, out: np.ndarray | None = None,
-                         work: np.ndarray | None = None) -> np.ndarray:
-        """``back_interp`` at every offset in ``steps`` (ascending), one row each,
-        shape (steps.size,) + row shape; written into ``out`` when given.
-        ``work``, shaped like ``out``, takes the gathered newer rows."""
-        j = np.floor(steps)
-        frac = steps - j
-        j = j.astype(np.intp)
-        shape = (j.size,) + self.data.shape[1:]
-        out = np.empty(shape) if out is None else out
-        newer = self._rows(j, np.empty(shape) if work is None else work)
-        # the older rows go straight into out, where _interp overwrites them
-        _interp(newer, self._rows(j + 1, out), frac, out)
-        return out
-
-
-def _interp(newer: np.ndarray, older: np.ndarray, frac: np.ndarray, out: np.ndarray) -> None:
-    """out = newer + frac * (older - newer) row by row along axis 0; ``older``
-    may be ``out`` itself."""
-    np.subtract(older, newer, out=out)
-    np.multiply(frac.reshape(frac.shape + (1,) * (out.ndim - 1)), out, out=out)
-    np.add(newer, out, out=out)
-    exact = frac == 0.0
-    if exact.any():
-        out[exact] = newer[exact]
+    def back_interp_rows(self, newer: np.ndarray, older: np.ndarray, frac: np.ndarray,
+                         out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """back(newer) + frac * (back(older) - back(newer)) row by row, into
+        ``out``; ``work``, shaped like ``out``, takes the gathered newer rows.
+        Where ``older`` is ``newer`` (frac 0) the difference is exactly 0."""
+        self._rows(newer, work)
+        np.subtract(self._rows(older, out), work, out=out)
+        np.multiply(frac.reshape(frac.shape + (1,) * (out.ndim - 1)), out, out=out)
+        return np.add(work, out, out=out)
 
 
 @dataclass
@@ -891,12 +881,17 @@ def delayed_velocity(state: SimState, params: ModelParams,
 
 
 @functools.lru_cache(maxsize=32)
-def _node_steps(disc: Discretization) -> np.ndarray:
-    """s_j / dt on the interior s-nodes: how many steps back eta's row j
-    reads the displacement history; read-only, one per grid."""
+def _node_steps(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where eta's row j reads the displacement history, s_j / dt steps back:
+    (newer, older, frac) = (floor, floor + 1 or floor itself at a whole
+    step, s_j / dt - floor); read-only, one per grid."""
     steps = disc.s_nodes[1:] / disc.dt
-    steps.flags.writeable = False
-    return steps
+    newer = np.floor(steps).astype(np.intp)
+    frac = steps - newer
+    older = newer + (frac > 0.0)
+    for arr in (newer, older, frac):
+        arr.flags.writeable = False
+    return newer, older, frac
 
 
 def _distinct_eta_rows(state: SimState, params: ModelParams, disc: Discretization) -> int:
@@ -911,8 +906,7 @@ def _distinct_eta_rows(state: SimState, params: ModelParams, disc: Discretizatio
     m = disc.ns - 1
     if hist is None or hist.past is None or hist.factor is not None:
         return m
-    # floor(s_j / dt) >= pushed exactly when s_j / dt >= pushed, an integer
-    return min(int(np.searchsorted(_node_steps(disc), hist.pushed)) + 1, m)
+    return min(int(np.searchsorted(_node_steps(disc)[0], hist.pushed)) + 1, m)
 
 
 def eta_field(state: SimState, params: ModelParams, disc: Discretization,
@@ -924,10 +918,10 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization,
 
     For the prony_modes realization this is the exact characteristics
     solution eta(s) = u(t) - u(t - s) read off the u ring buffer, by one
-    gather of the two neighbours of every s-node (``back_interp_rows``);
-    for eta_grid it is the evolved array itself.  The layout of these rows,
-    which read stored slots and which the past, is known to this module
-    alone: ``_distinct_eta_rows`` tells a caller how many differ.
+    gather of the two neighbours of every s-node (``back_interp_rows`` at
+    the ``_node_steps`` of the grid); for eta_grid it is the evolved array
+    itself.  Which rows read stored slots and which the past is known to
+    this module alone: ``_distinct_eta_rows`` tells a caller how many differ.
     """
     if params.kernel.is_empty:
         return np.zeros((0,) + state.u.shape)
@@ -936,9 +930,11 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization,
             return state.eta[:rows]
         out[...] = state.eta[:rows]
         return out
-    steps = _node_steps(disc)[:rows]
+    newer, older, frac = (arr[:rows] for arr in _node_steps(disc))
+    shape = (newer.size,) + state.u.shape
     u_past = state.u_hist.back_interp_rows(
-        steps, out, state.scratch((steps.size,) + state.u.shape, "work"))
+        newer, older, frac, np.empty(shape) if out is None else out,
+        state.scratch(shape, "work"))
     return np.subtract(state.u, u_past, out=u_past)
 
 

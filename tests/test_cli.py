@@ -715,3 +715,50 @@ def test_config_error_messages(doc, message):
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert str(err.value) == message
+
+
+# -- refusals before stepping and the written records ----------------------------
+
+def test_history_offsets_past_the_index_range_refused(tmp_path, capsys):
+    # s_max/dt = 1.55e19 steps: an intp history offset would wrap
+    out = tmp_path / "out"
+    doc = {"kernel": {"terms": [{"a": 1e-17, "b": 1e-16}]}, "nx": 20, "T": 0.5,
+           "sample_every": 10, "mode": "auxiliary", "init": {"history": "modulated"}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "s_max/dt = 1.547" in err and str(np.iinfo(np.intp).max) in err
+    assert not (out / "energy.csv").exists()
+
+
+def test_certify_validates_the_kernel_at_the_configs_tail_tol(tmp_path):
+    # at the default tail_tol the tail search stops at s = 1e300; at 0.5 it ends
+    out = tmp_path / "out"
+    doc = {"kernel": {"terms": [{"a": 1e-300, "b": 1e-299}]}, "tail_tol": 0.5,
+           "tau": 1.0, "k": 0.0, "theta": 2.0}
+    cfg = write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "certificate.json").read_text())["certified"] is True
+
+
+def test_tail_tol_of_one_or_more_refused():
+    with pytest.raises(ConfigError) as err:
+        parse_config({"tail_tol": 1.0})
+    assert str(err.value) == "tail_tol: must be < 1.0"
+
+
+def test_sweep_header_and_report_sub_keys_are_pinned(tmp_path):
+    assert SWEEP_HEADER == "k,sigma_emp,r_squared,classification,certified,theorem_bound_ok,error"
+    reports = []
+    for name, extra in (("original", dict(tau=1.0, k=0.0005, nx=30, T=3.0)),
+                        ("auxiliary", dict(mode="auxiliary", nx=30, T=3.0))):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, simulate_config(sample_every=10, **extra), f"{name}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    original, auxiliary = reports
+    assert set(original["fit"]) == {"sigma_emp", "r_squared", "window", "n_samples"}
+    assert set(original["theorem_bound"]) == {"ok", "worst_margin", "first_violation_t",
+                                              "sigma"}
+    assert set(auxiliary["dissipation"]) == {"passed", "max_increment", "max_violation",
+                                             "increment_tol", "violation_tol"}

@@ -214,3 +214,33 @@ def test_every_eta_row_is_distinct_without_a_frozen_displacement_past(
     for n in range(40):
         assert solver._distinct_eta_rows(state, params, disc) == disc.ns - 1
         step(state, params, disc)
+
+
+def node_step_grids():
+    """The worked auxiliary grid (s_1 = dx = 4 dt, a whole step), a two-term
+    grid with no whole-step node, and a grid whose every node is a whole step."""
+    aux = discretize(ModelParams(tau=1.0, kernel=MemoryKernel.from_terms([(1.0, 2.0)]),
+                                 mode="auxiliary"), nx=200, ns=64)
+    long_memory = discretize(ModelParams(tau=0.5, kernel=MemoryKernel.from_terms(
+        [(2.0, 8.0), (0.02, 0.05)]), mode="auxiliary"), nx=200, ns=64)
+    base = discretize(ModelParams(kernel=KERNEL), nx=20)
+    nodes = base.dt * np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+    whole = replace(base, s_nodes=nodes, s_weights=quadrature_weights(nodes))
+    return {"aux_long": (aux, 1), "long_memory": (long_memory, 0), "whole": (whole, 7)}
+
+
+@pytest.mark.parametrize("name", ["aux_long", "long_memory", "whole"])
+def test_node_steps_fix_each_rows_neighbours_once_per_grid(name):
+    disc, n_whole = node_step_grids()[name]
+    newer, older, frac = solver._node_steps(disc)
+    steps = disc.s_nodes[1:] / disc.dt
+    assert newer.dtype == older.dtype == np.intp
+    assert np.array_equal(newer + frac, steps)
+    assert np.all((0.0 <= frac) & (frac < 1.0))
+    exact = frac == 0.0
+    assert np.count_nonzero(exact) == n_whole
+    assert np.array_equal(older[exact], newer[exact])
+    assert np.array_equal(older[~exact], newer[~exact] + 1)
+    assert np.all(np.diff(newer) >= 0)
+    assert not any(arr.flags.writeable for arr in (newer, older, frac))
+    assert solver._node_steps(disc) is solver._node_steps(disc)
