@@ -127,21 +127,18 @@ def check_theorem_bound(trace: Trace, sigma: float,
     t = trace.times
     f = trace.total
     f0 = float(f[0])
+    first = None
     if f0 <= 0.0:
         ok = bool(np.all(f <= 0.0))
-        return TheoremBoundResult(ok=ok, worst_margin=-1.0 if ok else math.inf,
-                                  first_violation_t=None, sigma=sigma)
-    envelope = f0 * np.exp(1.0 - sigma * t)
-    ratio = f / envelope
-    worst = float(ratio.max()) - 1.0
-    violations = np.nonzero(ratio > 1.0 + tol)[0]
-    if violations.size:
-        return TheoremBoundResult(
-            ok=False, worst_margin=worst,
-            first_violation_t=float(t[violations[0]]), sigma=sigma,
-        )
-    return TheoremBoundResult(ok=True, worst_margin=worst,
-                              first_violation_t=None, sigma=sigma)
+        worst = -1.0 if ok else math.inf
+    else:
+        ratio = f / (f0 * np.exp(1.0 - sigma * t))
+        worst = float(ratio.max()) - 1.0
+        violations = np.nonzero(ratio > 1.0 + tol)[0]
+        ok = not violations.size
+        if not ok:
+            first = float(t[violations[0]])
+    return TheoremBoundResult(ok=ok, worst_margin=worst, first_violation_t=first, sigma=sigma)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,8 @@ class CertificateInputs:
 
     ``c_poincare`` may come from :func:`poincare_constant_interval` or be
     user supplied (higher-dimensional domains).  ``k`` is the signed
-    delay-feedback amplitude; only ``abs(k)`` enters the constants.
+    delay-feedback amplitude; only ``abs(k)`` enters the constants.  Building
+    the inputs checks them, so inputs that exist are valid.
     """
 
     mu0: float
@@ -89,7 +90,7 @@ class CertificateInputs:
     c_poincare: float
     k: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_shared_inputs(self.mu0, self.mu_tilde, self.alpha, self.c_poincare)
         if not 0.0 <= self.tau <= TAU_MAX:
             raise InvalidInputs(
@@ -213,7 +214,6 @@ def khat_fixed_point(inputs: CertificateInputs) -> float:
     bug), and :class:`InvalidInputs` if C e theta e^tau overflows, so that
     g(0) = 0 leaves no bracket.
     """
-    inputs.validate()
     lo = 0.0
     hi = amplitude_budget(inputs, 0.0)
     if not hi > 0.0:
@@ -245,7 +245,6 @@ def explicit_lower_bound(inputs: CertificateInputs):
     Returns ``(k0_lb, gamma1, gamma2)`` with
     k0_lb = e^{-(tau+1)} / (theta (1 + gamma1/alpha + gamma2)).
     """
-    inputs.validate()
     g1 = gamma1_constant(inputs.mu_tilde)
     g2 = gamma2_constant(inputs.mu0, inputs.mu_tilde, inputs.theta, inputs.c_poincare)
     lb = math.exp(-(inputs.tau + 1.0)) / (inputs.theta * (1.0 + g1 / inputs.alpha + g2))
@@ -297,7 +296,6 @@ def compute_constants(inputs: CertificateInputs) -> ConstantsReport:
     ``sigma`` may come out nonpositive when |k| is too large; the report
     still carries every constant so the caller can see how far off it is.
     """
-    inputs.validate()
     k_abs = abs(inputs.k)
     c0, c1, c2, c_star, c_big = _chain(inputs, k_abs)
     sigma_tilde = 1.0 / c_big

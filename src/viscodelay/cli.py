@@ -353,20 +353,23 @@ def _best_certificate(cfg: RunConfig, k: float, tau: float):
 def _judge(cfg: RunConfig, trace: solver.Trace, k: float):
     """(fit, classification, certificate, envelope check) of a finished run at ``k``.
 
-    The fit is None when too few samples survive, the certificate (best
-    over theta at |k| and the snapped delay) None without a kernel, and the
-    envelope is checked only in original mode on an unaborted run with a
-    certified |k| and a positive certified rate.
+    An aborted run is ``growing``, with no fit and no envelope check: with
+    stiff rates refused, only real growth outruns the float range.  Else
+    the fit is None when too few samples survive.  The certificate (best
+    over theta at |k| and the snapped delay) is None without a kernel, and
+    the envelope is checked only in original mode with a certified |k| and
+    a positive certified rate.
     """
+    cert = _best_certificate(cfg, k, trace.disc.tau)
+    if trace.aborted_step is not None:
+        return None, "growing", cert, None
     try:
         fit = analysis.fit_decay_rate(trace)
         classification = analysis.classify(fit)
     except analysis.InsufficientData:
         fit, classification = None, "inconclusive"
-    cert = _best_certificate(cfg, k, trace.disc.tau)
     theorem = None
-    if cert is not None and cfg.mode == "original" and cert.sigma > 0.0 \
-            and cert.certified and trace.aborted_step is None:
+    if cert is not None and cfg.mode == "original" and cert.sigma > 0.0 and cert.certified:
         theorem = analysis.check_theorem_bound(trace, cert.sigma)
     return fit, classification, cert, theorem
 
@@ -436,16 +439,13 @@ def _error_row(k: float, err: Exception) -> analysis.SweepRow:
 
 
 def _sweep_row(cfg: RunConfig, trace: solver.Trace, k: float) -> analysis.SweepRow:
-    """One row's verdict from its trace; a failure to judge it becomes an error row."""
+    """One row's verdict from its trace, as ``_judge`` gives it; an aborted
+    row keeps its abort step as error text, and a failure to judge a row
+    makes it an error row."""
     try:
         fit, classification, cert, theorem = _judge(cfg, trace, k)
     except Exception as err:  # per-row failures recorded, sweep continues
         return _error_row(k, err)
-    error = None
-    if trace.aborted_step is not None:
-        # exponential blow-up outruns float range; that IS a growth verdict
-        fit, classification = None, "growing"
-        error = f"non-finite at step {trace.aborted_step}"
     return analysis.SweepRow(
         k=k,
         sigma_emp=math.nan if fit is None else fit.sigma_emp,
@@ -453,7 +453,8 @@ def _sweep_row(cfg: RunConfig, trace: solver.Trace, k: float) -> analysis.SweepR
         classification=classification,
         certified=None if cert is None else cert.certified,
         theorem_bound_ok=None if theorem is None else theorem.ok,
-        error=error,
+        error=(None if trace.aborted_step is None
+               else f"non-finite at step {trace.aborted_step}"),
     )
 
 
@@ -496,9 +497,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
     if cfg.horizon is None:
         raise ConfigError("T", "sweep needs a horizon")
     ks = sorted(cfg.k_values)
-    # a refused discretization (e.g. a stiff kernel) fails before any stepping;
-    # the grid does not depend on k, so every row runs on this one
+    # a refused discretization (e.g. a stiff kernel) or damping fails before
+    # any stepping; the grid does not depend on k, so every row runs on this one
     disc = cfg.discretize()
+    solver.refuse_stiff_damping(cfg.params(), disc, ks)
     resolved = resolved_config(cfg, disc, seed)
     batches = _sweep_batches(ks, jobs)
     workers = min(jobs, len(batches))

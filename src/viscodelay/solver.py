@@ -251,6 +251,22 @@ def _steps_in(span: float, dt: float, name: str, remedy: str) -> float:
     return ratio
 
 
+def _refuse_stiff(dt: float, rate: float, name: str, remedy: str) -> None:
+    """Refuse dt*rate past RK4's real-axis limit: its blow-up would read as growth."""
+    if dt * rate > RK4_REAL_AXIS_LIMIT:
+        raise CflViolation(f"dt*{name} = {dt * rate:.4g} exceeds the RK4 stability limit "
+                           f"{RK4_REAL_AXIS_LIMIT} on the real axis (dt={dt:.4g}); {remedy}")
+
+
+def refuse_stiff_damping(params: ModelParams, disc: Discretization,
+                         ks: list[float] | None) -> None:
+    """Refuse each row's velocity damping d past RK4's limit (params.k's row if ks is None):
+    theta |k| e^tau in auxiliary mode, plus k where tau = 0 folds the delay onto v."""
+    for k in (params.k,) if ks is None else ks:
+        d = extra_damping(replace(params, k=k), disc) + (k if disc.n_delay == 0 else 0.0)
+        _refuse_stiff(disc.dt, d, f"d(k={k:g})", "refine the grid or lower |k| or theta")
+
+
 def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
                ns: int = 64, tail_tol: float = 1e-8) -> Discretization:
     """Build the grids for ``params``; snaps tau to a whole number of steps."""
@@ -282,15 +298,9 @@ def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
     else:
         report = validate_kernel(params.kernel, tail_tol)
         if params.memory_realization == "prony_modes":
-            # q_i' = u - b_i q_i is explicit in q_i: a mode faster than RK4's
-            # real-axis limit blows up and would read as physical growth
-            stiffness = dt * float(params.kernel.rates.max())
-            if stiffness > RK4_REAL_AXIS_LIMIT:
-                raise CflViolation(
-                    f"dt*max(b_i) = {stiffness:.4g} exceeds the RK4 stability limit "
-                    f"{RK4_REAL_AXIS_LIMIT} on the real axis (dt={dt:.4g}); "
-                    "refine the grid or lower the kernel rates"
-                )
+            # q_i' = u - b_i q_i is explicit in q_i
+            _refuse_stiff(dt, float(params.kernel.rates.max()), "max(b_i)",
+                          "refine the grid or lower the kernel rates")
         s_nodes = geometric_s_grid(report.s_max, ns, dx)
         if params.memory_realization == "eta_grid":
             # the upwind eta transport has rates 1/gap_j, as explicit as q_i
@@ -590,6 +600,7 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
     if ks is not None and not _steps_by_map(params, disc):
         raise ValueError("the eta_grid and rho_grid realizations step one row at a time")
+    refuse_stiff_damping(params, disc, ks)
     batch = () if ks is None else (len(ks),)
     x = disc.x_interior()
     phi = init.profile(x, params.length)

@@ -169,6 +169,26 @@ def test_blow_up_row_aborts_at_its_solo_step_alone():
     assert_matches_solo(batch, params, InitialData(), disc, 10.0, ks, sample_every=20)
 
 
+@pytest.mark.parametrize("history, abort", [("frozen", 1542), ("modulated", 1543)])
+def test_retired_row_with_memory_and_delay_line_stays_its_solo_run(history, abort):
+    # the k = -300 row blows up with Prony modes and a delay line (n_delay = 3):
+    # left in the state, its non-finite q or delayed velocity would make it
+    # abort again at a later step, moving its aborted_step
+    params = ModelParams(tau=0.02, kernel=KERNEL)
+    init = InitialData(shape="gaussian", history=history)
+    disc = discretize(params, nx=40, ns=16)
+    assert disc.n_delay == 3
+    ks = [0.5, -300.0, 0.2]
+    batch = run(params, init, disc, 10.0, sample_every=20, ks=ks)
+    assert [trace.aborted_step for trace in batch] == [None, abort, None]
+    for trace, k in zip(batch, ks):
+        solo = run(replace(params, k=k), init, disc, 10.0, sample_every=20)
+        assert trace.aborted_step == solo.aborted_step
+        for name in COLUMNS:
+            assert np.array_equal(getattr(trace, name), getattr(solo, name),
+                                  equal_nan=True), (k, name)
+
+
 def test_sweep_batch_with_a_blow_up_row(tmp_path):
     doc = {"kernel": {"terms": []}, "nx": 40, "tau": 0.0, "T": 10.0,
            "sample_every": 20, "k_values": [-1000.0, 0.0, 0.5, 1.0]}

@@ -273,6 +273,27 @@ def test_invalid_inputs_rejected(kwargs):
         compute_constants(CertificateInputs(**base))
 
 
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(mu_tilde=1.0), InvalidInputs),
+    (dict(mu_tilde=0.0), InvalidInputs),
+    (dict(mu_tilde=1e-160), InvalidInputs),
+    (dict(mu0=0.0), InvalidInputs),
+    (dict(alpha=0.0), InvalidInputs),
+    (dict(tau=-1.0), InvalidInputs),
+    (dict(tau=710.0), InvalidInputs),
+    (dict(c_poincare=0.0), InvalidInputs),
+    (dict(k=math.nan), InvalidInputs),
+    (dict(theta=1.0), ThetaOutOfRange),
+    (dict(theta=1e308), InvalidInputs),
+])
+def test_inputs_are_checked_when_built(kwargs, error):
+    # inputs that exist are valid: no pipeline function checks them again
+    base = dict(mu0=1.0, mu_tilde=0.5, alpha=2.0, tau=1.0, theta=2.0,
+                c_poincare=C_P, k=0.0)
+    with pytest.raises(error):
+        CertificateInputs(**{**base, **kwargs})
+
+
 def test_nodelay_rejects_bad_inputs():
     with pytest.raises(InvalidInputs):
         nodelay_threshold(1.0, 1.0, 2.0, C_P)

@@ -295,6 +295,40 @@ def test_stiff_eta_grid_transport_refused_before_stepping(tmp_path, capsys, comm
     assert not out.exists()
 
 
+# the velocity damping d, k itself where tau = 0 folds the delay onto v, and
+# theta |k| e^tau in auxiliary mode: dt*d = 3.049 and 2.818 at nx = 40
+STIFF_DAMPING = {
+    "tau=0": {"kernel": {"terms": []}, "nx": 40, "tau": 0.0, "k": 500.0, "T": 10.0,
+              "sample_every": 20, "k_values": [1.0, 100.0, 500.0, 1000.0]},
+    "auxiliary": {"kernel": WORKED_KERNEL, "nx": 40, "tau": 1.0, "k": 85.0, "theta": 2.0,
+                  "mode": "auxiliary", "T": 5.0, "sample_every": 10, "k_values": [85.0]},
+}
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--jobs", "1"],
+                                     ["sweep", "--jobs", "2"]])
+@pytest.mark.parametrize("case, product", [("tau=0", "3.049"), ("auxiliary", "2.818")])
+def test_stiff_damping_refused_before_stepping(tmp_path, capsys, case, product, command):
+    # RK4 cannot resolve the -d v decay: stepped, it would blow up and read as growth
+    cfg = write_config(tmp_path, STIFF_DAMPING[case])
+    out = tmp_path / "out"
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"dt*d(k={STIFF_DAMPING[case]['k']:g}) = {product}" in err and "2.785" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, sigma_emp", [("tau=0", 0.0394792), ("auxiliary", 0.0181052)])
+def test_stiff_damping_resolved_on_a_finer_grid(tmp_path, case, sigma_emp):
+    doc = {**STIFF_DAMPING[case], "nx": 200}
+    del doc["k_values"]
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["classification"] == "decaying"
+    assert report["fit"]["sigma_emp"] == pytest.approx(sigma_emp, rel=1e-5)
+
+
 def test_eta_grid_transport_below_limit_runs(tmp_path):
     # dt/min(s gap) = 1.19 at nx=100 decays
     doc = {"kernel": {"terms": [{"a": 70.5, "b": 141.0}]}, "nx": 100, "tau": 0.0,
@@ -569,6 +603,42 @@ def test_sweep_csv_keeps_row_error(tmp_path):
     assert blown_up["classification"] == "growing"
     assert re.fullmatch(r"non-finite at step \d+", blown_up["error"])
     assert healthy["error"] == ""
+
+
+def spectral_rate(k: float, nx: int) -> float:
+    """-2 max Re s over the modes s^2 + k s + |Lambda_j| = 0 of the Dirichlet
+    Laplacian on nx interior points of (0, 1): the energy's exact decay rate
+    with no kernel and tau = 0."""
+    dx = 1.0 / (nx + 1)
+    lams = 4.0 * np.sin(np.arange(1, nx + 1) * np.pi / (2 * (nx + 1))) ** 2 / dx ** 2
+    return -2.0 * max(np.roots([1.0, k, lam]).real.max() for lam in lams)
+
+
+def test_verdicts_follow_the_spectrum_and_an_abort_reads_growing(tmp_path):
+    # k = -1000 has modal abscissa +999.99: it really grows, and outruns the
+    # float range at step 149; both commands must read that run as growing
+    doc = {"kernel": {"terms": []}, "nx": 40, "tau": 0.0, "T": 10.0, "sample_every": 20,
+           "k_values": [-1000.0, -0.5, 0.5, 1.0, 100.0]}
+    assert main(["sweep", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    rows = read_sweep_rows(tmp_path / "sweep")
+    for k, row in zip(doc["k_values"], rows, strict=True):
+        sigma_spec = spectral_rate(k, doc["nx"])
+        assert row["classification"] == ("decaying" if sigma_spec > 0.0 else "growing")
+        out = tmp_path / f"simulate{k:g}"
+        run_doc = {**doc, "k": k}
+        del run_doc["k_values"]
+        code = main(["simulate", "--config", write_config(tmp_path, run_doc, f"{k:g}.json"),
+                     "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert report["classification"] == row["classification"]
+        if k == -1000.0:
+            assert code == 1 and report["aborted_step"] == 149 and report["fit"] is None
+            assert row["error"] == "non-finite at step 149" and row["sigma_emp"] == "nan"
+            continue
+        assert code == 0 and report["fit"]["sigma_emp"] == float(row["sigma_emp"])
+        rel = 1e-9 if k == 100.0 else 1e-2
+        assert float(row["sigma_emp"]) == pytest.approx(sigma_spec, rel=rel)
 
 
 def test_sweep_csv_quotes_error_text(tmp_path, monkeypatch):

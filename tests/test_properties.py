@@ -2,6 +2,8 @@
 
 * every admissible kernel is refused before stepping or runs finite, and so
   is every auxiliary-mode configuration with a delay, in every realization;
+* an auxiliary-mode configuration with |k| up to 10^3.5 is refused before
+  stepping or stays within ten times its initial energy;
 * the precomputed one-step map agrees with the four-stage loop it is built from;
 * the certificate's thresholds are ordered and its rate falls with |k|.
 """
@@ -22,10 +24,10 @@ RATES = st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)  # b in [1e-2, 1e4]
 
 
 @st.composite
-def kernels(draw, min_terms=1):
-    """min_terms-4 Prony terms with total mass mu_tilde in [0.05, 0.95]."""
+def kernels(draw, min_terms=1, max_terms=4):
+    """min_terms-max_terms Prony terms with total mass mu_tilde in [0.05, 0.95]."""
     shares = draw(st.lists(st.tuples(st.floats(0.05, 1.0), RATES),
-                           min_size=min_terms, max_size=4))
+                           min_size=min_terms, max_size=max_terms))
     if not shares:
         return MemoryKernel()
     mass = draw(st.floats(0.05, 0.95))
@@ -66,6 +68,26 @@ def test_auxiliary_config_refused_or_runs_finite(kernel, tau, k, theta, history,
     trace = run(params, InitialData(shape="gaussian", history=history), disc, 0.5)
     assert trace.aborted_step is None
     assert np.isfinite(trace.total).all()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(kernel=kernels(min_terms=0, max_terms=2),
+       tau=st.one_of(st.just(0.0), st.floats(0.05, 0.5)),
+       k=st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 3.5)).map(
+           lambda pair: pair[0] * 10.0 ** pair[1]),
+       theta=st.floats(1.05, 4.0), nx=st.sampled_from([20, 40]))
+def test_auxiliary_config_refused_or_dissipates_at_large_k(kernel, tau, k, theta, nx):
+    # |k| up to 10^3.5: a damping theta |k| e^tau that RK4 cannot resolve must
+    # be refused before stepping, not blow up and read as growth; the paper's
+    # auxiliary problem is dissipative, so an accepted run stays bounded
+    params = ModelParams(tau=tau, k=k, theta=theta, kernel=kernel, mode="auxiliary")
+    try:
+        disc = discretize(params, nx=nx)
+        trace = run(params, InitialData(shape="gaussian"), disc, 0.5)
+    except SolverError:
+        return
+    assert trace.aborted_step is None
+    assert trace.total[-1] <= 10.0 * trace.total[0]
 
 
 @st.composite

@@ -75,6 +75,20 @@ def test_cfl_guard():
         discretize(ModelParams(), cfl=0.0)
 
 
+def test_stiff_velocity_damping_refused_by_build_for_each_row():
+    # dt*k = 3.049 at nx = 40 and tau = 0, where the delay folds to -k v: RK4
+    # cannot resolve that decay. The grid does not depend on k, so discretize
+    # accepts it, and a batch is refused for its own rows' k only.
+    params = ModelParams(tau=0.0, k=500.0)
+    disc = discretize(params, nx=40)
+    with pytest.raises(CflViolation, match=r"dt\*d\(k=500\) = 3\.049 exceeds .* 2\.785"):
+        run(params, InitialData(), disc, 1.0)
+    with pytest.raises(CflViolation, match=r"dt\*d\(k=1000\) = 6\.098"):
+        build(params, InitialData(), disc, ks=[1.0, 100.0, 1000.0])
+    traces = run(params, InitialData(), disc, 1.0, ks=[1.0, 100.0])
+    assert [trace.aborted_step for trace in traces] == [None, None]
+
+
 def test_delay_unresolvable():
     params = ModelParams(tau=1e-5, kernel=KERNEL)
     with pytest.raises(DelayUnresolvable):
