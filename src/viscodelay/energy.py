@@ -15,9 +15,11 @@ row from the first whose s-node reaches back past t = 0 is u - phi) and
 copies the last one's int |grad eta|^2 to the rest; how eta's rows are
 laid out in the displacement history is the solver's alone.  The delay
 integral is a trapezoid over the squared norms the velocity ring buffer
-keeps per slot (``RingBuffer.slot_norms``), so a sample reads n_delay + 1
+keeps per slot (``RingBuffer.slot_norms``, which norms the slots pushed
+since the last sample when it is read), so a sample reads n_delay + 1
 scalars instead of reducing the whole delay line again, and its
-coefficient is computed once per (theta, tau, k).
+coefficient is computed once per (theta, tau, k).  The gradients of u and
+eta are formed in scratch memory the state reuses (``SimState.scratch``).
 """
 
 from __future__ import annotations
@@ -159,8 +161,9 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
     dx = disc.dx
     ut_sq = dx * np.vecdot(state.v, state.v)
     mu_tilde = params.kernel.mu_tilde
-    gu = grad_full(state.u, dx)
-    elastic = 0.5 * (1.0 - mu_tilde) * integral_x(gu * gu, dx)
+    # the gradient of u, squared in place, in memory the state reuses
+    gu = _grad_into(state.u, state.scratch(state.u.shape[:-1] + (disc.nx + 2,), "grad_u"), dx)
+    elastic = 0.5 * (1.0 - mu_tilde) * integral_x(np.multiply(gu, gu, out=gu), dx)
 
     if params.kernel.is_empty:
         memory = mu_prime_eta = np.zeros(state.u.shape[:-1])

@@ -51,7 +51,11 @@ a fixed map C0 + C1 L + C2 L^2 acting on [u; v; q; two delay-line rows].
 ``_step_map`` obtains its small scalar coefficient matrices once per
 (params, grid) by running the stage loop ``_step_by_stages`` on fields that
 are polynomials in L, and ``step`` applies the map with one matmul and two
-in-place second differences.  The ``eta_grid`` and ``rho_grid``
+second differences.  The buffers it works in are a plan the state keeps
+while its map is the same object (``_map_plan``), so the only field memory
+a step allocates is the block [u; v; q] it hands out, and one finiteness check of that block's
+u and v rows follows.  The velocity ring buffer norms its slots when the
+energy reads them, not on push.  The ``eta_grid`` and ``rho_grid``
 realizations carry (ns - 1) or n_delay extra field rows and run the stage
 loop on the fields themselves, which is also the reference the map is
 tested against.
@@ -423,10 +427,12 @@ class RingBuffer:
 
     After ``keep_norms()`` the buffer also holds each slot's squared norm
     per batch row in ``norms`` (shape (capacity,) + batch, indexed like
-    ``data``) and keeps it current on ``push``.
+    ``data``).  A push only stores its row: ``slot_norms`` norms the slots
+    pushed since the last read before it reads, so a run that samples every
+    few hundred steps norms a slot once per sample at most, not per push.
     """
 
-    __slots__ = ("data", "head", "norms", "pushed", "past", "factor")
+    __slots__ = ("data", "head", "norms", "normed", "pushed", "past", "factor")
 
     def __init__(self, capacity: int, row_shape: int | tuple[int, ...],
                  past: np.ndarray | None = None,
@@ -436,6 +442,7 @@ class RingBuffer:
         self.data = np.zeros((capacity, *row_shape))
         self.head = 0
         self.norms = None
+        self.normed = 0  # ``pushed`` when ``norms`` was last brought up to date
         self.pushed = 0
         self.past = past
         self.factor = factor
@@ -453,14 +460,12 @@ class RingBuffer:
         # every einsum here reduces a row in the same order, so a slot's norm
         # is the same bits whichever call wrote it, batched or not
         self.norms = np.einsum("i...j,i...j->i...", self.data, self.data)
+        self.normed = self.pushed
 
     def push(self, row: np.ndarray) -> None:
         self.head = (self.head - 1) % self.capacity
         self.pushed += 1
         self.data[self.head] = row
-        if self.norms is not None:
-            slot = self.data[self.head]
-            self.norms[self.head] = np.einsum("...i,...i->...", slot, slot)
 
     def _past_rows(self, ages: np.ndarray) -> np.ndarray:
         """The past at each of 1-D ``ages``, broadcastable to (ages.size,) + past shape."""
@@ -488,7 +493,19 @@ class RingBuffer:
 
     def slot_norms(self, offsets: np.ndarray) -> np.ndarray:
         """The squared norms of ``back(p)`` for p in ``offsets``, batch axes
-        first, so each batch row's norms are contiguous (needs ``keep_norms``)."""
+        first, so each batch row's norms are contiguous (needs ``keep_norms``).
+
+        The slots pushed since the last read are normed first: the newest
+        ones, from ``head`` on, one run of slots or two where they wrap.
+        """
+        stale = min(self.pushed - self.normed, self.capacity)
+        if stale:
+            self.normed = self.pushed
+            stop = self.head + stale
+            for lo, hi in ((self.head, min(stop, self.capacity)), (0, stop - self.capacity)):
+                if hi > lo:
+                    rows = self.data[lo:hi]
+                    self.norms[lo:hi] = np.einsum("i...j,i...j->i...", rows, rows)
         return np.take(self.norms.T, (self.head + offsets) % self.capacity, axis=-1)
 
     def _rows(self, j: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -530,7 +547,9 @@ class SimState:
     v_hist: RingBuffer | None = None   # past u_t fields, the delay line, with norms
     z_rho: np.ndarray | None = None    # (n_delay, nx) transported delay field
     ks: tuple[float, ...] | None = None  # each batch row's k; None for one row
-    work: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    # scratch arrays, and the map step's plan of buffers (``_map_plan``)
+    work: dict[str, np.ndarray | tuple] = field(default_factory=dict, repr=False,
+                                                compare=False)
 
     def full_grid(self, values: np.ndarray) -> np.ndarray:
         """Interior values padded with the Dirichlet boundary zeros."""
@@ -565,7 +584,10 @@ class SimState:
 
     def retire(self, rows: list[int]) -> None:
         """Zero batch ``rows`` and their delay line: a row that left the finite
-        range goes on as the zero solution, which the other rows never read."""
+        range goes on as the zero solution, which the other rows never read.
+
+        Slots the delay line has not normed yet stay unnormed: the next read
+        norms the live rows' values there, and the zeros of these rows."""
         self.u[rows] = 0.0
         self.v[rows] = 0.0
         if self.q is not None:
@@ -825,36 +847,60 @@ def _stacked_maps(params: ModelParams, disc: Discretization,
     return stacked
 
 
-def _step_by_map(state: SimState, params: ModelParams, disc: Discretization) -> None:
+def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization) -> tuple:
+    """The memory a state's map steps reuse while ``coeffs`` is their map,
+    none of it handed out: ``coeffs`` itself; the input rows X, each shaped
+    like u; X as the matmul reads it, (R, n_in, nx); the products C0 X,
+    C1 X, C2 X, (3, nw) + u.shape, as the matmul writes them, (R, 3 nw, nx);
+    the 2 w of a second difference; each product; and the views of C1 X
+    and C2 X that the inner Horner level adds at shifted positions.
+    """
+    n_out, n_in = coeffs.shape[-2:]
+    x = np.empty((n_in,) + state.u.shape)
+    products = np.empty((3, n_out // 3) + state.u.shape)
+    c0, c1, c2 = products
+    return (coeffs, x, x.reshape(n_in, -1, disc.nx).swapaxes(0, 1),
+            products.reshape(n_out, -1, disc.nx).swapaxes(0, 1), np.empty(c1.shape),
+            c0, c1, c2, c1[..., 1:], c1[..., :-1], c2[..., :-1], c2[..., 1:])
+
+
+def _step_by_map(state: SimState, params: ModelParams, disc: Discretization) -> np.ndarray:
+    """One map step; returns the fresh block [u; v; q] whose rows the state now holds."""
     # a solo state steps as a batch of one, R = 1, its map broadcast over it
     coeffs = (_step_map(params, disc) if state.ks is None
               else _stacked_maps(params, disc, state.ks))
-    n_out, n_in = coeffs.shape[-2:]
-    nw = n_out // 3
-    # the input rows X, each shaped like u, and X as the matmul reads it,
-    # (R, n_in, nx): memory the state reuses, as no step hands X out
-    x = state.work.get("map_rows")
-    if x is None or x.shape[0] != n_in:
-        x = state.work["map_rows"] = np.empty((n_in,) + state.u.shape)
-        state.work["map_in"] = x.reshape(n_in, -1, disc.nx).swapaxes(0, 1)
+    plan = state.work.get("map_plan")
+    if plan is None or plan[0] is not coeffs:
+        plan = state.work["map_plan"] = _map_plan(coeffs, state, disc)
+    _, x, x_in, products, twice, c0, c1, c2, c1_hi, c1_lo, c2_lo, c2_hi = plan
+    nw = c0.shape[0]
     x[0] = state.u
     x[1] = state.v
     if state.q is not None:
         x[2:nw] = state.q
-    if n_in > nw:
-        x[nw] = state.v_hist.back(disc.n_delay)
-        x[nw + 1] = state.v_hist.back(disc.n_delay - 1)
-    # Horner, C0 X + L (C1 X + L C2 X), in place in a fresh array, so the
-    # fields handed out by earlier steps survive; each row's X is
-    # multiplied by its own map
-    y = np.empty((3, nw) + state.u.shape)
-    np.matmul(coeffs, state.work["map_in"], out=y.reshape(n_out, -1, disc.nx).swapaxes(0, 1))
-    _add_second_difference(y[1], y[2])
-    _add_second_difference(y[0], y[1])
-    state.u = y[0, 0]
-    state.v = y[0, 1]
+    if x.shape[0] > nw:
+        # the delay inputs v(t - tau), v(t - tau + dt): slots n_delay, n_delay - 1
+        hist = state.v_hist
+        oldest = hist.head + disc.n_delay
+        x[nw] = hist.data[oldest % hist.capacity]
+        x[nw + 1] = hist.data[(oldest - 1) % hist.capacity]
+    # each row's X multiplied by its own map
+    np.matmul(coeffs, x_in, out=products)
+    # Horner, C0 X + L (C1 X + L C2 X), each level (t - 2 w) + w[i-1] + w[i+1]
+    # as ``_add_second_difference`` forms it; the outer level writes a fresh
+    # block, so the fields handed out by earlier steps survive
+    np.subtract(c1, np.multiply(2.0, c2, out=twice), out=c1)
+    np.add(c1_hi, c2_lo, out=c1_hi)
+    np.add(c1_lo, c2_hi, out=c1_lo)
+    out = np.subtract(c0, np.multiply(2.0, c1, out=twice))
+    hi, lo = out[..., 1:], out[..., :-1]
+    np.add(hi, c1_lo, out=hi)
+    np.add(lo, c1_hi, out=lo)
+    state.u = out[0]
+    state.v = out[1]
     if state.q is not None:
-        state.q = y[0, 2:]
+        state.q = out[2:]
+    return out
 
 
 def step(state: SimState, params: ModelParams, disc: Discretization) -> SimState:
@@ -868,9 +914,10 @@ def step(state: SimState, params: ModelParams, disc: Discretization) -> SimState
     # a blowing-up state overflows to inf/nan and is caught below
     with np.errstate(over="ignore", invalid="ignore"):
         if state.eta is None and state.z_rho is None:
-            _step_by_map(state, params, disc)
+            block = _step_by_map(state, params, disc)
         else:
             _step_by_stages(state, params, disc)
+            block = None
 
     state.t += disc.dt
     state.step_index += 1
@@ -878,7 +925,9 @@ def step(state: SimState, params: ModelParams, disc: Discretization) -> SimState
         state.u_hist.push(state.u)
     if state.v_hist is not None:
         state.v_hist.push(state.v)
-    if not (np.isfinite(state.u).all() and np.isfinite(state.v).all()):
+    # u and v are the block's first two rows: one check covers both
+    if not (np.isfinite(block[:2]).all() if block is not None
+            else np.isfinite(state.u).all() and np.isfinite(state.v).all()):
         finite = np.isfinite(state.u).all(axis=-1) & np.isfinite(state.v).all(axis=-1)
         rows = np.flatnonzero(~finite).tolist()
         raise NonFinite(state.step_index, None if state.ks is None else rows)

@@ -8,7 +8,9 @@ Laplacian.  The ``*_rows`` references evaluate an energy sample row by
 row, reducing every stored field again on each call; the vectorized
 sampling must reproduce them bit for bit.  ``materialized_history`` stores
 the whole prescribed past in the displacement ring buffer, as ``build``
-did before the past was evaluated on demand.
+did before the past was evaluated on demand.  ``eager_map_step`` is the
+map step that formed its buffers afresh at every step and normed each
+delay-line slot as it was pushed; ``solver.step`` must keep its bits.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from viscodelay.energy import SampleRow, grad_full, integral_x
 from viscodelay.kernel import MemoryKernel
-from viscodelay.solver import RingBuffer, delayed_velocity
+from viscodelay import solver
+from viscodelay.solver import NonFinite, RingBuffer, delayed_velocity
 
 
 def modal_oracle(lam: float, kernel: MemoryKernel, horizon: float,
@@ -162,3 +165,58 @@ def materialized_history(params, init, disc) -> RingBuffer:
                            for j in range(hist.capacity)), float, hist.capacity)
     np.multiply.outer(factors, phi, out=hist.data)
     return hist
+
+
+def eager_push(buf: RingBuffer, row: np.ndarray) -> None:
+    """Push ``row`` and, when the buffer keeps norms, norm its slot at once."""
+    buf.head = (buf.head - 1) % buf.capacity
+    buf.pushed += 1
+    buf.data[buf.head] = row
+    if buf.norms is not None:
+        slot = buf.data[buf.head]
+        buf.norms[buf.head] = np.einsum("...i,...i->...", slot, slot)
+
+
+def eager_slot_norms(buf: RingBuffer, offsets: np.ndarray) -> np.ndarray:
+    """The norms ``eager_push`` kept for ``back(p)``, p in ``offsets``, batch axes first."""
+    return np.take(buf.norms.T, (buf.head + offsets) % buf.capacity, axis=-1)
+
+
+def eager_map_step(state, params, disc) -> None:
+    """One map step with every buffer formed afresh, the delay inputs read
+    through ``back`` and both fields checked for finiteness on their own."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = (solver._step_map(params, disc) if state.ks is None
+                  else solver._stacked_maps(params, disc, state.ks))
+        n_out, n_in = coeffs.shape[-2:]
+        nw = n_out // 3
+        x = state.work.get("map_rows")
+        if x is None or x.shape[0] != n_in:
+            x = state.work["map_rows"] = np.empty((n_in,) + state.u.shape)
+            state.work["map_in"] = x.reshape(n_in, -1, disc.nx).swapaxes(0, 1)
+        x[0] = state.u
+        x[1] = state.v
+        if state.q is not None:
+            x[2:nw] = state.q
+        if n_in > nw:
+            x[nw] = state.v_hist.back(disc.n_delay)
+            x[nw + 1] = state.v_hist.back(disc.n_delay - 1)
+        y = np.empty((3, nw) + state.u.shape)
+        np.matmul(coeffs, state.work["map_in"],
+                  out=y.reshape(n_out, -1, disc.nx).swapaxes(0, 1))
+        solver._add_second_difference(y[1], y[2])
+        solver._add_second_difference(y[0], y[1])
+        state.u = y[0, 0]
+        state.v = y[0, 1]
+        if state.q is not None:
+            state.q = y[0, 2:]
+    state.t += disc.dt
+    state.step_index += 1
+    if state.u_hist is not None:
+        eager_push(state.u_hist, state.u)
+    if state.v_hist is not None:
+        eager_push(state.v_hist, state.v)
+    if not (np.isfinite(state.u).all() and np.isfinite(state.v).all()):
+        finite = np.isfinite(state.u).all(axis=-1) & np.isfinite(state.v).all(axis=-1)
+        rows = np.flatnonzero(~finite).tolist()
+        raise NonFinite(state.step_index, None if state.ks is None else rows)
