@@ -87,6 +87,12 @@ class RunConfig:
         """The kernel validated at this config's own ``tail_tol``, once."""
         return validate_kernel(self.kernel, self.tail_tol)
 
+    @cached_property
+    def certificates(self) -> dict:
+        """The certificate ``_best_certificate`` formed at each (k, tau), kept
+        with the config, so a pickled config carries them to its worker."""
+        return {}
+
     def poincare(self) -> float:
         if self.c_poincare is not None:
             return self.c_poincare
@@ -133,6 +139,7 @@ def _get_number_list(doc: dict, key: str, above: float | None = None) -> list[fl
         _require(isinstance(v, (int, float)) and not isinstance(v, bool)
                  and (above is None or float(v) > above),
                  f"{key}[{i}]", message)
+        _require(math.isfinite(v), f"{key}[{i}]", "must be finite")
     return [float(v) for v in values]
 
 
@@ -334,20 +341,35 @@ def _write_table(path: Path, header: str, rows: np.ndarray, resolved: dict) -> N
 
 
 def _best_certificate(cfg: RunConfig, k: float, tau: float):
-    """Certificate report at |k| and delay ``tau``, best sigma over theta_values."""
+    """Certificate report at |k| and delay ``tau``, best sigma over theta_values
+    (the first best); None without a kernel or a theta above 1.  Formed once
+    per (k, tau) and kept in ``cfg.certificates``."""
     if cfg.kernel.is_empty:
         return None
-    thetas = cfg.theta_values or [cfg.theta]
-    best = None
-    for theta in thetas:
-        if theta <= 1.0:
-            continue
-        report = certificate.compute_constants(
-            _certificate_inputs(cfg, tau=tau, theta=theta, k=k)
-        )
-        if best is None or report.sigma > best.sigma:
-            best = report
-    return best
+    if (k, tau) not in cfg.certificates:
+        thetas = [theta for theta in cfg.theta_values or [cfg.theta] if theta > 1.0]
+        reports = [certificate.compute_constants(
+            _certificate_inputs(cfg, tau=tau, theta=theta, k=k)) for theta in thetas]
+        cfg.certificates[k, tau] = max(reports, key=lambda report: report.sigma, default=None)
+    return cfg.certificates[k, tau]
+
+
+def _preflight(cfg: RunConfig, command: str, ks: list[float]) -> solver.Discretization:
+    """The grid ``command`` runs ``ks`` on, after the refusals that need
+    neither a step nor an allocation: no horizon, a grid ``discretize``
+    refuses, damping too stiff for any k, a certificate that cannot be formed.
+
+    The certificate is formed at ``ks[0]`` only: its inputs depend on k
+    through its finiteness alone, which the parser has checked, so the
+    other rows' certificates form too.  It is kept on ``cfg`` for
+    ``_judge``.  Nothing is stepped or written.
+    """
+    if cfg.horizon is None:
+        raise ConfigError("T", f"{command} needs a horizon")
+    disc = cfg.discretize()
+    solver.refuse_stiff_damping(cfg.params(), disc, ks)
+    _best_certificate(cfg, ks[0], disc.tau)
+    return disc
 
 
 def _judge(cfg: RunConfig, trace: solver.Trace, k: float):
@@ -356,9 +378,10 @@ def _judge(cfg: RunConfig, trace: solver.Trace, k: float):
     An aborted run is ``growing``, with no fit and no envelope check: with
     stiff rates refused, only real growth outruns the float range.  Else
     the fit is None when too few samples survive.  The certificate (best
-    over theta at |k| and the snapped delay) is None without a kernel, and
-    the envelope is checked only in original mode with a certified |k| and
-    a positive certified rate.
+    over theta at |k| and the snapped delay, as ``_preflight`` formed it
+    for the first k) is None without a kernel, and the envelope is checked
+    only in original mode with a certified |k| and a positive certified
+    rate.  Nothing here raises once ``_preflight`` has passed.
     """
     cert = _best_certificate(cfg, k, trace.disc.tau)
     if trace.aborted_step is not None:
@@ -375,10 +398,11 @@ def _judge(cfg: RunConfig, trace: solver.Trace, k: float):
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
-    if cfg.horizon is None:
-        raise ConfigError("T", "simulate needs a horizon")
+    """Run ``cfg`` once and write energy.csv, report.json, energy.svg (and
+    snapshots.csv); a refusal by ``_preflight`` or by the run's set-up
+    writes nothing."""
+    disc = _preflight(cfg, "simulate", [cfg.k])
     params = cfg.params()
-    disc = cfg.discretize()
     resolved = resolved_config(cfg, disc, seed)
     trace = solver.run(params, cfg.init, disc, cfg.horizon,
                        sample_every=cfg.sample_every, snapshots=cfg.snapshots)
@@ -440,12 +464,8 @@ def _error_row(k: float, err: Exception) -> analysis.SweepRow:
 
 def _sweep_row(cfg: RunConfig, trace: solver.Trace, k: float) -> analysis.SweepRow:
     """One row's verdict from its trace, as ``_judge`` gives it; an aborted
-    row keeps its abort step as error text, and a failure to judge a row
-    makes it an error row."""
-    try:
-        fit, classification, cert, theorem = _judge(cfg, trace, k)
-    except Exception as err:  # per-row failures recorded, sweep continues
-        return _error_row(k, err)
+    row keeps its abort step as error text."""
+    fit, classification, cert, theorem = _judge(cfg, trace, k)
     return analysis.SweepRow(
         k=k,
         sigma_emp=math.nan if fit is None else fit.sigma_emp,
@@ -492,15 +512,14 @@ def _sweep_batches(ks: list[float], jobs: int) -> list[list[float]]:
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
+    """Run every k of ``cfg`` on the one grid ``_preflight`` builds (it does
+    not depend on k) and write sweep.csv, a row per k; a refusal by
+    ``_preflight`` refuses the whole sweep and writes nothing.  Only a batch
+    whose run fails makes error rows."""
     if cfg.k_values is None:
         raise ConfigError("k_values", "sweep needs k_values or (k_min, k_max, count)")
-    if cfg.horizon is None:
-        raise ConfigError("T", "sweep needs a horizon")
     ks = sorted(cfg.k_values)
-    # a refused discretization (e.g. a stiff kernel) or damping fails before
-    # any stepping; the grid does not depend on k, so every row runs on this one
-    disc = cfg.discretize()
-    solver.refuse_stiff_damping(cfg.params(), disc, ks)
+    disc = _preflight(cfg, "sweep", ks)
     resolved = resolved_config(cfg, disc, seed)
     batches = _sweep_batches(ks, jobs)
     workers = min(jobs, len(batches))
@@ -572,8 +591,7 @@ def _check_wave_convergence() -> tuple[str, list[str]]:
 
 def _check_dissipativity(seed: int) -> tuple[str, list[str]]:
     kernel = MemoryKernel.from_terms([(1.0, 2.0)])
-    params = solver.ModelParams(tau=1.0, k=0.0, theta=2.0, kernel=kernel,
-                                memory_realization="eta_grid")
+    params = solver.ModelParams(tau=1.0, k=0.0, theta=2.0, kernel=kernel)
     disc = solver.discretize(params, nx=40, ns=24)
     report = solver.dissipativity_spot_check(params, disc, trials=8,
                                              c_shift=1e-8, seed=seed)

@@ -96,7 +96,7 @@ def integral_x(values_full: np.ndarray, dx: float) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=solver_mod.GRID_CACHE_SIZE)
 def _delay_weights(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slot offsets 0..n_delay, trapezoid weights and e^{-s} at s = offset * dt.
 
@@ -114,7 +114,7 @@ def _delay_weights(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.nda
     return offsets, w, decay
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=solver_mod.GRID_CACHE_SIZE)
 def _delay_coefficient(theta: float, tau: float,
                        k: float | tuple[float, ...]) -> tuple[np.ndarray, np.ndarray | None]:
     """The delay term's factor 0.5 * theta |k| e^tau per batch row (``k`` a

@@ -110,6 +110,10 @@ RK4_REAL_AXIS_LIMIT = 2.785
 ETA_GRID_COURANT_LIMIT = 1.5
 # the largest history frequency whose square (in the memory weights) is finite
 OMEGA_MAX = math.sqrt(sys.float_info.max)
+# entries of each per-grid table cache (``_step_map``, ``_kernel_on_grid``, ...):
+# a run reads one, and a grid is keyed by identity, so more would only keep
+# finished runs' grids alive
+GRID_CACHE_SIZE = 2
 
 T = TypeVar("T")
 
@@ -423,7 +427,10 @@ class RingBuffer:
     that will see ``steps`` pushes needs no more than ``steps`` slots.
     ``_rows`` is the one gather of such reads, stored slots up to the first
     read past the pushes and the past from there on; ``back_interp_rows``
-    interpolates between two, at neighbour offsets its caller fixes.
+    interpolates between two, at neighbour offsets its caller fixes.  On
+    such a buffer a read ``capacity <= p < pushed`` raises ``SolverError``:
+    its slot has been overwritten.  A buffer with no past reads by
+    wrap-around (the delay line reads slots ``n_delay`` and ``n_delay - 1``).
 
     After ``keep_norms()`` the buffer also holds each slot's squared norm
     per batch row in ``norms`` (shape (capacity,) + batch, indexed like
@@ -475,10 +482,18 @@ class RingBuffer:
         # one IEEE multiply per entry, as a stored factor * phi row had
         return np.multiply.outer(self.factor(ages), self.past)
 
+    def _refuse_overwritten(self, steps: int) -> None:
+        raise SolverError(f"history offset {steps} is past the {self.capacity} slots of a "
+                          f"buffer with {self.pushed} pushes: that slot was overwritten; "
+                          "build the state with steps at least the steps it takes")
+
     def back(self, steps: int) -> np.ndarray:
-        if self.past is not None and steps >= self.pushed:
-            row = self._past_rows(np.array([steps - self.pushed]))[0]
-            return np.broadcast_to(row, self.data.shape[1:])
+        if self.past is not None:
+            if steps >= self.pushed:
+                row = self._past_rows(np.array([steps - self.pushed]))[0]
+                return np.broadcast_to(row, self.data.shape[1:])
+            if steps >= self.capacity:
+                self._refuse_overwritten(steps)
         return self.data[(self.head + steps) % self.capacity]
 
     def back_interp(self, steps: float) -> np.ndarray:
@@ -513,6 +528,8 @@ class RingBuffer:
         the stored slots up to the first p that reaches back past the pushes,
         the past from there on."""
         n = j.size if self.past is None else int(np.searchsorted(j, self.pushed))
+        if self.past is not None and n and j[n - 1] >= self.capacity:
+            self._refuse_overwritten(int(j[n - 1]))
         self.data.take((self.head + j[:n]) % self.capacity, axis=0, out=out[:n])
         if n < j.size:
             out[n:] = self._past_rows(j[n:] - self.pushed)
@@ -696,7 +713,7 @@ class KernelOnGrid:
     w_mu_prime: np.ndarray  # w_j mu'(s_j), the memory identity's mu' moment
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _kernel_on_grid(kernel: MemoryKernel, disc: Discretization) -> KernelOnGrid:
     """Kernel values for ``disc``'s s-grid, evaluated once per (kernel, grid).
 
@@ -790,7 +807,7 @@ def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
         state.q = mem
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _step_map(params: ModelParams, disc: Discretization) -> np.ndarray:
     """One RK4 step without eta or z fields, as the map C0 + C1 L + C2 L^2.
 
@@ -831,7 +848,7 @@ def _step_map(params: ModelParams, disc: Discretization) -> np.ndarray:
     return coeffs
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _stacked_maps(params: ModelParams, disc: Discretization,
                   ks: tuple[float, ...]) -> np.ndarray:
     """``_step_map`` of each row k in ``ks``, stacked, shape (R, 3 (2 + m), n_in).
@@ -940,7 +957,7 @@ def delayed_velocity(state: SimState, params: ModelParams,
     return _delayed(params, disc, state, state.v, state.z_rho, 0.0)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _node_steps(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where eta's row j reads the displacement history, s_j / dt steps back:
     (newer, older, frac) = (floor, floor + 1 or floor itself at a whole

@@ -31,9 +31,9 @@ def _nice_x_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return ticks
 
 
-def render_log_plot(series, title: str, xlabel: str = "t",
-                    ylabel: str = "energy", comment: str = "") -> str:
-    """Render (x, y, label) series as a log-y SVG document string.
+def render_log_plot(series, title: str, comment: str = "") -> str:
+    """Render (x, y, label) series as a log-y SVG document string, the x
+    axis labelled "t" and the y axis "energy".
 
     Nonpositive y-values are dropped (they cannot appear on a log axis).
     """
@@ -125,12 +125,12 @@ def render_log_plot(series, title: str, xlabel: str = "t",
     )
     parts.append(
         f'<text x="{(px0 + px1) / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+        'font-family="sans-serif" font-size="12">t</text>'
     )
     parts.append(
         f'<text x="16" y="{(py0 + py1) / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {(py0 + py1) / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {(py0 + py1) / 2:.1f})">energy</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts)

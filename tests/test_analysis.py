@@ -238,3 +238,18 @@ def test_memory_identity_pinned(case):
     assert res.n_snapshots == 33
     np.testing.assert_allclose((res.residual, res.lhs, res.rhs), PINNED_IDENTITY[case],
                                rtol=1e-12, atol=0.0)
+
+
+def test_integral_inequality_needs_two_samples():
+    with pytest.raises(InsufficientData, match="at least two samples"):
+        check_integral_inequality(synthetic_trace([0.0], [1.0]), c_big=10.0)
+
+
+def test_memory_identity_needs_three_snapshots_in_its_window():
+    params = ModelParams(kernel=KERNEL)
+    disc = discretize(params, nx=20, ns=16)
+    trace = run(params, InitialData(), disc, 1.0, sample_every=40, snapshots=True)
+    assert len(trace.snapshots) > 3
+    t = [snap.t for snap in trace.snapshots]
+    with pytest.raises(SnapshotsMissing, match="only 2 snapshots inside"):
+        check_memory_identity(trace, t[1], t[2])

@@ -9,6 +9,7 @@ import pytest
 
 from viscodelay import certificate
 from viscodelay.cli import ENERGY_HEADER, SWEEP_HEADER, ConfigError, main, parse_config
+from viscodelay.cli import load_config
 
 WORKED_KERNEL = {"terms": [{"a": 1.0, "b": 2.0}]}
 
@@ -778,6 +779,9 @@ def test_certificate_json_keys(tmp_path):
     ({"k_values": []}, 'k_values: expected a non-empty list of numbers'),
     ({"theta_values": [1.0]}, 'theta_values[0]: expected a number > 1'),
     ({"foo": 1}, "config: unknown keys ['foo']"),
+    ({"k_values": [0.01, float("inf")]}, 'k_values[1]: must be finite'),
+    ({"k_values": [float("nan")]}, 'k_values[0]: must be finite'),
+    ({"theta_values": [2.0, float("inf")]}, 'theta_values[1]: must be finite'),
 ])
 def test_config_error_messages(doc, message):
     # each key's check, as the one table of keys drives it; a choice that is
@@ -832,3 +836,80 @@ def test_sweep_header_and_report_sub_keys_are_pinned(tmp_path):
                                               "sigma"}
     assert set(auxiliary["dissipation"]) == {"passed", "max_increment", "max_violation",
                                              "increment_tol", "violation_tol"}
+
+
+# -- the pre-flight: refusals before the first step --------------------------------
+
+# theta e^tau overflows, so no certificate can be formed at any k
+UNCERTIFIABLE = {"kernel": WORKED_KERNEL, "nx": 40, "tau": 1.0, "k": 0.001, "theta": 1e308,
+                 "T": 5.0, "sample_every": 10, "k_values": [0.001, 0.002, 0.5]}
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--jobs", "1"],
+                                     ["sweep", "--jobs", "2"]])
+def test_uncertifiable_config_refused_before_stepping(tmp_path, capsys, monkeypatch, command):
+    from viscodelay import solver
+
+    steps = []
+    original = solver.step
+    monkeypatch.setattr(solver, "step", lambda *args: steps.append(1) or original(*args))
+    cfg = write_config(tmp_path, UNCERTIFIABLE)
+    out = tmp_path / "out"
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "theta * e^tau must be at most 1.79769e+308" in err
+    assert not out.exists()
+    assert steps == []
+
+
+def test_simulate_forms_its_certificate_once(tmp_path, monkeypatch):
+    from viscodelay import cli
+
+    calls = []
+    inputs = cli._certificate_inputs
+    monkeypatch.setattr(cli, "_certificate_inputs",
+                        lambda cfg, **kwargs: calls.append(kwargs) or inputs(cfg, **kwargs))
+    cfg = write_config(tmp_path, simulate_config(T=1.0, theta_values=[1.5, 3.0]))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert [call["theta"] for call in calls] == [1.5, 3.0]
+
+
+def test_non_finite_k_value_refused_before_any_row(tmp_path, capsys):
+    # JSON's Infinity reaches the parser as a float
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(sweep_config(k_values=[0.01, math.inf])))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: k_values[1]: must be finite\n"
+    assert not out.exists()
+
+
+def test_unreadable_config_refused(tmp_path):
+    with pytest.raises(ConfigError, match="config: cannot read"):
+        load_config(tmp_path / "missing.json")
+    with pytest.raises(ConfigError, match="config: cannot read"):
+        load_config(tmp_path)  # a directory
+
+
+def test_invalid_json_config_refused(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"nx": 20,')
+    with pytest.raises(ConfigError, match="config: invalid JSON in"):
+        load_config(path)
+
+
+def test_certify_without_a_kernel_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path, certify_config(0.0, kernel={"terms": []}))
+    out = tmp_path / "out"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+    assert "kernel.terms: certification needs a non-empty memory kernel" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_without_horizon_refused(tmp_path, capsys):
+    doc = sweep_config()
+    del doc["T"]
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: T: sweep needs a horizon\n"
+    assert not out.exists()

@@ -21,6 +21,7 @@ from viscodelay.kernel import MemoryKernel, quadrature_weights
 from viscodelay.solver import (
     InitialData,
     ModelParams,
+    SolverError,
     build,
     discretize,
     eta_field,
@@ -129,6 +130,30 @@ def test_whole_step_node_ignores_inf_in_pushed_next_slot():
         eta = eta_field(state, params, disc)
     assert np.isfinite(eta).all()
     assert np.array_equal(eta, eta_field_rows(state, params, disc))
+
+
+@pytest.mark.parametrize("history", sorted(HISTORIES))
+def test_read_of_an_overwritten_slot_refused(history):
+    # a history built for 5 steps and stepped 12 times: eta's second node,
+    # about 8.6 steps back, falls on a stored slot that a later push overwrote
+    params = ModelParams(kernel=MemoryKernel.from_terms([(1.0, 2.0)]))
+    disc = discretize(params, nx=20)
+    state = build(params, HISTORIES[history], disc, steps=5)
+    for _ in range(12):
+        step(state, params, disc)
+    hist = state.u_hist
+    newer = disc.s_nodes[1:] / disc.dt
+    assert hist.capacity <= np.floor(newer[1]) < hist.pushed == 12
+    message = r"history offset \d+ is past the 5 slots of a buffer with 12 pushes"
+    with pytest.raises(SolverError, match=message):
+        eta_field(state, params, disc)
+    with pytest.raises(SolverError, match=message):
+        sample_state(state, params, disc)
+    with pytest.raises(SolverError, match="history offset 8 is past the 5 slots"):
+        hist.back(8)
+    # the slots still held, and the past beyond the pushes, read as before
+    assert np.array_equal(hist.back(4), hist.data[(hist.head + 4) % 5])
+    assert np.isfinite(hist.back(12)).all()
 
 
 # VmHWM is the peak resident size of the probe's own address space;

@@ -448,3 +448,46 @@ def test_initial_data_validation():
         InitialData(shape="gaussian", width=0.0)
     with pytest.raises(ValueError):
         InitialData(history="bad")
+
+
+# -- refusals of malformed calls ---------------------------------------------------
+
+def test_model_params_refuse_non_finite_k():
+    with pytest.raises(ValueError, match="k must be finite"):
+        ModelParams(k=math.inf)
+
+
+def test_geometric_grid_refuses_too_few_nodes_and_no_span():
+    with pytest.raises(ValueError, match="ns must be at least 2"):
+        geometric_s_grid(1.0, 1, 0.1)
+    with pytest.raises(ValueError, match="s_max must be positive"):
+        geometric_s_grid(0.0, 8, 0.1)
+
+
+def test_discretize_refuses_fewer_than_three_points():
+    with pytest.raises(ValueError, match="nx must be at least 3"):
+        discretize(ModelParams(), nx=2)
+
+
+def test_build_refuses_a_delay_grid_without_a_delay():
+    disc = discretize(ModelParams(tau=0.5), nx=20)
+    with pytest.raises(DelayUnresolvable, match="params.tau is 0"):
+        build(ModelParams(), InitialData(), disc)
+
+
+@pytest.mark.parametrize("realization", [{"memory_realization": "eta_grid"},
+                                         {"delay_realization": "rho_grid"}])
+def test_build_refuses_a_batch_on_a_grid_realization(realization):
+    params = ModelParams(tau=0.2, kernel=KERNEL, **realization)
+    disc = discretize(params, nx=20, ns=16)
+    with pytest.raises(ValueError, match="step one row at a time"):
+        build(params, InitialData(), disc, ks=[0.0, 0.1])
+
+
+def test_run_refuses_a_negative_horizon_and_batch_snapshots():
+    params = ModelParams(kernel=KERNEL)
+    disc = discretize(params, nx=20, ns=16)
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        run(params, InitialData(), disc, -1.0)
+    with pytest.raises(ValueError, match="solo runs only"):
+        run(params, InitialData(), disc, 0.1, snapshots=True, ks=[0.0, 0.1])
