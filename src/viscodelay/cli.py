@@ -99,9 +99,23 @@ class RunConfig:
         return certificate.poincare_constant_interval(self.length)
 
 
+# the largest integer the parser accepts: a count that sizes an array must
+# be a numpy index
+INDEX_MAX = int(np.iinfo(np.intp).max)
+
+
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(path, message)
+
+
+def _as_float(value: int | float, where: str) -> float:
+    """``float(value)``; an integer literal past the double range is refused
+    (JSON's 1e400 parses as inf, but a 400-digit integer stays an int)."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(where, f"must be at most {sys.float_info.max:g} in magnitude") from None
 
 
 def _get(doc: dict, key: str, path: str, kind, bound=None):
@@ -119,10 +133,11 @@ def _get(doc: dict, key: str, path: str, kind, bound=None):
     elif kind == "integer":
         _require(isinstance(value, int) and not isinstance(value, bool),
                  where, f"expected an integer, got {value!r}")
+        _require(value <= INDEX_MAX, where, f"must be at most {INDEX_MAX}")
     else:
         _require(isinstance(value, (int, float)) and not isinstance(value, bool),
                  where, f"expected a number, got {value!r}")
-        value = float(value)
+        value = _as_float(value, where)
         _require(math.isfinite(value), where, "must be finite")
     if bound is not None:
         op, lo = bound
@@ -135,12 +150,15 @@ def _get_number_list(doc: dict, key: str, above: float | None = None) -> list[fl
     _require(isinstance(values, list) and values, key,
              "expected a non-empty list of numbers")
     message = "expected a number" if above is None else f"expected a number > {above:g}"
+    parsed = []
     for i, v in enumerate(values):
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                 and (above is None or float(v) > above),
-                 f"{key}[{i}]", message)
-        _require(math.isfinite(v), f"{key}[{i}]", "must be finite")
-    return [float(v) for v in values]
+        where = f"{key}[{i}]"
+        _require(isinstance(v, (int, float)) and not isinstance(v, bool), where, message)
+        v = _as_float(v, where)
+        _require(above is None or v > above, where, message)
+        _require(math.isfinite(v), where, "must be finite")
+        parsed.append(v)
+    return parsed
 
 
 def _parse_kernel(doc, path: str) -> MemoryKernel:
@@ -162,7 +180,7 @@ def _parse_kernel(doc, path: str) -> MemoryKernel:
                  f"{tpath}.a", "expected a number")
         _require(isinstance(b, (int, float)) and not isinstance(b, bool),
                  f"{tpath}.b", "expected a number")
-        pairs.append((float(a), float(b)))
+        pairs.append((_as_float(a, f"{tpath}.a"), _as_float(b, f"{tpath}.b")))
     return MemoryKernel.from_terms(pairs)
 
 

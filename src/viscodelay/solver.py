@@ -50,14 +50,22 @@ with ``prony_modes`` memory and the ring-buffer delay (or none) one step is
 a fixed map C0 + C1 L + C2 L^2 acting on [u; v; q; two delay-line rows].
 ``_step_map`` obtains its small scalar coefficient matrices once per
 (params, grid) by running the stage loop ``_step_by_stages`` on fields that
-are polynomials in L, and ``step`` applies the map with one matmul and two
-second differences.  The buffers it works in are a plan the state keeps
-while its map is the same object (``_map_plan``), so the only field memory
-a step allocates is the block [u; v; q] it hands out, and one finiteness check of that block's
-u and v rows follows.  The velocity ring buffer norms its slots when the
-energy reads them, not on push.  The ``eta_grid`` and ``rho_grid``
-realizations carry (ns - 1) or n_delay extra field rows and run the stage
-loop on the fields themselves, which is also the reference the map is
+are polynomials in L.  A call of ``step`` makes any number of steps, and
+``run`` makes one per sample interval: the map and the plan of buffers the
+state keeps for it (``_map_plan``) are looked up once per call.  A map step
+(``_step_by_map``) is one matmul and a Horner second difference per level,
+on rows nx + 2 wide whose end columns are the Dirichlet zeros, so each
+neighbour comes in by one flat add over a contiguous block; every interior
+entry gets the additions of the unpadded form, in its order.  The only
+field memory a step allocates is the padded block [u; v; q] it hands out,
+of which ``state.u``, ``state.v`` and ``state.q`` are interior views.  One
+sum of squares over the block's u and v rows checks finiteness; a per-row
+check runs only when that sum is not finite, by a non-finite entry or by
+overflow, and decides.  The
+velocity ring buffer norms its slots when the energy reads them, not on
+push.  The ``eta_grid`` and ``rho_grid`` realizations carry (ns - 1) or
+n_delay extra field rows and run the stage loop on the fields themselves,
+in the same loop of ``step``; that loop is also the reference the map is
 tested against.
 """
 
@@ -439,7 +447,7 @@ class RingBuffer:
     few hundred steps norms a slot once per sample at most, not per push.
     """
 
-    __slots__ = ("data", "head", "norms", "normed", "pushed", "past", "factor")
+    __slots__ = ("data", "capacity", "head", "norms", "normed", "pushed", "past", "factor")
 
     def __init__(self, capacity: int, row_shape: int | tuple[int, ...],
                  past: np.ndarray | None = None,
@@ -447,16 +455,13 @@ class RingBuffer:
         if isinstance(row_shape, int):
             row_shape = (row_shape,)
         self.data = np.zeros((capacity, *row_shape))
+        self.capacity = capacity
         self.head = 0
         self.norms = None
         self.normed = 0  # ``pushed`` when ``norms`` was last brought up to date
         self.pushed = 0
         self.past = past
         self.factor = factor
-
-    @property
-    def capacity(self) -> int:
-        return self.data.shape[0]
 
     @property
     def nbytes(self) -> int:
@@ -785,8 +790,9 @@ def _rhs(params: ModelParams, disc: Discretization, state: SimState | None,
 
 
 def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
-                    lap: Callable[[np.ndarray, float], np.ndarray] = laplacian) -> None:
-    """One step of the classical RK4 tableau on (u, v, mem, z), by four ``_rhs`` stages.
+                    lap: Callable[[np.ndarray, float], np.ndarray] = laplacian) -> np.ndarray:
+    """One step of the classical RK4 tableau on (u, v, mem, z), by four ``_rhs`` stages;
+    returns the new u and v, stacked, for ``step``'s finiteness check.
 
     The path of the evolved eta and z fields, and how ``_step_map`` is built.
     """
@@ -805,6 +811,7 @@ def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
         state.eta = mem
     else:
         state.q = mem
+    return np.stack((state.u, state.v))
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -866,88 +873,124 @@ def _stacked_maps(params: ModelParams, disc: Discretization,
 
 def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization) -> tuple:
     """The memory a state's map steps reuse while ``coeffs`` is their map,
-    none of it handed out: ``coeffs`` itself; the input rows X, each shaped
-    like u; X as the matmul reads it, (R, n_in, nx); the products C0 X,
-    C1 X, C2 X, (3, nw) + u.shape, as the matmul writes them, (R, 3 nw, nx);
-    the 2 w of a second difference; each product; and the views of C1 X
-    and C2 X that the inner Horner level adds at shifted positions.
+    none of it handed out.
+
+    Every row is nx + 2 wide, its end columns the Dirichlet zeros, so a
+    second difference adds each neighbour by one flat add over a whole
+    contiguous block.  The plan holds ``coeffs``; the interior views of X
+    that the fields and the delay inputs are copied into; the delay line's
+    slots, its capacity and n_delay; X as the matmul reads it,
+    (R, n_in, nx + 2); the products C0 X, C1 X, C2 X as it writes them,
+    (R, 3 nw, nx + 2); the 2 w of a second difference; the three products
+    flat, and C1 X and C2 X shifted by one entry either way; the end
+    columns of C1 X and C2 X; the shape of the block [u; v; q] a step hands
+    out, and the size of its u and v rows.
     """
     n_out, n_in = coeffs.shape[-2:]
-    x = np.empty((n_in,) + state.u.shape)
-    products = np.empty((3, n_out // 3) + state.u.shape)
-    c0, c1, c2 = products
-    return (coeffs, x, x.reshape(n_in, -1, disc.nx).swapaxes(0, 1),
-            products.reshape(n_out, -1, disc.nx).swapaxes(0, 1), np.empty(c1.shape),
-            c0, c1, c2, c1[..., 1:], c1[..., :-1], c2[..., :-1], c2[..., 1:])
+    nw = n_out // 3
+    width = disc.nx + 2
+    x = np.full((n_in,) + state.u.shape[:-1] + (width,), -0.0)
+    inner = x[..., 1:-1]
+    products = np.empty((3, nw) + x.shape[1:])
+    c0, c1, c2 = (block.reshape(-1) for block in products)
+    delayed = n_in > nw
+    hist = state.v_hist
+    return (coeffs, inner[0], inner[1], inner[2:nw] if nw > 2 else None,
+            inner[nw] if delayed else None, inner[nw + 1] if delayed else None,
+            hist.data if delayed else None, hist.capacity if delayed else 0, disc.n_delay,
+            x.reshape(n_in, -1, width).swapaxes(0, 1),
+            products.reshape(n_out, -1, width).swapaxes(0, 1), np.empty(c1.shape),
+            c0, c1, c2, c1[1:], c1[:-1], c2[:-1], c2[1:],
+            products[1, ..., ::width - 1], products[2, ..., ::width - 1],
+            products.shape[1:], 2 * c0.size // nw)
 
 
-def _step_by_map(state: SimState, params: ModelParams, disc: Discretization) -> np.ndarray:
-    """One map step; returns the fresh block [u; v; q] whose rows the state now holds."""
+def _plan_map(state: SimState, params: ModelParams, disc: Discretization) -> None:
+    """Look up the state's map and keep its plan in ``state.work``, where
+    ``_step_by_map`` reads it: once per call of ``step``."""
     # a solo state steps as a batch of one, R = 1, its map broadcast over it
     coeffs = (_step_map(params, disc) if state.ks is None
               else _stacked_maps(params, disc, state.ks))
     plan = state.work.get("map_plan")
     if plan is None or plan[0] is not coeffs:
-        plan = state.work["map_plan"] = _map_plan(coeffs, state, disc)
-    _, x, x_in, products, twice, c0, c1, c2, c1_hi, c1_lo, c2_lo, c2_hi = plan
-    nw = c0.shape[0]
-    x[0] = state.u
-    x[1] = state.v
-    if state.q is not None:
-        x[2:nw] = state.q
-    if x.shape[0] > nw:
+        state.work["map_plan"] = _map_plan(coeffs, state, disc)
+
+
+def _step_by_map(state: SimState, params: ModelParams, disc: Discretization) -> np.ndarray:
+    """One map step by the plan ``_plan_map`` keeps; the state's fields
+    become rows of a fresh block [u; v; q], and its u and v rows are
+    returned flat, end columns included.  It takes the arguments of
+    ``_step_by_stages``, so ``step`` calls either alike; the plan already
+    holds what it needs of ``params`` and ``disc``."""
+    (coeffs, x_u, x_v, x_q, x_old, x_new, slots, capacity, n_delay, x_in, products, twice,
+     c0, c1, c2, c1_hi, c1_lo, c2_lo, c2_hi, c1_ends, c2_ends, shape, uv) = state.work["map_plan"]
+    x_u[...] = state.u
+    x_v[...] = state.v
+    if x_q is not None:
+        x_q[...] = state.q
+    if x_old is not None:
         # the delay inputs v(t - tau), v(t - tau + dt): slots n_delay, n_delay - 1
-        hist = state.v_hist
-        oldest = hist.head + disc.n_delay
-        x[nw] = hist.data[oldest % hist.capacity]
-        x[nw + 1] = hist.data[(oldest - 1) % hist.capacity]
-    # each row's X multiplied by its own map
+        oldest = state.v_hist.head + n_delay
+        x_old[...] = slots[oldest % capacity]
+        x_new[...] = slots[(oldest - 1) % capacity]
+    # each row's X multiplied by its own map; a column of X reaches only the
+    # same column of the products, so the end columns of X are never read
     np.matmul(coeffs, x_in, out=products)
     # Horner, C0 X + L (C1 X + L C2 X), each level (t - 2 w) + w[i-1] + w[i+1]
-    # as ``_add_second_difference`` forms it; the outer level writes a fresh
-    # block, so the fields handed out by earlier steps survive
+    # as ``_add_second_difference`` forms it.  The end columns a level adds
+    # are set to -0.0 first: -0.0 added to any double, -0.0 too, leaves it
+    # as no add at all would.  The outer level writes a fresh block, so the
+    # fields handed out by earlier steps survive; its end columns are not zeros.
+    c2_ends.fill(-0.0)
     np.subtract(c1, np.multiply(2.0, c2, out=twice), out=c1)
     np.add(c1_hi, c2_lo, out=c1_hi)
     np.add(c1_lo, c2_hi, out=c1_lo)
+    c1_ends.fill(-0.0)
     out = np.subtract(c0, np.multiply(2.0, c1, out=twice))
-    hi, lo = out[..., 1:], out[..., :-1]
+    hi, lo = out[1:], out[:-1]
     np.add(hi, c1_lo, out=hi)
     np.add(lo, c1_hi, out=lo)
-    state.u = out[0]
-    state.v = out[1]
-    if state.q is not None:
-        state.q = out[2:]
-    return out
+    block = out.reshape(shape)
+    state.u = block[0, ..., 1:-1]
+    state.v = block[1, ..., 1:-1]
+    if x_q is not None:
+        state.q = block[2:, ..., 1:-1]
+    return out[:uv]
 
 
-def step(state: SimState, params: ModelParams, disc: Discretization) -> SimState:
-    """Advance one dt by the classical 4-stage explicit scheme (in place).
+def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1) -> SimState:
+    """Advance ``n`` steps of dt by the classical 4-stage explicit scheme (in place).
 
-    A state with no evolved eta or z fields advances by ``_step_map``; the
-    ``eta_grid`` and ``rho_grid`` realizations run the four ``_rhs`` stages.
-    A non-finite u or v raises ``NonFinite`` after the step; for a batch it
-    names the rows that went non-finite, and the others have advanced.
+    A state with no evolved eta or z fields advances by ``_step_map``, which
+    is looked up once per call; the ``eta_grid`` and ``rho_grid``
+    realizations run the four ``_rhs`` stages.  Each step does the same
+    arithmetic whatever ``n`` is.  After each step a non-finite u or v
+    raises ``NonFinite`` at once, the state left at that step; for a batch
+    it names the rows that went non-finite, and the others have advanced.
     """
+    by_map = state.eta is None and state.z_rho is None
+    if by_map:
+        _plan_map(state, params, disc)
+    advance = _step_by_map if by_map else _step_by_stages
+    dt = disc.dt
+    u_hist, v_hist = state.u_hist, state.v_hist
     # a blowing-up state overflows to inf/nan and is caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        if state.eta is None and state.z_rho is None:
-            block = _step_by_map(state, params, disc)
-        else:
-            _step_by_stages(state, params, disc)
-            block = None
-
-    state.t += disc.dt
-    state.step_index += 1
-    if state.u_hist is not None:
-        state.u_hist.push(state.u)
-    if state.v_hist is not None:
-        state.v_hist.push(state.v)
-    # u and v are the block's first two rows: one check covers both
-    if not (np.isfinite(block[:2]).all() if block is not None
-            else np.isfinite(state.u).all() and np.isfinite(state.v).all()):
-        finite = np.isfinite(state.u).all(axis=-1) & np.isfinite(state.v).all(axis=-1)
-        rows = np.flatnonzero(~finite).tolist()
-        raise NonFinite(state.step_index, None if state.ks is None else rows)
+        for _ in range(n):
+            uv = advance(state, params, disc)
+            state.t += dt
+            state.step_index += 1
+            if u_hist is not None:
+                u_hist.push(state.u)
+            if v_hist is not None:
+                v_hist.push(state.v)
+            # the sum of squares of u and v is finite when every entry is,
+            # unless huge finite entries overflow it: the exact check decides
+            if not math.isfinite(np.vdot(uv, uv)):
+                finite = np.isfinite(state.u).all(axis=-1) & np.isfinite(state.v).all(axis=-1)
+                if not finite.all():
+                    rows = np.flatnonzero(~finite).tolist()
+                    raise NonFinite(state.step_index, None if state.ks is None else rows)
     return state
 
 
@@ -1122,16 +1165,19 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
     # per row: the step it aborted at, and how many samples it kept
     aborted = [None] * (1 if ks is None else len(ks))
     kept = [None] * len(aborted)
-    for n in range(1, n_steps + 1):
+    # one step call per sample interval, and one more to finish an interval
+    # where rows went non-finite and others live on
+    while state.step_index < n_steps:
+        end = min((state.step_index // sample_every + 1) * sample_every, n_steps)
         try:
-            step(state, params, disc)
+            step(state, params, disc, end - state.step_index)
         except NonFinite as err:
             for r in err.rows or [0]:
                 aborted[r], kept[r] = err.step_index, len(times)
             if None not in aborted:
                 break
             state.retire(err.rows)
-        if n % sample_every == 0 or n == n_steps:
+        if state.step_index == end:
             take_sample()
 
     cols = cols[:len(times)]

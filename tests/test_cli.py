@@ -884,6 +884,29 @@ def test_non_finite_k_value_refused_before_any_row(tmp_path, capsys):
     assert not out.exists()
 
 
+# a JSON integer literal stays a Python int however long: 401 digits are past
+# the double range, and 10**30 past numpy's index range
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"k": HUGE}, "k: must be at most 1.79769e+308 in magnitude"),
+    ({"k_values": [0.02, HUGE]}, "k_values[1]: must be at most 1.79769e+308 in magnitude"),
+    ({"nx": HUGE}, "nx: must be at most 9223372036854775807"),
+    ({"ns": 10 ** 30}, "ns: must be at most 9223372036854775807"),
+    ({"kernel": {"terms": [{"a": 1.0, "b": HUGE}]}},
+     "kernel.terms[0].b: must be at most 1.79769e+308 in magnitude"),
+    ({"theta_values": [HUGE]}, "theta_values[0]: must be at most 1.79769e+308 in magnitude"),
+], ids=["k", "k_values", "nx", "ns", "kernel-rate", "theta_values"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_integer_too_large_to_use_refused(tmp_path, capsys, command, extra, message):
+    cfg = write_config(tmp_path, sweep_config(**extra))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_unreadable_config_refused(tmp_path):
     with pytest.raises(ConfigError, match="config: cannot read"):
         load_config(tmp_path / "missing.json")

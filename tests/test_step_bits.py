@@ -4,16 +4,22 @@
 line's slots when they are read.  ``_oracles.eager_map_step`` is the step
 that formed every buffer afresh and normed each slot as it was pushed.
 Both step the same states through runs that wrap both ring buffers, and
-every field, stored slot and slot norm must be the same bits.
+every field, stored slot and slot norm must be the same bits.  A call of
+``step`` may make several steps, and ``run`` makes one call per sample
+interval: both keep the bits of single steps.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from viscodelay import solver
+from viscodelay.energy import sample_state
 from viscodelay.kernel import MemoryKernel
-from viscodelay.solver import InitialData, ModelParams, build, discretize, run, step
+from viscodelay.solver import (SAMPLE_TERMS, InitialData, ModelParams, NonFinite, build,
+                               discretize, run, step)
 
 from _oracles import eager_map_step, eager_slot_norms
 
@@ -111,3 +117,153 @@ def test_retired_row_keeps_the_live_rows_unread_norms():
             solo = run(replace(params, k=k), FROZEN, disc, 9.6, sample_every=7)
             assert np.array_equal(trace.delay_raw, solo.delay_raw), k
             assert np.array_equal(trace.total, solo.total), k
+
+
+def assert_same_bytes(state, ref):
+    """Every field and stored slot the same bytes, signs of zero and NaNs included."""
+    assert (state.t, state.step_index) == (ref.t, ref.step_index)
+    for name in ("u", "v", "q"):
+        a, b = getattr(state, name), getattr(ref, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    for name in ("u_hist", "v_hist"):
+        buf, ref_buf = getattr(state, name), getattr(ref, name)
+        assert (buf is None) == (ref_buf is None), name
+        if buf is not None:
+            assert (buf.head, buf.pushed) == (ref_buf.head, ref_buf.pushed), name
+            assert buf.data.tobytes() == ref_buf.data.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [1, 7, STEPS])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_call_of_n_steps_keeps_the_bits_of_n_eager_steps(case, n):
+    params, init, ks, k_stretches = CASES[case]
+    disc = discretize(params, nx=20, ns=16)
+    state = build(params, init, disc, ks=ks, steps=25)
+    ref = build(params, init, disc, ks=ks, steps=25)
+    # a call keeps one k, so it ends where a stretch does
+    stretch = STEPS if k_stretches is None else STEPS // len(k_stretches)
+    while state.step_index < STEPS:
+        if k_stretches is not None:
+            params = replace(params, k=k_stretches[state.step_index // stretch])
+        count = min(n, stretch - state.step_index % stretch)
+        step(state, params, disc, count)
+        for _ in range(count):
+            eager_map_step(ref, params, disc)
+        assert_same_bytes(state, ref)
+        assert_same_bits(state, ref, read_norms=True)
+
+
+# the k = -330 row of this batch goes non-finite at step 1482
+ABORTING = (ModelParams(tau=0.02, kernel=ONE_TERM), FROZEN, [0.5, -330.0, 0.2], 1482)
+
+
+def test_abort_inside_a_call_names_the_step_and_rows_of_single_steps():
+    params, init, ks, abort = ABORTING
+    disc = discretize(params, nx=40, ns=16)
+    single = build(params, init, disc, ks=ks)
+    with pytest.raises(NonFinite) as by_single:
+        for _ in range(2 * abort):
+            step(single, params, disc)
+    batched = build(params, init, disc, ks=ks)
+    with pytest.raises(NonFinite) as by_call:
+        step(batched, params, disc, 2 * abort)
+    assert (by_call.value.step_index, by_call.value.rows) == (abort, [1])
+    assert (by_single.value.step_index, by_single.value.rows) == (abort, [1])
+    assert_same_bytes(batched, single)
+
+
+@pytest.mark.parametrize("case", ["solo", "three-terms-batch"])
+def test_huge_finite_state_steps_on(case):
+    # |u| ~ 1e200: the squares overflow, every entry stays finite
+    params, init, ks, _ = CASES[case]
+    disc = discretize(params, nx=20, ns=16)
+    state = build(params, init, disc, ks=ks)
+    ref = build(params, init, disc, ks=ks)
+    for s in (state, ref):
+        s.u *= 1e200
+        s.q *= 1e200
+    step(state, params, disc, 5)
+    for _ in range(5):
+        eager_map_step(ref, params, disc)
+    assert_same_bytes(state, ref)
+    assert np.isfinite(state.u).all() and not math.isfinite(np.vdot(state.u, state.u))
+
+
+def hand_run(params, init, disc, horizon, sample_every, ks=None):
+    """``run`` by single steps: (times, samples (sample, term) + batch, aborted, kept)."""
+    n_steps = round(horizon / disc.dt)
+    state = build(params, init, disc, ks=ks, steps=n_steps)
+    aborted = [None] * (1 if ks is None else len(ks))
+    kept = [None] * len(aborted)
+    times, samples = [], []
+
+    def take_sample():
+        row = sample_state(state, params, disc)
+        samples.append([getattr(row, name) for name in SAMPLE_TERMS])
+        times.append(state.t)
+
+    take_sample()
+    for n in range(1, n_steps + 1):
+        try:
+            step(state, params, disc, 1)
+        except NonFinite as err:
+            for r in err.rows or [0]:
+                aborted[r], kept[r] = err.step_index, len(times)
+            if None not in aborted:
+                break
+            state.retire(err.rows)
+        if n % sample_every == 0 or n == n_steps:
+            take_sample()
+    return np.array(times), np.array(samples), aborted, kept
+
+
+def counted_calls(monkeypatch):
+    """The n of every ``solver.step`` call, as ``run`` passes it."""
+    calls = []
+    original = solver.step
+    monkeypatch.setattr(solver, "step", lambda *args: calls.append(args[3]) or original(*args))
+    return calls
+
+
+def interval_calls(n_steps, sample_every, abort=None):
+    """A call per sample interval, and one more after a mid-interval abort."""
+    calls = []
+    for start in range(0, n_steps, sample_every):
+        end = min(start + sample_every, n_steps)
+        calls.append(end - start)
+        if abort is not None and start < abort < end:
+            calls.append(end - abort)
+    return calls
+
+
+def test_solo_run_steps_an_interval_per_call_with_the_bits_of_single_steps(monkeypatch):
+    params, init, _, _ = CASES["three-terms"]
+    disc = discretize(params, nx=20, ns=16)
+    horizon = 60 * disc.dt
+    times, samples, aborted, _ = hand_run(params, init, disc, horizon, 7)
+    calls = counted_calls(monkeypatch)
+    trace = run(params, init, disc, horizon, sample_every=7)
+    assert calls == interval_calls(60, 7) == [7] * 8 + [4]
+    assert trace.aborted_step is None and aborted == [None]
+    assert trace.times.tobytes() == times.tobytes()
+    for i, name in enumerate(SAMPLE_TERMS):
+        assert getattr(trace, name).tobytes() == samples[:, i].tobytes(), name
+
+
+def test_batch_run_finishes_the_interval_of_an_abort_with_the_bits_of_single_steps(monkeypatch):
+    # the batch of test_retired_row_keeps_the_live_rows_unread_norms
+    params, init, ks, abort = ABORTING
+    disc = discretize(params, nx=40, ns=16)
+    times, samples, aborted, kept = hand_run(params, init, disc, 9.6, 7, ks)
+    assert aborted == [None, abort, None] and abort % 7 != 0
+    calls = counted_calls(monkeypatch)
+    batch = run(params, init, disc, 9.6, sample_every=7, ks=ks)
+    assert calls == interval_calls(round(9.6 / disc.dt), 7, abort)
+    for r, trace in enumerate(batch):
+        n = times.size if kept[r] is None else kept[r]
+        assert trace.aborted_step == aborted[r]
+        assert trace.times.tobytes() == times[:n].tobytes()
+        for i, name in enumerate(SAMPLE_TERMS):
+            assert getattr(trace, name).tobytes() == samples[:n, i, r].tobytes(), (r, name)
