@@ -15,7 +15,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from pathlib import Path
 
@@ -259,6 +259,9 @@ def parse_config(doc: dict) -> RunConfig:
         k_max = _get(doc, "k_max", "", "number")
         count = _get(doc, "count", "", "integer", (">=", 2))
         _require(k_max > k_min, "k_max", "must exceed k_min")
+        # np.empty is the probe: np.linspace fails with an IndexError near INDEX_MAX
+        solver._reserve(lambda: np.empty(count), (count,), (), "the sweep",
+                        f"count={count} values of k", "lower count", partial(ConfigError, "count"))
         cfg.k_values = [float(v) for v in np.linspace(k_min, k_max, count)]
     if "theta_values" in doc:
         cfg.theta_values = _get_number_list(doc, "theta_values", above=1.0)

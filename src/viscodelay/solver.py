@@ -43,30 +43,30 @@ state keeps (nx,) fields but steps and samples as a batch of one, on the
 same code.  Only the map path is batched; the grid realizations step one
 row at a time.
 
-Time stepping is the classical 4-stage explicit scheme applied to the one
-generator ``_rhs``, the only place the system is written down.  The system
-is linear and its only spatial operator is the Dirichlet Laplacian L, so
-with ``prony_modes`` memory and the ring-buffer delay (or none) one step is
-a fixed map C0 + C1 L + C2 L^2 acting on [u; v; q; two delay-line rows].
-``_step_map`` obtains its small scalar coefficient matrices once per
-(params, grid) by running the stage loop ``_step_by_stages`` on fields that
-are polynomials in L.  A call of ``step`` makes any number of steps, and
-``run`` makes one per sample interval: the map and the plan of buffers the
-state keeps for it (``_map_plan``) are looked up once per call.  A map step
-(``_step_by_map``) is one matmul and a Horner second difference per level,
-on rows nx + 2 wide whose end columns are the Dirichlet zeros, so each
-neighbour comes in by one flat add over a contiguous block; every interior
-entry gets the additions of the unpadded form, in its order.  The only
-field memory a step allocates is the padded block [u; v; q] it hands out,
-of which ``state.u``, ``state.v`` and ``state.q`` are interior views.  One
-sum of squares over the block's u and v rows checks finiteness; a per-row
-check runs only when that sum is not finite, by a non-finite entry or by
-overflow, and decides.  The
-velocity ring buffer norms its slots when the energy reads them, not on
-push.  The ``eta_grid`` and ``rho_grid`` realizations carry (ns - 1) or
-n_delay extra field rows and run the stage loop on the fields themselves,
-in the same loop of ``step``; that loop is also the reference the map is
-tested against.
+Time stepping is the classical 4-stage explicit scheme ``_rk4`` applied to
+the one generator ``_rhs``, the only place the system is written down; it
+reads no state, and ``_delay_stages`` forms its delayed velocity from two
+delay-line rows.  The system is linear and its only spatial operator is the
+Dirichlet Laplacian L, so with ``prony_modes`` memory and the ring-buffer
+delay (or none) one step is a fixed map C0 + C1 L + C2 L^2 acting on
+[u; v; q; two delay-line rows].  ``_step_map`` obtains its small scalar
+coefficient matrices once per (params, grid) by running ``_rk4`` on unit
+rows that are polynomials in L.  A call of ``step`` makes any number of
+steps, and ``run`` makes one per sample interval: the map and the plan of
+buffers the state keeps for it (``_map_plan``) are looked up once per call.
+A map step (``_step_by_map``) is one matmul and a Horner second difference
+per level, on rows nx + 2 wide whose end columns are the Dirichlet zeros, so
+each neighbour comes in by one flat add over a contiguous block; every
+interior entry gets the additions of the unpadded form, in its order.  The
+only field memory a step allocates is the padded block [u; v; q] it hands
+out, of which ``state.u``, ``state.v`` and ``state.q`` are interior views.
+One sum of squares over the block's u and v rows checks finiteness; a
+per-row check runs only when that sum is not finite, by a non-finite entry
+or by overflow, and decides.  The velocity ring buffer norms its slots when
+the energy reads them, not on push.  The ``eta_grid`` and ``rho_grid``
+realizations carry (ns - 1) or n_delay extra field rows and run ``_rk4`` on
+the fields themselves, in the same loop of ``step``; that path is also the
+reference the map is tested against.
 """
 
 from __future__ import annotations
@@ -405,7 +405,7 @@ class InitialData:
 
 
 def _reserve(make: Callable[[], T], shape: tuple[int, ...], batch: tuple[int, ...],
-             what: str, dims: str, remedy: str, error: type[SolverError]) -> T:
+             what: str, dims: str, remedy: str, error: Callable[[str], Exception]) -> T:
     """``make()``, which allocates an array of ``shape`` doubles, or ``error``
     saying that ``what`` needs ``dims`` (and the R > 1 rows of ``batch``) =
     its bytes, which cannot be allocated, and ``remedy``.
@@ -646,7 +646,8 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
         raise ValueError("the eta_grid and rho_grid realizations step one row at a time")
     refuse_stiff_damping(params, disc, ks)
     batch = () if ks is None else (len(ks),)
-    x = disc.x_interior()
+    x = _reserve(disc.x_interior, (disc.nx,), (), "the grid", f"nx={disc.nx} points",
+                 "coarsen the grid", SolverError)
     phi = init.profile(x, params.length)
     u = np.broadcast_to(phi, batch + phi.shape).copy()
     v = u * init.history_rate(0.0)
@@ -734,25 +735,15 @@ def _kernel_on_grid(kernel: MemoryKernel, disc: Discretization) -> KernelOnGrid:
     return tables
 
 
-def _delayed(params: ModelParams, disc: Discretization, state: SimState | None,
-             v: np.ndarray, z, c: float) -> np.ndarray:
-    """Delayed velocity z(., 1, t + c dt) for stage velocity v and delay field z."""
-    if disc.n_delay == 0:
-        return v
-    if params.delay_realization == "ring_buffer":
-        return state.v_hist.back_interp(disc.n_delay - c)
-    return z[-1]
-
-
-def _rhs(params: ModelParams, disc: Discretization, state: SimState | None,
-         u: np.ndarray, v: np.ndarray, mem, z, c: float,
+def _rhs(params: ModelParams, disc: Discretization, u: np.ndarray, v: np.ndarray,
+         mem, z, vd: np.ndarray | None,
          lap: Callable[[np.ndarray, float], np.ndarray] = laplacian):
-    """Stage derivative of (u, v, mem, z) at stage offset c in [0, 1].
+    """Stage derivative of (u, v, mem, z) given the stage's delayed velocity
+    ``vd``, None where v (tau = 0) or z[-1] (``rho_grid``) is z(., 1).
 
-    This is the one definition of the semi-discrete generator: ``step``
-    integrates it, ``_step_map`` runs it on polynomial fields with its own
-    ``lap``, and ``dissipativity_spot_check`` takes its Rayleigh quotient.
-    ``state`` is read only for the velocity ring buffer.
+    The one definition of the semi-discrete generator, reading no state:
+    ``_rk4`` integrates it, ``_step_map`` runs it on polynomial fields with
+    its own ``lap``, and ``dissipativity_spot_check`` takes its Rayleigh quotient.
     """
     if mem is None:
         dv = lap(u, disc.dx)
@@ -773,7 +764,7 @@ def _rhs(params: ModelParams, disc: Discretization, state: SimState | None,
         dmem = v[None, :] - upwind / gaps[:, None]
 
     if params.k != 0.0:
-        dv = dv - params.k * _delayed(params, disc, state, v, z, c)
+        dv = dv - params.k * (vd if vd is not None else (v if z is None else z[-1]))
     damp = extra_damping(params, disc)
     if damp != 0.0:
         dv = dv - damp * v
@@ -789,24 +780,35 @@ def _rhs(params: ModelParams, disc: Discretization, state: SimState | None,
     return v, dv, dmem, dz
 
 
-def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
-                    lap: Callable[[np.ndarray, float], np.ndarray] = laplacian) -> np.ndarray:
-    """One step of the classical RK4 tableau on (u, v, mem, z), by four ``_rhs`` stages;
-    returns the new u and v, stacked, for ``step``'s finiteness check.
+def _delay_stages(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The delayed velocity at RK4's stage offsets c = 0, 1/2, 1 from the delay-line
+    rows old = v(t - tau) and new = v(t - tau + dt): the one statement of the
+    rule, with the arithmetic of ``RingBuffer.back_interp(n_delay - c)``."""
+    return old, new + 0.5 * (old - new), new
 
-    The path of the evolved eta and z fields, and how ``_step_map`` is built.
-    """
-    dt = disc.dt
-    x0 = (state.u, state.v, state.eta if state.q is None else state.q, state.z_rho)
-    slopes = [_rhs(params, disc, state, *x0, 0.0, lap)]
-    for h, c in ((0.5 * dt, 0.5), (0.5 * dt, 0.5), (dt, 1.0)):
+
+def _rk4(params: ModelParams, disc: Discretization, x0: tuple, delay: tuple | None,
+         lap: Callable[[np.ndarray, float], np.ndarray] = laplacian) -> tuple:
+    """One classical RK4 step of x0 = (u, v, mem, z) by four ``_rhs`` stages, to the
+    new (u, v, mem, z); ``delay`` is ``_delay_stages``'s (old, new), or None."""
+    vd0, vd_half, vd1 = (None,) * 3 if delay is None else _delay_stages(*delay)
+    slopes = [_rhs(params, disc, *x0, vd0, lap)]
+    for h, vd in ((0.5 * disc.dt, vd_half), (0.5 * disc.dt, vd_half), (disc.dt, vd1)):
         x = (None if y is None else y + h * d for y, d in zip(x0, slopes[-1]))
-        slopes.append(_rhs(params, disc, state, *x, c, lap))
-    w = dt / 6.0
-    state.u, state.v, mem, state.z_rho = (
-        None if y is None else y + w * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        for y, d1, d2, d3, d4 in zip(x0, *slopes)
-    )
+        slopes.append(_rhs(params, disc, *x, vd, lap))
+    w = disc.dt / 6.0
+    return tuple(None if y is None else y + w * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                 for y, d1, d2, d3, d4 in zip(x0, *slopes))
+
+
+def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization) -> np.ndarray:
+    """One ``_rk4`` step of the state's own fields, the path of the evolved eta and
+    z fields and the map's reference; returns the new u and v, stacked, for
+    ``step``'s finiteness check."""
+    hist = state.v_hist if state.z_rho is None else None
+    delay = None if hist is None else (hist.back(disc.n_delay), hist.back(disc.n_delay - 1))
+    x0 = (state.u, state.v, state.eta if state.q is None else state.q, state.z_rho)
+    state.u, state.v, mem, state.z_rho = _rk4(params, disc, x0, delay)
     if state.q is None:
         state.eta = mem
     else:
@@ -820,36 +822,28 @@ def _step_map(params: ModelParams, disc: Discretization) -> np.ndarray:
 
     The map takes X = [u; v; q_1..q_m; v(t - tau); v(t - tau + dt)] (the
     delay rows only when k != 0 and tau > 0) to the next [u; v; q].  It is
-    ``_step_by_stages`` run on a state whose fields are polynomials in
-    D = dx^2 L: each field is a row of five blocks, the coefficients of
-    D^0 .. D^4 acting on X, and the Laplacian moves a row up one block and
-    divides it by dx^2.  The two delay inputs sit at ``v_hist`` slots
-    n_delay and n_delay - 1, so ``back_interp(n_delay - c)`` weights them
-    (1, 0), (1/2, 1/2), (0, 1) at c = 0, 1/2, 1, and at tau = 0 ``_rhs``
-    folds -k v itself.  The generator is G0 + L G1 with scalar blocks; G1
-    maps u and q into the v row and reads no v, so G1 G1 = 0 and four
-    stages reach at most L^2.  Returns C0, C1 / dx^2 and C2 / dx^4 stacked
-    by rows, shape (3 (2 + m), rows of X), read-only.
+    ``_rk4`` run on fields that are polynomials in D = dx^2 L: each field
+    is a row of five blocks, the coefficients of D^0 .. D^4 acting on X, and
+    the Laplacian moves a row up one block and divides it by dx^2.  The two
+    delay inputs are unit rows, as ``_delay_stages`` reads them, and at
+    tau = 0 ``_rhs`` folds -k v itself.  The generator is G0 + L G1 with
+    scalar blocks; G1 maps u and q into the v row and reads no v, so
+    G1 G1 = 0 and four stages reach at most L^2.  Returns C0, C1 / dx^2 and
+    C2 / dx^4 stacked by rows, shape (3 (2 + m), rows of X), read-only.
     """
     nw = 2 + params.kernel.amplitudes.size
     delayed = params.k != 0.0 and disc.n_delay > 0
     n_in = nw + (2 if delayed else 0)
     unit = np.eye(n_in, 5 * n_in)  # row i: input i at degree 0
-    poly = SimState(t=0.0, step_index=0, u=unit[0], v=unit[1],
-                    q=unit[2:nw] if nw > 2 else None)
-    if delayed:
-        # a two-slot ring reads back(p) from slot p % 2
-        poly.v_hist = RingBuffer(2, 5 * n_in)
-        poly.v_hist.data[disc.n_delay % 2] = unit[nw]
-        poly.v_hist.data[(disc.n_delay - 1) % 2] = unit[nw + 1]
 
     def raise_degree(w: np.ndarray, dx: float) -> np.ndarray:
         out = np.zeros(w.shape)
         out[..., n_in:] = w[..., :-n_in] / (dx * dx)
         return out
 
-    _step_by_stages(poly, params, disc, raise_degree)
-    fields = np.vstack([poly.u, poly.v] + ([] if poly.q is None else [poly.q]))
+    u, v, q, _ = _rk4(params, disc, (unit[0], unit[1], unit[2:nw] if nw > 2 else None, None),
+                      (unit[nw], unit[nw + 1]) if delayed else None, raise_degree)
+    fields = np.vstack([u, v] + ([] if q is None else [q]))
     coeffs = fields.reshape(nw, 5, n_in)[:, :3].swapaxes(0, 1).reshape(3 * nw, n_in)
     coeffs.flags.writeable = False
     return coeffs
@@ -968,7 +962,7 @@ def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1)
     raises ``NonFinite`` at once, the state left at that step; for a batch
     it names the rows that went non-finite, and the others have advanced.
     """
-    by_map = state.eta is None and state.z_rho is None
+    by_map = _steps_by_map(params, disc)
     if by_map:
         _plan_map(state, params, disc)
     advance = _step_by_map if by_map else _step_by_stages
@@ -996,8 +990,10 @@ def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1)
 
 def delayed_velocity(state: SimState, params: ModelParams,
                      disc: Discretization) -> np.ndarray:
-    """z(., 1, t) at a whole-step time (bit-exact for the ring buffer)."""
-    return _delayed(params, disc, state, state.v, state.z_rho, 0.0)
+    """z(., 1, t) at a whole-step time: delay-line slot n_delay, or v, or z[-1]."""
+    if params.delay_realization == "ring_buffer" and disc.n_delay > 0:
+        return state.v_hist.back(disc.n_delay)
+    return state.v if state.z_rho is None else state.z_rho[-1]
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -1253,7 +1249,7 @@ def dissipativity_spot_check(params: ModelParams, disc: Discretization,
         eta = rng.standard_normal((disc.ns - 1, disc.nx)) if use_eta else None
         z = rng.standard_normal((disc.n_delay, disc.nx)) if use_z else None
         x = (u, v, eta, z)
-        quotient = pairing(*_rhs(grid, disc, None, *x, 0.0), *x) / pairing(*x, *x)
+        quotient = pairing(*_rhs(grid, disc, *x, None), *x) / pairing(*x, *x)
         worst = max(worst, quotient)
     return SpotCheckReport(
         max_quotient=worst, c_shift=c_shift, trials=trials, passed=worst <= c_shift

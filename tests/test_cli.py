@@ -449,6 +449,46 @@ def test_unallocatable_sample_table_refused(tmp_path, capsys, command):
         assert nbytes == 8 * 8 * n_rows * (1 if command == "simulate" else 2)
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unallocatable_grid_refused(tmp_path, capsys, command):
+    # nx = 1e15 interior points x 8 bytes = 7.1 PiB, more than a 47-bit
+    # address space: the allocation fails at once, touching no memory
+    nx = 10 ** 15
+    cfg = write_config(tmp_path, {"nx": nx, "T": 1e-12, "k_values": [0.1, 0.2]})
+    out = tmp_path / "out"
+    if command == "simulate":
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert not out.exists()
+        texts = [err]
+    else:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        rows = read_sweep_rows(out)
+        assert [row["classification"] for row in rows] == ["error", "error"]
+        texts = [row["error"] for row in rows]
+    for text in texts:
+        # the grid is shared by a batch's rows, so no batch rows are named
+        assert f"the grid needs nx={nx} points = {8 * nx} bytes" in text
+        assert "cannot be allocated" in text and "batch rows" not in text
+
+
+@pytest.mark.parametrize("count", [10 ** 18, 2 ** 63 - 1], ids=["1e18", "index-max"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unallocatable_k_count_refused(tmp_path, capsys, command, count):
+    # 8e18 bytes cannot be allocated; at the largest count np.linspace fails
+    # on its own with an IndexError
+    doc = {"nx": 20, "T": 1.0, "k_min": 0.0, "k_max": 1.0, "count": count}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: count: the sweep needs count={count} values of k = "
+                          f"{8 * count} bytes")
+    assert err.endswith("which cannot be allocated; lower count\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["certify", "simulate", "sweep"])
 def test_delay_with_overflowing_exponential_refused(tmp_path, capsys, command):
     # e^720 overflows a double; at nx=3 the delay snaps to 11520 steps exactly

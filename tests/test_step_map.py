@@ -185,3 +185,15 @@ def test_non_finite_state_raises_from_the_map():
     with pytest.raises(NonFinite) as err:
         step(state, params, disc)
     assert err.value.step_index == 1
+
+
+@pytest.mark.parametrize("n_delay", [1, 2, 7])
+def test_delay_stages_are_the_ring_buffers_interpolation(n_delay):
+    # the stage inputs at c = 0, 1/2, 1 are back_interp(n_delay - c), bit for bit
+    rng = np.random.default_rng(n_delay)
+    ring = solver.RingBuffer(n_delay + 2, (3, 40))
+    for _ in range(2 * n_delay + 5):
+        ring.push(rng.standard_normal((3, 40)) * 10.0 ** rng.uniform(-8, 8, (3, 40)))
+    stages = solver._delay_stages(ring.back(n_delay), ring.back(n_delay - 1))
+    for c, stage in zip((0.0, 0.5, 1.0), stages):
+        assert stage.tobytes() == ring.back_interp(n_delay - c).tobytes()
