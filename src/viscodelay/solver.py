@@ -54,19 +54,28 @@ coefficient matrices once per (params, grid) by running ``_rk4`` on unit
 rows that are polynomials in L.  A call of ``step`` makes any number of
 steps, and ``run`` makes one per sample interval: the map and the plan of
 buffers the state keeps for it (``_map_plan``) are looked up once per call.
-A map step (``_step_by_map``) is one matmul and a Horner second difference
-per level, on rows nx + 2 wide whose end columns are the Dirichlet zeros, so
-each neighbour comes in by one flat add over a contiguous block; every
-interior entry gets the additions of the unpadded form, in its order.  The
-only field memory a step allocates is the padded block [u; v; q] it hands
-out, of which ``state.u``, ``state.v`` and ``state.q`` are interior views.
-One sum of squares over the block's u and v rows checks finiteness; a
-per-row check runs only when that sum is not finite, by a non-finite entry
-or by overflow, and decides.  The velocity ring buffer norms its slots when
-the energy reads them, not on push.  The ``eta_grid`` and ``rho_grid``
-realizations carry (ns - 1) or n_delay extra field rows and run ``_rk4`` on
-the fields themselves, in the same loop of ``step``; that path is also the
-reference the map is tested against.
+The map path (``_step_by_map``) takes a call's steps in chunks of up to
+``_chunk_bound`` steps, chained through one block of the plan: step j
+reads X from row j and writes its output into row j + 1, so no field is
+copied from one step to the next.  By the method of steps, a chunk of at
+most n_delay steps reads only delay-line rows already stored.  A map step is
+one matmul on interior columns and a Horner second difference per level, on
+rows nx + 2 wide whose end columns are the Dirichlet zeros, so each
+neighbour comes in by one flat add over a contiguous block; every interior
+entry gets the additions of the unpadded form, in its order.  Once per
+chunk, not per step, the delay inputs of its steps are copied in, its u and
+v rows are pushed into the histories, and one sum of squares over its
+outputs screens them for finiteness.  Only when that sum is not finite, by
+a non-finite entry or by overflow, is the chunk stepped again one step at a
+time, each step checked row by row, and that check decides.  A call copies
+the state's fields in once; the last step of a chunk writes a fresh block
+[u; v; q], and ``state.u``, ``state.v`` and ``state.q`` are left interior
+views of the call's last one, so fields handed out earlier stay as they
+were.  The velocity ring buffer norms its slots when the energy reads them,
+not on push.  The ``eta_grid`` and ``rho_grid`` realizations carry (ns - 1)
+or n_delay extra field rows and run ``_rk4`` on the fields themselves, step
+by step (``_step_by_stages``); that path is also the reference the map is
+tested against.
 """
 
 from __future__ import annotations
@@ -122,6 +131,9 @@ OMEGA_MAX = math.sqrt(sys.float_info.max)
 # a run reads one, and a grid is keyed by identity, so more would only keep
 # finished runs' grids alive
 GRID_CACHE_SIZE = 2
+# the most bytes of map-step inputs a chunk of steps works in: 32 steps of a solo
+# nx = 200 state with one memory term and a delay line
+CHUNK_BYTES = 2 ** 18
 
 T = TypeVar("T")
 
@@ -445,6 +457,8 @@ class RingBuffer:
     ``data``).  A push only stores its row: ``slot_norms`` norms the slots
     pushed since the last read before it reads, so a run that samples every
     few hundred steps norms a slot once per sample at most, not per push.
+    ``push_rows`` and ``copy_rows`` write and read a run of consecutive
+    slots by one slice copy, or two where the run wraps.
     """
 
     __slots__ = ("data", "capacity", "head", "norms", "normed", "pushed", "past", "factor")
@@ -478,6 +492,32 @@ class RingBuffer:
         self.head = (self.head - 1) % self.capacity
         self.pushed += 1
         self.data[self.head] = row
+
+    def push_rows(self, newest_first: np.ndarray) -> None:
+        """``push`` rows, at most ``capacity``, the last given first: after
+        the call ``back(j)`` is ``newest_first[j]``.  One slice copy, or two
+        where the slots wrap."""
+        count = len(newest_first)
+        head = self.head = (self.head - count) % self.capacity
+        self.pushed += count
+        wrap = head + count - self.capacity
+        if wrap <= 0:
+            self.data[head:head + count] = newest_first
+        else:
+            self.data[head:] = newest_first[:-wrap]
+            self.data[:wrap] = newest_first[-wrap:]
+
+    def copy_rows(self, first: int, out: np.ndarray) -> None:
+        """out[j] = back(first + j) for each row j of ``out``, from stored slots
+        only.  One slice copy, or two where the slots wrap."""
+        count = len(out)
+        start = (self.head + first) % self.capacity
+        wrap = start + count - self.capacity
+        if wrap <= 0:
+            out[...] = self.data[start:start + count]
+        else:
+            out[:-wrap] = self.data[start:]
+            out[-wrap:] = self.data[:wrap]
 
     def _past_rows(self, ages: np.ndarray) -> np.ndarray:
         """The past at each of 1-D ``ages``, broadcastable to (ages.size,) + past shape."""
@@ -801,19 +841,38 @@ def _rk4(params: ModelParams, disc: Discretization, x0: tuple, delay: tuple | No
                  for y, d1, d2, d3, d4 in zip(x0, *slopes))
 
 
-def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization) -> np.ndarray:
-    """One ``_rk4`` step of the state's own fields, the path of the evolved eta and
-    z fields and the map's reference; returns the new u and v, stacked, for
-    ``step``'s finiteness check."""
+def _non_finite_rows(u: np.ndarray, v: np.ndarray) -> list[int]:
+    """The batch rows (row 0 of a solo state) with a non-finite entry in u or v."""
+    finite = np.isfinite(u).all(axis=-1) & np.isfinite(v).all(axis=-1)
+    return np.flatnonzero(~finite).tolist()
+
+
+# a blowing-up state overflows to inf/nan, which the finiteness check catches
+@np.errstate(over="ignore", invalid="ignore")
+def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
+                    n: int) -> None:
+    """``n`` ``_rk4`` steps of the state's own fields, each pushed and checked
+    for finiteness on its own: the path of the evolved eta and z fields and
+    the map's reference."""
     hist = state.v_hist if state.z_rho is None else None
-    delay = None if hist is None else (hist.back(disc.n_delay), hist.back(disc.n_delay - 1))
-    x0 = (state.u, state.v, state.eta if state.q is None else state.q, state.z_rho)
-    state.u, state.v, mem, state.z_rho = _rk4(params, disc, x0, delay)
-    if state.q is None:
-        state.eta = mem
-    else:
-        state.q = mem
-    return np.stack((state.u, state.v))
+    for _ in range(n):
+        delay = None if hist is None else (hist.back(disc.n_delay),
+                                           hist.back(disc.n_delay - 1))
+        x0 = (state.u, state.v, state.eta if state.q is None else state.q, state.z_rho)
+        state.u, state.v, mem, state.z_rho = _rk4(params, disc, x0, delay)
+        if state.q is None:
+            state.eta = mem
+        else:
+            state.q = mem
+        state.t += disc.dt
+        state.step_index += 1
+        if state.u_hist is not None:
+            state.u_hist.push(state.u)
+        if state.v_hist is not None:
+            state.v_hist.push(state.v)
+        bad = _non_finite_rows(state.u, state.v)
+        if bad:
+            raise NonFinite(state.step_index, None if state.ks is None else bad)
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -865,126 +924,178 @@ def _stacked_maps(params: ModelParams, disc: Discretization,
     return stacked
 
 
-def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization) -> tuple:
+def _chunk_bound(coeffs: np.ndarray, state: SimState, disc: Discretization) -> int:
+    """The most steps one chunk of map steps takes: as many as the block of
+    their inputs X fits in CHUNK_BYTES; with delay inputs, at most n_delay,
+    so no step of a chunk reads a delay-line slot that the chunk pushes; and
+    at most each history's capacity, so a chunk's pushes fill distinct slots."""
+    n_out, n_in = coeffs.shape[-2:]
+    bounds = [CHUNK_BYTES // (8 * n_in * math.prod(state.u.shape[:-1]) * (disc.nx + 2))]
+    bounds += [disc.n_delay] if n_in > n_out // 3 else []
+    bounds += [hist.capacity for hist in (state.u_hist, state.v_hist) if hist is not None]
+    return max(1, min(bounds))
+
+
+def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int) -> tuple:
     """The memory a state's map steps reuse while ``coeffs`` is their map,
-    none of it handed out.
+    none of it handed out, for chunks of up to K = min(n, ``_chunk_bound``)
+    steps.
 
     Every row is nx + 2 wide, its end columns the Dirichlet zeros, so a
     second difference adds each neighbour by one flat add over a whole
-    contiguous block.  The plan holds ``coeffs``; the interior views of X
-    that the fields and the delay inputs are copied into; the delay line's
-    slots, its capacity and n_delay; X as the matmul reads it,
-    (R, n_in, nx + 2); the products C0 X, C1 X, C2 X as it writes them,
-    (R, 3 nw, nx + 2); the 2 w of a second difference; the three products
-    flat, and C1 X and C2 X shifted by one entry either way; the end
-    columns of C1 X and C2 X; the shape of the block [u; v; q] a step hands
-    out, and the size of its u and v rows.
+    contiguous block.  The block, (K, n_in) + batch + (nx + 2,), holds
+    step j's X in row j: the output [u; v; q] of step j - 1, then step j's
+    delay inputs.  The matmul forms only the interior of the products
+    C0 X, C1 X, C2 X, so the end columns of C0 X and C2 X stay -0.0.
+
+    The plan holds ``coeffs``, the bound and K; the fields of the block's
+    first row and their interior views; per chunk length k, its first
+    k - 1 steps (X as the matmul reads it and the next row's [u; v; q]
+    flat, and shifted by one entry either way), X of its last step, the
+    ``copy_rows`` offsets and rows of its delay inputs, and its k - 1 output
+    rows flat and their u and v rows newest first (None for k = 1); the
+    products as the matmul writes them, the 2 w of a second difference, the
+    three products flat, C1 X and C2 X shifted either way, the end columns
+    of C1 X, and the shape of a step's output [u; v; q].
     """
     n_out, n_in = coeffs.shape[-2:]
     nw = n_out // 3
     width = disc.nx + 2
-    x = np.full((n_in,) + state.u.shape[:-1] + (width,), -0.0)
-    inner = x[..., 1:-1]
-    products = np.empty((3, nw) + x.shape[1:])
-    c0, c1, c2 = (block.reshape(-1) for block in products)
-    delayed = n_in > nw
-    hist = state.v_hist
-    return (coeffs, inner[0], inner[1], inner[2:nw] if nw > 2 else None,
-            inner[nw] if delayed else None, inner[nw + 1] if delayed else None,
-            hist.data if delayed else None, hist.capacity if delayed else 0, disc.n_delay,
-            x.reshape(n_in, -1, width).swapaxes(0, 1),
-            products.reshape(n_out, -1, width).swapaxes(0, 1), np.empty(c1.shape),
-            c0, c1, c2, c1[1:], c1[:-1], c2[:-1], c2[1:],
-            products[1, ..., ::width - 1], products[2, ..., ::width - 1],
-            products.shape[1:], 2 * c0.size // nw)
+    batch = state.u.shape[:-1]
+    bound = _chunk_bound(coeffs, state, disc)
+    rows = min(n, bound)
+    block = np.full((rows, n_in) + batch + (width,), -0.0)
+    inner = block[..., 1:-1]
+    xs = [x.reshape(n_in, -1, width).swapaxes(0, 1)[..., 1:-1] for x in block]
+    outs = [y[:nw].reshape(-1) for y in block[1:]]
+    steps = [(x, out, out[1:], out[:-1]) for x, out in zip(xs, outs)]
+    # step j's delay inputs v(t - tau), v(t - tau + dt) are back(n_delay - j)
+    # and back(n_delay - 1 - j) as its chunk begins; one step's are two
+    # neighbouring rows of X
+    delays = [() if n_in == nw else
+              ((disc.n_delay - 1, inner[0, nw + 1:nw - 1:-1]),) if k == 1 else
+              ((disc.n_delay + 1 - k, inner[k - 1::-1, nw]),
+               (disc.n_delay - k, inner[k - 1::-1, nw + 1]))
+              for k in range(1, rows + 1)]
+    chunks = [(steps[:k - 1], xs[k - 1], delays[k - 1],
+               *((None,) * 3 if k == 1 else
+                 (block[1:k].reshape(-1), inner[k - 1:0:-1, 0], inner[k - 1:0:-1, 1])))
+              for k in range(1, rows + 1)]
+    products = np.full((3, nw) + batch + (width,), -0.0)
+    c0, c1, c2 = (level.reshape(-1) for level in products)
+    return (coeffs, bound, rows, block[0, :nw], inner[0, 0], inner[0, 1],
+            inner[0, 2:nw] if nw > 2 else None, chunks,
+            products.reshape(n_out, -1, width).swapaxes(0, 1)[..., 1:-1],
+            np.empty(c1.shape), c0, c1, c2, c1[1:], c1[:-1], c2[:-1], c2[1:],
+            products[1, ..., ::width - 1], products.shape[1:])
 
 
-def _plan_map(state: SimState, params: ModelParams, disc: Discretization) -> None:
-    """Look up the state's map and keep its plan in ``state.work``, where
-    ``_step_by_map`` reads it: once per call of ``step``."""
+# as on the stage path, overflow to inf/nan is left to the finiteness screen
+@np.errstate(over="ignore", invalid="ignore")
+def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
+                 n: int) -> None:
+    """``n`` map steps in chunks of up to K, chained through the block of the
+    state's plan (``_map_plan``, rebuilt when the map changes or a call needs
+    longer chunks); a chunk's last step writes a fresh block [u; v; q], of
+    which the state's fields become interior views.  Per chunk, the delay
+    inputs are copied in, one sum of squares screens the outputs and their
+    u and v are pushed; after a sum that is not finite the call goes on from
+    the chunk's start one step at a time, where ``_non_finite_rows``
+    decides.  It takes the arguments of ``_step_by_stages``, so ``step``
+    calls either alike.
+    """
+    if n < 1:
+        return
     # a solo state steps as a batch of one, R = 1, its map broadcast over it
     coeffs = (_step_map(params, disc) if state.ks is None
               else _stacked_maps(params, disc, state.ks))
     plan = state.work.get("map_plan")
-    if plan is None or plan[0] is not coeffs:
-        state.work["map_plan"] = _map_plan(coeffs, state, disc)
-
-
-def _step_by_map(state: SimState, params: ModelParams, disc: Discretization) -> np.ndarray:
-    """One map step by the plan ``_plan_map`` keeps; the state's fields
-    become rows of a fresh block [u; v; q], and its u and v rows are
-    returned flat, end columns included.  It takes the arguments of
-    ``_step_by_stages``, so ``step`` calls either alike; the plan already
-    holds what it needs of ``params`` and ``disc``."""
-    (coeffs, x_u, x_v, x_q, x_old, x_new, slots, capacity, n_delay, x_in, products, twice,
-     c0, c1, c2, c1_hi, c1_lo, c2_lo, c2_hi, c1_ends, c2_ends, shape, uv) = state.work["map_plan"]
+    if plan is None or plan[0] is not coeffs or plan[2] < min(n, plan[1]):
+        plan = state.work["map_plan"] = _map_plan(coeffs, state, disc, n)
+    (_, _, size, first, x_u, x_v, x_q, chunks, products, twice, c0, c1, c2,
+     c1_hi, c1_lo, c2_lo, c2_hi, c1_ends, shape) = plan
+    u_hist, v_hist = state.u_hist, state.v_hist
     x_u[...] = state.u
     x_v[...] = state.v
     if x_q is not None:
         x_q[...] = state.q
-    if x_old is not None:
-        # the delay inputs v(t - tau), v(t - tau + dt): slots n_delay, n_delay - 1
-        oldest = state.v_hist.head + n_delay
-        x_old[...] = slots[oldest % capacity]
-        x_new[...] = slots[(oldest - 1) % capacity]
-    # each row's X multiplied by its own map; a column of X reaches only the
-    # same column of the products, so the end columns of X are never read
-    np.matmul(coeffs, x_in, out=products)
-    # Horner, C0 X + L (C1 X + L C2 X), each level (t - 2 w) + w[i-1] + w[i+1]
-    # as ``_add_second_difference`` forms it.  The end columns a level adds
-    # are set to -0.0 first: -0.0 added to any double, -0.0 too, leaves it
-    # as no add at all would.  The outer level writes a fresh block, so the
-    # fields handed out by earlier steps survive; its end columns are not zeros.
-    c2_ends.fill(-0.0)
-    np.subtract(c1, np.multiply(2.0, c2, out=twice), out=c1)
-    np.add(c1_hi, c2_lo, out=c1_hi)
-    np.add(c1_lo, c2_hi, out=c1_lo)
-    c1_ends.fill(-0.0)
-    out = np.subtract(c0, np.multiply(2.0, c1, out=twice))
-    hi, lo = out[1:], out[:-1]
-    np.add(hi, c1_lo, out=hi)
-    np.add(lo, c1_hi, out=lo)
-    block = out.reshape(shape)
-    state.u = block[0, ..., 1:-1]
-    state.v = block[1, ..., 1:-1]
+    left = n
+    while True:
+        k = min(left, size)
+        chunk_steps, x_last, delays, done, u_rows, v_rows = chunks[k - 1]
+        for offset, rows in delays:
+            v_hist.copy_rows(offset, rows)
+        fields = np.empty(shape)
+        last = fields.reshape(-1)
+        for x, out, out_hi, out_lo in (*chunk_steps, (x_last, last, last[1:], last[:-1])):
+            # each row's X multiplied by its own map; a column of X reaches only
+            # the same column of the products, so only the interior is formed
+            np.matmul(coeffs, x, out=products)
+            # Horner, C0 X + L (C1 X + L C2 X), each level (t - 2 w) + w[i-1] +
+            # w[i+1] as ``_add_second_difference`` forms it.  The end columns a
+            # level adds are -0.0, which added to any double, -0.0 too, leaves
+            # it as no add at all would; C2 X's stay so from the plan on.
+            np.subtract(c1, np.multiply(2.0, c2, out=twice), out=c1)
+            np.add(c1_hi, c2_lo, out=c1_hi)
+            np.add(c1_lo, c2_hi, out=c1_lo)
+            c1_ends.fill(-0.0)
+            np.subtract(c0, np.multiply(2.0, c1, out=twice), out=out)
+            np.add(out_hi, c1_lo, out=out_hi)
+            np.add(out_lo, c1_hi, out=out_lo)
+        u, v = fields[0, ..., 1:-1], fields[1, ..., 1:-1]
+        # the sum of squares of the outputs is finite when every entry is,
+        # unless huge finite entries overflow it
+        total = np.vdot(last, last)
+        if k > 1:
+            total += np.vdot(done, done)
+        bad = []
+        if not math.isfinite(total):
+            if k > 1:
+                # nothing of the chunk is kept: it and the rest of the call
+                # are stepped again from its start, one step per chunk
+                size = 1
+                continue
+            bad = _non_finite_rows(u, v)
+        if u_hist is not None:
+            if k > 1:
+                u_hist.push_rows(u_rows)
+            u_hist.push(u)
+        if v_hist is not None:
+            if k > 1:
+                v_hist.push_rows(v_rows)
+            v_hist.push(v)
+        for _ in range(k):
+            state.t += disc.dt
+        state.step_index += k
+        left -= k
+        if bad or not left:
+            break
+        first[...] = fields
+    state.u, state.v = u, v
     if x_q is not None:
-        state.q = block[2:, ..., 1:-1]
-    return out[:uv]
+        state.q = fields[2:, ..., 1:-1]
+    if bad:
+        raise NonFinite(state.step_index, None if state.ks is None else bad)
 
 
 def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1) -> SimState:
     """Advance ``n`` steps of dt by the classical 4-stage explicit scheme (in place).
 
-    A state with no evolved eta or z fields advances by ``_step_map``, which
-    is looked up once per call; the ``eta_grid`` and ``rho_grid``
-    realizations run the four ``_rhs`` stages.  Each step does the same
-    arithmetic whatever ``n`` is.  After each step a non-finite u or v
-    raises ``NonFinite`` at once, the state left at that step; for a batch
-    it names the rows that went non-finite, and the others have advanced.
+    A state with no evolved eta or z fields advances by ``_step_map``, looked
+    up once per call, in chunks of up to ``_chunk_bound`` steps
+    (``_step_by_map``): the delay inputs, the history pushes and the
+    finiteness screen are done once per chunk, and the exact per-row check
+    runs only where the screen's sum of squares is not finite.  The
+    ``eta_grid`` and ``rho_grid`` realizations run the four ``_rhs`` stages
+    and the exact check step by step.  Each step does the same arithmetic
+    whatever ``n`` is, so a call leaves the bits of ``n`` calls of one step.
+    The fields a call leaves in the state are fresh arrays that later calls
+    do not write.  A step whose u or v holds a non-finite entry raises
+    ``NonFinite``, the state left at that step, pushed; for a batch it names
+    the rows that went non-finite, and the others have advanced.
     """
-    by_map = _steps_by_map(params, disc)
-    if by_map:
-        _plan_map(state, params, disc)
-    advance = _step_by_map if by_map else _step_by_stages
-    dt = disc.dt
-    u_hist, v_hist = state.u_hist, state.v_hist
-    # a blowing-up state overflows to inf/nan and is caught below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n):
-            uv = advance(state, params, disc)
-            state.t += dt
-            state.step_index += 1
-            if u_hist is not None:
-                u_hist.push(state.u)
-            if v_hist is not None:
-                v_hist.push(state.v)
-            # the sum of squares of u and v is finite when every entry is,
-            # unless huge finite entries overflow it: the exact check decides
-            if not math.isfinite(np.vdot(uv, uv)):
-                finite = np.isfinite(state.u).all(axis=-1) & np.isfinite(state.v).all(axis=-1)
-                if not finite.all():
-                    rows = np.flatnonzero(~finite).tolist()
-                    raise NonFinite(state.step_index, None if state.ks is None else rows)
+    advance = _step_by_map if _steps_by_map(params, disc) else _step_by_stages
+    advance(state, params, disc, n)
     return state
 
 

@@ -267,3 +267,81 @@ def test_batch_run_finishes_the_interval_of_an_abort_with_the_bits_of_single_ste
         assert trace.times.tobytes() == times[:n].tobytes()
         for i, name in enumerate(SAMPLE_TERMS):
             assert getattr(trace, name).tobytes() == samples[:n, i, r].tobytes(), (r, name)
+
+
+# A call makes its steps in chunks of at most ``solver._chunk_bound`` steps:
+# (case of CASES, nx, the ``steps`` the state is built for, what bounds a chunk)
+TAU_LARGE = ModelParams(tau=0.1, k=0.4, kernel=ONE_TERM, mode="auxiliary")
+CHUNKED = {
+    # the delay inputs of a chunk's steps: n_delay = 4 rows back at nx = 20
+    "n_delay-solo": ("solo", 20, 25, "n_delay"),
+    "n_delay-batch": ("batch-with-k0-row", 20, 25, "n_delay"),
+    "n_delay-three-terms-batch": ("three-terms-batch", 20, 25, "n_delay"),
+    # no delay inputs: the displacement history's 25 slots, or the delay line's 6
+    "capacity-tau0": ("tau0", 20, 25, "u_hist"),
+    "capacity-delay-line": ("k0-delay-line", 20, 25, "v_hist"),
+    # tau = 0.1 is 80 steps at nx = 200: the block of a chunk's inputs
+    "bytes-solo": ("tau-large", 200, 100, "bytes"),
+    "bytes-batch": ("tau-large-batch", 200, 100, "bytes"),
+    # 5 slots of displacement history, fewer than n_delay = 8 at nx = 20
+    "capacity-small-steps": ("tau-large", 20, 5, "u_hist"),
+}
+CHUNK_CASES = {**CASES,
+               "k0-delay-line": (replace(CASES["solo"][0], k=0.0), FROZEN, None, None),
+               "tau-large": (TAU_LARGE, MODULATED, None, None),
+               "tau-large-batch": (TAU_LARGE, MODULATED, [0.4, 0.0, -0.3], None)}
+
+
+def chunk_bound(params, disc, state):
+    coeffs = (solver._step_map(params, disc) if state.ks is None
+              else solver._stacked_maps(params, disc, state.ks))
+    n_out, n_in = coeffs.shape[-2:]
+    rows = 1 if state.ks is None else len(state.ks)
+    limits = {"n_delay": disc.n_delay if n_in > n_out // 3 else math.inf,
+              "u_hist": state.u_hist.capacity,
+              "v_hist": state.v_hist.capacity if state.v_hist is not None else math.inf,
+              "bytes": solver.CHUNK_BYTES // (8 * n_in * rows * (disc.nx + 2))}
+    return solver._chunk_bound(coeffs, state, disc), limits
+
+
+@pytest.mark.parametrize("chunked", sorted(CHUNKED))
+def test_a_call_across_chunk_bounds_keeps_the_bytes_of_eager_steps(chunked):
+    case, nx, steps, bounded_by = CHUNKED[chunked]
+    params, init, ks, _ = CHUNK_CASES[case]
+    disc = discretize(params, nx=nx, ns=16)
+    bound, limits = chunk_bound(params, disc, build(params, init, disc, ks=ks, steps=steps))
+    assert bound == limits[bounded_by] < min(v for k, v in limits.items() if k != bounded_by)
+    for n in (bound - 1, bound, bound + 1, 2 * bound + 3):
+        state = build(params, init, disc, ks=ks, steps=steps)
+        ref = build(params, init, disc, ks=ks, steps=steps)
+        step(state, params, disc, n)
+        for _ in range(n):
+            eager_map_step(ref, params, disc)
+        assert_same_bytes(state, ref)
+        assert_same_bits(state, ref, read_norms=True)
+        assert state.t == ref.t, n
+
+
+@pytest.mark.parametrize("ks", [None, ABORTING[2]], ids=["solo", "batch"])
+def test_abort_inside_a_chunk_keeps_the_step_rows_and_bytes_of_single_steps(ks):
+    params, init, _, abort = ABORTING
+    if ks is None:
+        params = replace(params, k=-330.0)
+    disc = discretize(params, nx=40, ns=16)
+    state = build(params, init, disc, ks=ks)
+    bound, _ = chunk_bound(params, disc, state)
+    assert bound == disc.n_delay == 3
+    # one step first, so the abort falls on the middle step of a chunk
+    step(state, params, disc, 1)
+    assert 0 < (abort - 1 - state.step_index) % bound < bound - 1
+    ref = build(params, init, disc, ks=ks)
+    with pytest.raises(NonFinite) as by_eager:
+        for _ in range(2 * abort):
+            eager_map_step(ref, params, disc)
+    with pytest.raises(NonFinite) as by_call:
+        step(state, params, disc, 2 * abort)
+    rows = None if ks is None else [1]
+    assert (by_call.value.step_index, by_call.value.rows) == (abort, rows)
+    assert (by_eager.value.step_index, by_eager.value.rows) == (abort, rows)
+    assert_same_bytes(state, ref)
+    assert_same_bits(state, ref, read_norms=True)

@@ -197,3 +197,24 @@ def test_delay_stages_are_the_ring_buffers_interpolation(n_delay):
     stages = solver._delay_stages(ring.back(n_delay), ring.back(n_delay - 1))
     for c, stage in zip((0.0, 0.5, 1.0), stages):
         assert stage.tobytes() == ring.back_interp(n_delay - c).tobytes()
+
+
+def test_the_swapped_in_stage_loop_makes_four_stage_calls_a_step(monkeypatch):
+    # traces() and the property test compare two paths only while step reaches
+    # the map path through solver._step_by_map: with the stage loop patched in
+    # there, run builds no map and makes the four _rhs stages of every step
+    calls = []
+    rhs = solver._rhs
+
+    def counted(*args):
+        calls.append(args)
+        return rhs(*args)
+
+    monkeypatch.setattr(solver, "_rhs", counted)
+    monkeypatch.setattr(solver, "_step_by_map", solver._step_by_stages)
+    for params, init in CASES.values():
+        disc = discretize(params, nx=30)
+        trace = run(params, init, disc, 12 * disc.dt, sample_every=5)
+        assert trace.final_state.step_index == 12
+        assert len(calls) == 4 * 12
+        calls.clear()
