@@ -9,17 +9,25 @@ The energy of a state is
 Spatial integrals use the trapezoid rule on the x-grid with gradients by
 centered differences (one-sided at the boundary); the s-integral uses the
 discretization's own quadrature weights, with the kernel values on the
-s-grid computed once per grid.  A sample forms only the eta rows that
-``solver._distinct_eta_rows`` says can differ (with a frozen past, every
-row from the first whose s-node reaches back past t = 0 is u - phi) and
-copies the last one's int |grad eta|^2 to the rest; how eta's rows are
-laid out in the displacement history is the solver's alone.  The delay
-integral is a trapezoid over the squared norms the velocity ring buffer
-keeps per slot (``RingBuffer.slot_norms``, which norms the slots pushed
-since the last sample when it is read), so a sample reads n_delay + 1
-scalars instead of reducing the whole delay line again, and its
+s-grid computed once per grid.
+
+``sample_state`` forms the samples of a ``solver.Span``, the states a run
+kept over up to S sample intervals, in one stacked pass; a call without
+one samples the state itself as a span of one at lag 0.  Every term is a
+per-row reduction over the stacked rows, each the pairwise sum or BLAS dot
+a single sample makes, so each state's terms have the bits of sampling it
+when it was reached.  A pass forms only the eta rows that
+``solver._distinct_eta_rows`` says can differ at the current state (with
+a frozen past, every row from the first whose s-node reaches back past
+t = 0 is u - phi; a state kept earlier has no more) and copies the last
+one's int |grad eta|^2 to the rest; how eta's rows are laid out in the
+displacement history is the solver's alone.  The delay integral is a
+trapezoid over the squared norms the velocity ring buffer keeps per slot
+(``RingBuffer.slot_norms``, which norms the slots pushed since the last
+sample when it is read), S rows of n_delay + 1 scalars, each a state's lag
+further back, instead of reducing the whole delay line again; its
 coefficient is computed once per (theta, tau, k).  The gradients of u and
-eta are formed in scratch memory the state reuses (``SimState.scratch``).
+eta are formed in scratch memory the span reuses (``Span.scratch``).
 """
 
 from __future__ import annotations
@@ -128,74 +136,94 @@ def _delay_coefficient(theta: float, tau: float,
     return half, None if live.all() else live
 
 
-def _delay_integral(state: SimState, disc: Discretization) -> np.ndarray:
+def _delay_integral(state: SimState, disc: Discretization,
+                    lags: np.ndarray | None = None) -> np.ndarray:
     """int_{t-tau}^t e^{-(t-s)} ||u_t(s)||^2 ds from the delay line's slot norms,
-    one value per batch row."""
+    one value per batch row; given ``lags``, (S,) + batch, at each state
+    kept that many steps back."""
+    shape = state.u.shape[:-1] if lags is None else lags.shape + state.u.shape[:-1]
     if disc.n_delay == 0 or state.v_hist is None:
-        return np.zeros(state.u.shape[:-1])
+        return np.zeros(shape)
     offsets, w, decay = _delay_weights(disc)
+    if lags is not None:
+        offsets = offsets + lags[:, None]
     norms = disc.dx * state.v_hist.slot_norms(offsets)
-    return np.vecdot(decay * norms, w)
+    integral = np.vecdot(decay * norms, w)
+    # the slot norms come batch axis first
+    return integral if lags is None else integral.T
 
 
 def sample_state(state: SimState, params: ModelParams, disc: Discretization,
-                 eta: np.ndarray | None = None) -> SampleRow:
+                 eta: np.ndarray | None = None,
+                 span: solver_mod.Span | None = None) -> SampleRow:
     """One energy row; ``eta`` is ``eta_field(state, ...)`` when the caller has it.
 
     A solo state is sampled as a batch of one, and its terms are returned
     as floats; a batched state gets arrays over the batch axis, every
-    row's terms formed in one pass.
+    row's terms formed in one pass.  Given ``span``, every term is an
+    array (S,) + batch over the span's states, all formed in one stacked
+    pass (``eta`` then stacked likewise); a call without one samples the
+    state as a span of one at lag 0.
     """
+    one = span is None
+    if one:
+        span = solver_mod.Span.of(state)
+        eta = None if eta is None else eta[None]
     # near-blow-up states report inf/nan energy instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = _sample_terms(state, params, disc, eta)
-    if state.ks is None:
-        terms = [float(term) for term in terms]
+        terms = _sample_terms(state, params, disc, span, eta)
+    if one:
+        terms = [term[0] if state.ks is not None else float(term[0]) for term in terms]
     return SampleRow(*terms)
 
 
 def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
-                  eta: np.ndarray | None) -> list[np.ndarray]:
+                  span: solver_mod.Span, eta: np.ndarray | None) -> list[np.ndarray]:
     # np.vecdot reduces each row by the one BLAS dot a 1-D ``a @ b`` makes,
-    # so a batch row's terms have the bits of its solo run's
+    # and each sum is one row's pairwise sum, so a state of a span and a
+    # batch row have the bits of a solo state sampled alone
     dx = disc.dx
-    ut_sq = dx * np.vecdot(state.v, state.v)
+    u, v, lags = span.u, span.v, span.lags(state)
+    stack = u.shape[:-1]
+    ut_sq = dx * np.vecdot(v, v)
     mu_tilde = params.kernel.mu_tilde
-    # the gradient of u, squared in place, in memory the state reuses
-    gu = _grad_into(state.u, state.scratch(state.u.shape[:-1] + (disc.nx + 2,), "grad_u"), dx)
+    # the gradient of u, squared in place, in memory the span reuses
+    gu = _grad_into(u, span.scratch(stack + (disc.nx + 2,), "grad_u"), dx)
     elastic = 0.5 * (1.0 - mu_tilde) * integral_x(np.multiply(gu, gu, out=gu), dx)
 
     if params.kernel.is_empty:
-        memory = mu_prime_eta = np.zeros(state.u.shape[:-1])
+        memory = mu_prime_eta = np.zeros(stack)
     else:
         m = disc.ns - 1
         # only the leading rows of eta that differ are formed, and the last
-        # one's grad_sq stands for the rest
+        # one's grad_sq stands for the rest; a state kept earlier has no more
+        # distinct rows than the current one, and its rows past its own count
+        # are bitwise its last distinct one
         n = m if eta is not None else solver_mod._distinct_eta_rows(state, params, disc)
         # eta and its gradient in scratch memory; the gradient takes the
         # memory eta_field gathered into, which it no longer reads
-        shape = (n,) + state.u.shape
+        shape = (lags.size, n) + state.u.shape
         if eta is None:
-            eta = solver_mod.eta_field(state, params, disc, state.scratch(shape, "eta"), n)
-        ge = _grad_into(eta, state.scratch(shape[:-1] + (disc.nx + 2,), "work"), dx)
+            eta = solver_mod.eta_field(state, params, disc, span.scratch(shape, "eta"), n, span)
+        ge = _grad_into(eta, span.scratch(shape[:-1] + (disc.nx + 2,), "work"), dx)
         formed = integral_x(np.multiply(ge, ge, out=ge), dx)
         # per s-node, batch axes first, so each row's s-sum is over contiguous values
-        grad_sq = np.empty(state.u.shape[:-1] + (m,))
-        grad_sq[..., :n] = formed.T
-        grad_sq[..., n:] = formed[-1, ..., None]
+        grad_sq = np.empty(stack + (m,))
+        grad_sq[..., :n] = formed.swapaxes(1, -1)
+        grad_sq[..., n:] = formed[:, -1, ..., None]
         # w @ (mu * grad_sq), not (w * mu) @ grad_sq: keeps the reported bits
         on_grid = solver_mod._kernel_on_grid(params.kernel, disc)
         w_inner = disc.s_weights[1:]
         memory = 0.5 * np.vecdot(on_grid.mu * grad_sq, w_inner)
         mu_prime_eta = 0.5 * np.vecdot(on_grid.mu_prime * grad_sq, w_inner)
 
-    delay_raw = _delay_integral(state, disc)
+    delay_raw = _delay_integral(state, disc, lags)
     half, live = _delay_coefficient(params.theta, disc.tau,
                                     params.k if state.ks is None else state.ks)
     # a row without a delay term reads 0 even where its integral is not finite
     delay = half * delay_raw if live is None else np.where(live, half * delay_raw, 0.0)
 
-    v_tau = solver_mod.delayed_velocity(state, params, disc)
+    v_tau = solver_mod.delayed_velocity(state, params, disc, span)
     ut_tau_sq = dx * np.vecdot(v_tau, v_tau)
     return [0.5 * ut_sq, elastic, memory, delay, ut_sq, ut_tau_sq, delay_raw, mu_prime_eta]
 

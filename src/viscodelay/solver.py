@@ -21,10 +21,11 @@ Two realizations of the memory term are provided:
   The buffer holds only the fields pushed since t = 0, so a run of
   ``steps`` steps gets min(steps, n_hist) slots: a read from before t = 0
   evaluates the prescribed past u0 = phi * factor(t) on demand.  One
-  gather per neighbour, at offsets ``_node_steps`` fixes once per grid,
-  reads either kind of row; this module alone knows which eta row reads
-  which, and ``_distinct_eta_rows`` tells the energy how many leading rows
-  a frozen past leaves distinct.
+  gather per neighbour, at offsets ``_node_steps`` fixes once per grid
+  (each a state's lag further back for the states of a ``Span``), reads
+  either kind of row; this module alone knows which eta row reads which,
+  and ``_distinct_eta_rows`` tells the energy how many leading rows a
+  frozen past leaves distinct.
 * ``eta_grid``: eta is evolved directly on the s-grid with first-order
   upwinding and the memory force is the trapezoid s-quadrature.  Kept as
   a cross-validation mode; its first-order transport error is far too
@@ -52,8 +53,15 @@ delay (or none) one step is a fixed map C0 + C1 L + C2 L^2 acting on
 [u; v; q; two delay-line rows].  ``_step_map`` obtains its small scalar
 coefficient matrices once per (params, grid) by running ``_rk4`` on unit
 rows that are polynomials in L.  A call of ``step`` makes any number of
-steps, and ``run`` makes one per sample interval: the map and the plan of
-buffers the state keeps for it (``_map_plan``) are looked up once per call.
+steps: the map and the plan of buffers the state keeps for it
+(``_map_plan``) are looked up once per call.  ``run`` makes one call per
+span of up to S sample intervals (``_span_depth``): the call keeps the u
+and v of the span's sample steps in a ``Span`` as it passes them, and
+``energy.sample_state`` forms all their samples in one stacked pass, each
+reading the histories as many slots further back as steps have passed
+since it was kept.  So a span reads no slot that has been overwritten:
+where the displacement history is shorter than the run a span is one
+interval, and ``run`` builds the delay line (S - 1) intervals longer.
 The map path (``_step_by_map``) takes a call's steps in chunks of up to
 ``_chunk_bound`` steps, chained through one block of the plan: step j
 reads X from row j and writes its output into row j + 1, so no field is
@@ -64,8 +72,9 @@ rows nx + 2 wide whose end columns are the Dirichlet zeros, so each
 neighbour comes in by one flat add over a contiguous block; every interior
 entry gets the additions of the unpadded form, in its order.  Once per
 chunk, not per step, the delay inputs of its steps are copied in, its u and
-v rows are pushed into the histories, and one sum of squares over its
-outputs screens them for finiteness.  Only when that sum is not finite, by
+v rows are pushed into the histories, one sum of squares over its
+outputs screens them for finiteness, and its kept states are copied into
+the call's ``Span``, if any, by one slice copy of the block.  Only when that sum is not finite, by
 a non-finite entry or by overflow, is the chunk stepped again one step at a
 time, each step checked row by row, and that check decides.  A call copies
 the state's fields in once; the last step of a chunk writes a fresh block
@@ -134,6 +143,11 @@ GRID_CACHE_SIZE = 2
 # the most bytes of map-step inputs a chunk of steps works in: 32 steps of a solo
 # nx = 200 state with one memory term and a delay line
 CHUNK_BYTES = 2 ** 18
+# the most bytes a span's energy samples are formed in (``_span_depth``): the
+# stacked eta and its gradient, the kept u and v, and the slots the span adds
+# to the delay line; 9 samples of a solo nx = 200 state with ns = 64 and a
+# modulated past
+SPAN_BYTES = 2 ** 21
 
 T = TypeVar("T")
 
@@ -445,8 +459,8 @@ class RingBuffer:
     only the rows pushed since t = 0: a read ``p >= pushed`` steps back
     returns ``factor(p - pushed) * phi``, evaluated on demand, so a buffer
     that will see ``steps`` pushes needs no more than ``steps`` slots.
-    ``_rows`` is the one gather of such reads, stored slots up to the first
-    read past the pushes and the past from there on; ``back_interp_rows``
+    ``back_interp_rows`` is the one gather of such reads, stored slots up
+    to the first read past the pushes and the past from there on, and
     interpolates between two, at neighbour offsets its caller fixes.  On
     such a buffer a read ``capacity <= p < pushed`` raises ``SolverError``:
     its slot has been overwritten.  A buffer with no past reads by
@@ -458,7 +472,11 @@ class RingBuffer:
     pushed since the last read before it reads, so a run that samples every
     few hundred steps norms a slot once per sample at most, not per push.
     ``push_rows`` and ``copy_rows`` write and read a run of consecutive
-    slots by one slice copy, or two where the run wraps.
+    slots by one slice copy, or two where the run wraps; ``back_rows``
+    gathers any stored slots.  The ``Span`` of a run reads both buffers at
+    offsets a state's lag further back: ``back_interp_rows`` takes the
+    lags of all its states at once, and ``slot_norms`` any shape of
+    offsets.
     """
 
     __slots__ = ("data", "capacity", "head", "norms", "normed", "pushed", "past", "factor")
@@ -519,14 +537,6 @@ class RingBuffer:
             out[:-wrap] = self.data[start:]
             out[-wrap:] = self.data[:wrap]
 
-    def _past_rows(self, ages: np.ndarray) -> np.ndarray:
-        """The past at each of 1-D ``ages``, broadcastable to (ages.size,) + past shape."""
-        if self.factor is None:
-            # phi at every age: one row, as np.broadcast_to costs microseconds a call
-            return self.past[None]
-        # one IEEE multiply per entry, as a stored factor * phi row had
-        return np.multiply.outer(self.factor(ages), self.past)
-
     def _refuse_overwritten(self, steps: int) -> None:
         raise SolverError(f"history offset {steps} is past the {self.capacity} slots of a "
                           f"buffer with {self.pushed} pushes: that slot was overwritten; "
@@ -535,7 +545,9 @@ class RingBuffer:
     def back(self, steps: int) -> np.ndarray:
         if self.past is not None:
             if steps >= self.pushed:
-                row = self._past_rows(np.array([steps - self.pushed]))[0]
+                # one IEEE multiply per entry, as a stored factor * phi row had
+                row = self.past if self.factor is None else (
+                    self.factor(np.array([steps - self.pushed]))[0] * self.past)
                 return np.broadcast_to(row, self.data.shape[1:])
             if steps >= self.capacity:
                 self._refuse_overwritten(steps)
@@ -568,26 +580,56 @@ class RingBuffer:
                     self.norms[lo:hi] = np.einsum("i...j,i...j->i...", rows, rows)
         return np.take(self.norms.T, (self.head + offsets) % self.capacity, axis=-1)
 
-    def _rows(self, j: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``back(p)`` for every p in ``j`` (non-decreasing integers), into ``out``:
-        the stored slots up to the first p that reaches back past the pushes,
-        the past from there on."""
-        n = j.size if self.past is None else int(np.searchsorted(j, self.pushed))
-        if self.past is not None and n and j[n - 1] >= self.capacity:
-            self._refuse_overwritten(int(j[n - 1]))
-        self.data.take((self.head + j[:n]) % self.capacity, axis=0, out=out[:n])
-        if n < j.size:
-            out[n:] = self._past_rows(j[n:] - self.pushed)
-        return out
+    def back_rows(self, offsets: np.ndarray) -> np.ndarray:
+        """``back(p)`` for every p in ``offsets``, stored slots only, by one gather."""
+        return self.data.take(self.head + offsets, axis=0, mode="wrap")
 
     def back_interp_rows(self, newer: np.ndarray, older: np.ndarray, frac: np.ndarray,
-                         out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """back(newer) + frac * (back(older) - back(newer)) row by row, into
-        ``out``; ``work``, shaped like ``out``, takes the gathered newer rows.
-        Where ``older`` is ``newer`` (frac 0) the difference is exactly 0."""
-        self._rows(newer, work)
-        np.subtract(self._rows(older, out), work, out=out)
-        np.multiply(frac.reshape(frac.shape + (1,) * (out.ndim - 1)), out, out=out)
+                         lags: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """back(newer + lag) + frac * (back(older + lag) - back(newer + lag)) for
+        each of the S ``lags`` and each of the n non-decreasing offsets in
+        ``newer`` and ``older``, into ``out`` (contiguous, (S, n) + a slot's
+        shape); ``work``, shaped like ``out``, takes the gathered newer rows.
+
+        Each neighbour is one gather of stored slots; then in each of the S
+        rows the reads from the first that reaches back past the pushes get
+        the past, its factors at every such age of both neighbours from one
+        ``factor`` call.  Where ``older`` is ``newer`` (frac 0) the
+        difference is exactly 0.
+        """
+        both = ((newer, work), (older, out))
+        for j, rows in both:
+            # mode "wrap" writes into ``rows`` directly; "raise" would buffer
+            self.data.take((self.head + j + lags[:, None]).reshape(-1), axis=0, mode="wrap",
+                           out=rows.reshape((lags.size * j.size,) + self.data.shape[1:]))
+        if self.past is None:
+            stored = None
+        else:
+            # per neighbour, how many leading reads of each row are stored slots
+            stored = [np.searchsorted(j, self.pushed - lags).tolist() for j, _ in both]
+            deepest = max((int(j[c - 1]) + lag for (j, _), counts in zip(both, stored)
+                           for c, lag in zip(counts, lags.tolist()) if c), default=-1)
+            if deepest >= self.capacity:
+                self._refuse_overwritten(deepest)
+        if stored is not None and self.factor is not None:
+            ages = np.concatenate([j[c:] + (lag - self.pushed) for (j, _), counts in zip(both, stored)
+                                   for c, lag in zip(counts, lags.tolist())])
+            factors = self.factor(ages)
+        used = 0
+        for (j, rows), counts in zip(both, stored or ()):
+            for s, c in enumerate(counts):
+                k = j.size - c
+                if not k:
+                    continue
+                if self.factor is None:
+                    rows[s, c:] = self.past
+                else:
+                    # one IEEE multiply per entry, as a stored factor * phi row had
+                    np.multiply(factors[used:used + k].reshape((k,) + (1,) * self.past.ndim),
+                                self.past, out=rows[s, c:])
+                    used += k
+        np.subtract(out, work, out=out)
+        np.multiply(frac.reshape(frac.shape + (1,) * (out.ndim - 2)), out, out=out)
         return np.add(work, out, out=out)
 
 
@@ -609,7 +651,7 @@ class SimState:
     v_hist: RingBuffer | None = None   # past u_t fields, the delay line, with norms
     z_rho: np.ndarray | None = None    # (n_delay, nx) transported delay field
     ks: tuple[float, ...] | None = None  # each batch row's k; None for one row
-    # scratch arrays, and the map step's plan of buffers (``_map_plan``)
+    # the map step's plan of buffers (``_map_plan``)
     work: dict[str, np.ndarray | tuple] = field(default_factory=dict, repr=False,
                                                 compare=False)
 
@@ -630,20 +672,6 @@ class SimState:
                 total += buf.nbytes
         return total
 
-    def scratch(self, shape: tuple[int, ...], use: str) -> np.ndarray:
-        """A float array of ``shape`` on memory this state reuses for ``use``.
-
-        A batch's sampling temporaries exceed malloc's mmap threshold, so
-        fresh ones would cost new pages at every sample.  The memory grows
-        to the largest shape asked for; what it holds is valid until the
-        next call with the same ``use``.
-        """
-        size = math.prod(shape)
-        buf = self.work.get(use)
-        if buf is None or buf.size < size:
-            buf = self.work[use] = np.empty(size)
-        return buf[:size].reshape(shape)
-
     def retire(self, rows: list[int]) -> None:
         """Zero batch ``rows`` and their delay line: a row that left the finite
         range goes on as the zero solution, which the other rows never read.
@@ -659,6 +687,95 @@ class SimState:
             self.v_hist.norms[:, rows] = 0.0
 
 
+class Span:
+    """States of one run at its sample steps, kept as ``step`` passes them,
+    so that ``energy.sample_state`` forms their samples in one stacked pass.
+
+    ``fields`` has room for the u and v of ``depth`` states, shape
+    (depth, 2) + batch + (nx,); ``steps`` and ``times`` hold the step index
+    and time of each state kept since the last ``clear``, oldest first.  A
+    call of ``step`` given a span keeps the state after each of its steps
+    whose index is a multiple of ``every``, and after its last; the map path
+    copies a chunk's kept states out of its block by one slice copy.  A
+    state kept ``lag`` steps before the current one is read from the
+    histories ``lag`` slots further back (``lags``), so ``run`` sizes the
+    delay line for the largest lag.  ``scratch`` hands out the memory the
+    samples reuse: a run's span owns it, so it is not kept with the state.
+    """
+
+    __slots__ = ("fields", "every", "steps", "times", "pool")
+
+    def __init__(self, fields: np.ndarray, every: int):
+        self.fields = fields
+        self.every = every
+        self.steps: list[int] = []
+        self.times: list[float] = []
+        self.pool: dict[str, np.ndarray] = {}
+
+    @classmethod
+    def of(cls, state: SimState) -> "Span":
+        """The state alone, at lag 0."""
+        span = cls(np.empty((1, 2) + state.u.shape), 1)
+        span.keep(state)
+        return span
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.fields[:len(self.steps), 0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.fields[:len(self.steps), 1]
+
+    def lags(self, state: SimState) -> np.ndarray:
+        """How many steps before ``state`` each kept state was taken."""
+        return state.step_index - np.array(self.steps, dtype=np.intp)
+
+    def keep(self, state: SimState) -> None:
+        """Keep the state as it is now."""
+        uv = self.fields[len(self.steps)]
+        uv[0] = state.u
+        uv[1] = state.v
+        self.steps.append(state.step_index)
+        self.times.append(state.t)
+
+    def capture(self, block: np.ndarray, last: np.ndarray, start: int, t: float,
+                k: int, dt: float, end: int) -> float:
+        """Keep the sample states among the k steps after step ``start``, at
+        time ``t``, of a call that ends at step ``end``: ``block[j]`` is (u, v)
+        after step start + j for 0 < j < k, and ``last`` after start + k.
+        Returns the time after the k steps, each dt added as a step adds it."""
+        kept = len(self.steps)
+        for j in range(start + 1, start + k + 1):
+            t += dt
+            if j % self.every == 0 or j == end:
+                self.steps.append(j)
+                self.times.append(t)
+        inside = block[self.every - start % self.every:k:self.every]
+        self.fields[kept:kept + len(inside)] = inside
+        if len(self.steps) > kept + len(inside):
+            self.fields[len(self.steps) - 1] = last
+        return t
+
+    def clear(self) -> None:
+        self.steps.clear()
+        self.times.clear()
+
+    def scratch(self, shape: tuple[int, ...], use: str) -> np.ndarray:
+        """A float array of ``shape`` on memory reused for ``use``.
+
+        A batch's sampling temporaries exceed malloc's mmap threshold, so
+        fresh ones would cost new pages at every sample.  The memory grows
+        to the largest shape asked for; what it holds is valid until the
+        next call with the same ``use``.
+        """
+        size = math.prod(shape)
+        buf = self.pool.get(use)
+        if buf is None or buf.size < size:
+            buf = self.pool[use] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 def _steps_by_map(params: ModelParams, disc: Discretization) -> bool:
     """Whether ``build`` leaves no evolved eta or z field, so ``step`` uses the map."""
     eta = params.memory_realization == "eta_grid" and not params.kernel.is_empty
@@ -667,7 +784,8 @@ def _steps_by_map(params: ModelParams, disc: Discretization) -> bool:
 
 
 def build(params: ModelParams, init: InitialData, disc: Discretization,
-          ks: list[float] | None = None, steps: int | None = None) -> SimState:
+          ks: list[float] | None = None, steps: int | None = None,
+          lags: int = 0) -> SimState:
     """State at t = 0 with its history structures set from the prescribed past.
 
     The delay line and the evolved fields are filled; the displacement
@@ -678,7 +796,8 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
     ``ks`` the state is a batch of len(ks) copies, row r stepped with
     k = ks[r] (``params.k`` is not read).  Without it the fields are
     (nx,), and ``step`` and ``sample_state`` treat the state as a batch of
-    one.
+    one.  The delay line has n_delay + 2 slots, and ``lags`` more so that
+    a ``Span`` of states kept up to ``lags`` steps back reads theirs.
     """
     if disc.tau > 0.0 and params.tau <= 0.0:
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
@@ -716,10 +835,11 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
             )
 
     if disc.n_delay > 0:
-        capacity = disc.n_delay + 2
+        capacity = disc.n_delay + 2 + lags
         vbuf = _reserve(lambda: RingBuffer(capacity, batch + (disc.nx,)),
                         (capacity,) + batch + (disc.nx,), batch, "the delay line",
-                        f"n_delay+2={capacity} rows x nx={disc.nx}",
+                        f"{f'lags={lags} + ' if lags else ''}n_delay+2={disc.n_delay + 2} "
+                        f"rows x nx={disc.nx}",
                         "shorten the delay, raise cfl or coarsen the grid", HistoryTooLarge)
         rates = np.fromiter((init.history_rate(-j * disc.dt)
                              for j in range(vbuf.capacity)), float, vbuf.capacity)
@@ -850,11 +970,12 @@ def _non_finite_rows(u: np.ndarray, v: np.ndarray) -> list[int]:
 # a blowing-up state overflows to inf/nan, which the finiteness check catches
 @np.errstate(over="ignore", invalid="ignore")
 def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
-                    n: int) -> None:
+                    n: int, span: Span | None = None) -> None:
     """``n`` ``_rk4`` steps of the state's own fields, each pushed and checked
-    for finiteness on its own: the path of the evolved eta and z fields and
-    the map's reference."""
+    for finiteness on its own, and kept in ``span`` by its rule: the path of
+    the evolved eta and z fields and the map's reference."""
     hist = state.v_hist if state.z_rho is None else None
+    end = state.step_index + n
     for _ in range(n):
         delay = None if hist is None else (hist.back(disc.n_delay),
                                            hist.back(disc.n_delay - 1))
@@ -873,6 +994,9 @@ def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
         bad = _non_finite_rows(state.u, state.v)
         if bad:
             raise NonFinite(state.step_index, None if state.ks is None else bad)
+        if span is not None and (state.step_index % span.every == 0
+                                 or state.step_index == end):
+            span.keep(state)
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -956,7 +1080,8 @@ def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int)
     rows flat and their u and v rows newest first (None for k = 1); the
     products as the matmul writes them, the 2 w of a second difference, the
     three products flat, C1 X and C2 X shifted either way, the end columns
-    of C1 X, and the shape of a step's output [u; v; q].
+    of C1 X, the shape of a step's output [u; v; q], and the interior u and
+    v of every row of the block, where a ``Span`` finds a chunk's states.
     """
     n_out, n_in = coeffs.shape[-2:]
     nw = n_out // 3
@@ -987,13 +1112,13 @@ def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int)
             inner[0, 2:nw] if nw > 2 else None, chunks,
             products.reshape(n_out, -1, width).swapaxes(0, 1)[..., 1:-1],
             np.empty(c1.shape), c0, c1, c2, c1[1:], c1[:-1], c2[:-1], c2[1:],
-            products[1, ..., ::width - 1], products.shape[1:])
+            products[1, ..., ::width - 1], products.shape[1:], inner[:, :2])
 
 
 # as on the stage path, overflow to inf/nan is left to the finiteness screen
 @np.errstate(over="ignore", invalid="ignore")
 def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
-                 n: int) -> None:
+                 n: int, span: Span | None = None) -> None:
     """``n`` map steps in chunks of up to K, chained through the block of the
     state's plan (``_map_plan``, rebuilt when the map changes or a call needs
     longer chunks); a chunk's last step writes a fresh block [u; v; q], of
@@ -1001,8 +1126,9 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
     inputs are copied in, one sum of squares screens the outputs and their
     u and v are pushed; after a sum that is not finite the call goes on from
     the chunk's start one step at a time, where ``_non_finite_rows``
-    decides.  It takes the arguments of ``_step_by_stages``, so ``step``
-    calls either alike.
+    decides.  Once a chunk is kept, the ``span``'s states among its steps
+    are copied out of the block.  It takes the arguments of
+    ``_step_by_stages``, so ``step`` calls either alike.
     """
     if n < 1:
         return
@@ -1013,7 +1139,8 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
     if plan is None or plan[0] is not coeffs or plan[2] < min(n, plan[1]):
         plan = state.work["map_plan"] = _map_plan(coeffs, state, disc, n)
     (_, _, size, first, x_u, x_v, x_q, chunks, products, twice, c0, c1, c2,
-     c1_hi, c1_lo, c2_lo, c2_hi, c1_ends, shape) = plan
+     c1_hi, c1_lo, c2_lo, c2_hi, c1_ends, shape, states) = plan
+    end = state.step_index + n
     u_hist, v_hist = state.u_hist, state.v_hist
     x_u[...] = state.u
     x_v[...] = state.v
@@ -1064,8 +1191,12 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
             if k > 1:
                 v_hist.push_rows(v_rows)
             v_hist.push(v)
-        for _ in range(k):
-            state.t += disc.dt
+        if span is None or bad:
+            for _ in range(k):
+                state.t += disc.dt
+        else:
+            state.t = span.capture(states, fields[:2, ..., 1:-1], state.step_index, state.t,
+                                   k, disc.dt, end)
         state.step_index += k
         left -= k
         if bad or not left:
@@ -1078,7 +1209,8 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
         raise NonFinite(state.step_index, None if state.ks is None else bad)
 
 
-def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1) -> SimState:
+def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1,
+         span: Span | None = None) -> SimState:
     """Advance ``n`` steps of dt by the classical 4-stage explicit scheme (in place).
 
     A state with no evolved eta or z fields advances by ``_step_map``, looked
@@ -1092,19 +1224,29 @@ def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1)
     The fields a call leaves in the state are fresh arrays that later calls
     do not write.  A step whose u or v holds a non-finite entry raises
     ``NonFinite``, the state left at that step, pushed; for a batch it names
-    the rows that went non-finite, and the others have advanced.
+    the rows that went non-finite, and the others have advanced.  Given a
+    ``Span``, the call keeps the state after each of its steps whose index
+    is a multiple of ``span.every`` and after its last (not after a step
+    that raises): on the map path by one slice copy per chunk out of the
+    chunk's block.
     """
     advance = _step_by_map if _steps_by_map(params, disc) else _step_by_stages
-    advance(state, params, disc, n)
+    advance(state, params, disc, n, span)
     return state
 
 
-def delayed_velocity(state: SimState, params: ModelParams,
-                     disc: Discretization) -> np.ndarray:
-    """z(., 1, t) at a whole-step time: delay-line slot n_delay, or v, or z[-1]."""
-    if params.delay_realization == "ring_buffer" and disc.n_delay > 0:
-        return state.v_hist.back(disc.n_delay)
-    return state.v if state.z_rho is None else state.z_rho[-1]
+def delayed_velocity(state: SimState, params: ModelParams, disc: Discretization,
+                     span: Span | None = None) -> np.ndarray:
+    """z(., 1, t) at a whole-step time: delay-line slot n_delay, or v, or z[-1].
+    Given ``span``, at each of its states, stacked, by one gather."""
+    ring = params.delay_realization == "ring_buffer" and disc.n_delay > 0
+    if span is None:
+        if ring:
+            return state.v_hist.back(disc.n_delay)
+        return state.v if state.z_rho is None else state.z_rho[-1]
+    if ring:
+        return state.v_hist.back_rows(disc.n_delay + span.lags(state))
+    return span.v if state.z_rho is None else state.z_rho[None, -1]
 
 
 @functools.lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -1127,42 +1269,60 @@ def _distinct_eta_rows(state: SimState, params: ModelParams, disc: Discretizatio
 
     With a frozen past, every row from the first whose newer slot reaches
     back past the pushes reads phi alone and is u - phi.  A modulated past
-    or an evolved eta has ns - 1 distinct rows.
+    or an evolved eta has ns - 1 distinct rows.  A state kept by a ``Span``
+    saw fewer pushes, so the count at the current state bounds theirs.
     """
     hist = state.u_hist
-    m = disc.ns - 1
     if hist is None or hist.past is None or hist.factor is not None:
-        return m
-    return min(int(np.searchsorted(_node_steps(disc)[0], hist.pushed)) + 1, m)
+        return disc.ns - 1
+    return _frozen_distinct_rows(disc, hist.pushed)
+
+
+def _frozen_distinct_rows(disc: Discretization, pushed: int) -> int:
+    """``_distinct_eta_rows`` of a frozen past after ``pushed`` pushes."""
+    return min(int(np.searchsorted(_node_steps(disc)[0], pushed)) + 1, disc.ns - 1)
 
 
 def eta_field(state: SimState, params: ModelParams, disc: Discretization,
-              out: np.ndarray | None = None, rows: int | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, rows: int | None = None,
+              span: Span | None = None) -> np.ndarray:
     """History field eta(x, s_j) on the interior s-nodes, shape (ns-1, nx),
-    or (ns-1, R, nx) for a batch; written into ``out`` when given.  Given
-    ``rows``, only the first ``rows`` s-nodes, each row bitwise as in the
-    full field.
+    or (ns-1, R, nx) for a batch; written into ``out`` (contiguous) when
+    given.  Given ``rows``, only the first ``rows`` s-nodes, each row
+    bitwise as in the full field.  Given ``span``, the field of each of its
+    S states, stacked (S, ns-1) + ..., each bitwise as at its own step.
 
     For the prony_modes realization this is the exact characteristics
     solution eta(s) = u(t) - u(t - s) read off the u ring buffer, by one
-    gather of the two neighbours of every s-node (``back_interp_rows`` at
-    the ``_node_steps`` of the grid); for eta_grid it is the evolved array
-    itself.  Which rows read stored slots and which the past is known to
-    this module alone: ``_distinct_eta_rows`` tells a caller how many differ.
+    gather of the two neighbours of every s-node at every state
+    (``back_interp_rows`` at the ``_node_steps`` of the grid, each state's
+    lag further back); for eta_grid it is the evolved array itself, at the
+    state's own step only.  Which rows read stored slots and which the past
+    is known to this module alone: ``_distinct_eta_rows`` tells a caller
+    how many differ.
     """
+    one = span is None
+    if one:
+        span = Span.of(state)
+        out = None if out is None else out[None]
+    lags = span.lags(state)
     if params.kernel.is_empty:
-        return np.zeros((0,) + state.u.shape)
-    if state.eta is not None:
-        if out is None:
-            return state.eta[:rows]
-        out[...] = state.eta[:rows]
-        return out
-    newer, older, frac = (arr[:rows] for arr in _node_steps(disc))
-    shape = (newer.size,) + state.u.shape
-    u_past = state.u_hist.back_interp_rows(
-        newer, older, frac, np.empty(shape) if out is None else out,
-        state.scratch(shape, "work"))
-    return np.subtract(state.u, u_past, out=u_past)
+        eta = np.zeros((lags.size, 0) + state.u.shape)
+    elif state.eta is not None:
+        if lags.any():
+            raise ValueError("an evolved eta is at the state's own step only")
+        eta = state.eta[None, :rows]
+        if out is not None:
+            out[...] = eta
+            eta = out
+    else:
+        newer, older, frac = (arr[:rows] for arr in _node_steps(disc))
+        shape = (lags.size, newer.size) + state.u.shape
+        u_past = state.u_hist.back_interp_rows(
+            newer, older, frac, lags, np.empty(shape) if out is None else out,
+            span.scratch(shape, "work"))
+        eta = np.subtract(span.u[:, None], u_past, out=u_past)
+    return eta[0] if one else eta
 
 
 @dataclass
@@ -1212,6 +1372,39 @@ class Trace:
         return self.params.mode
 
 
+def _span_rows(params: ModelParams, init: InitialData, disc: Discretization,
+               n_steps: int, snapshots: bool = False) -> int:
+    """The most rows of eta a sample of a run of ``n_steps`` forms: the
+    ``_distinct_eta_rows`` of its last step, or all ns - 1 for a snapshot."""
+    if params.kernel.is_empty:
+        return 0
+    if init.history == "frozen" and not snapshots:
+        return _frozen_distinct_rows(disc, n_steps)
+    return disc.ns - 1
+
+
+def _span_depth(params: ModelParams, init: InitialData, disc: Discretization,
+                batch: tuple[int, ...], n_steps: int, every: int,
+                snapshots: bool = False) -> int:
+    """How many sample intervals ``run`` steps per call, its span's depth S.
+
+    One on the grid realizations, whose evolved fields exist at the current
+    step only, and where the displacement history is shorter than the run,
+    whose slots a lagged read could find overwritten.  Otherwise as many as
+    the run has intervals and SPAN_BYTES holds: per state its u and v, the
+    ``_span_rows`` of eta and their gradient, and every S - 1 states the
+    ``every`` delay-line slots the largest lag adds.
+    """
+    if not _steps_by_map(params, disc) or (
+            not params.kernel.is_empty and disc.n_hist < n_steps):
+        return 1
+    row = 8 * math.prod(batch) * (disc.nx + 2)
+    eta_rows = _span_rows(params, init, disc, n_steps, snapshots)
+    lagged = every if disc.n_delay > 0 else 0
+    depth = (SPAN_BYTES // row + lagged) // (2 * eta_rows + 2 + lagged)
+    return max(1, min(depth, -(-n_steps // every)))
+
+
 def run(params: ModelParams, init: InitialData, disc: Discretization,
         horizon: float, sample_every: int = 0, snapshots: bool = False,
         ks: list[float] | None = None) -> Trace | list[Trace]:
@@ -1220,6 +1413,10 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
     ``sample_every = 0`` picks a cadence of about 1000 samples.  A
     non-finite state aborts the run; the partial trace is still returned
     with ``aborted_step`` set.
+
+    The run goes in spans of S sample intervals (``_span_depth``), one
+    ``step`` call each: the call keeps the span's sample states in a
+    ``Span``, and one ``sample_state`` call forms all their samples.
 
     With ``ks`` the rows k = ks[r] run as one batch and the result is one
     Trace per row, in order, each the trace its solo run gives, since a
@@ -1244,48 +1441,68 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
     if sample_every <= 0:
         sample_every = max(1, n_steps // 1000)
 
-    state = build(params, init, disc, ks=ks, steps=n_steps)
+    batch = () if ks is None else (len(ks),)
+    depth = _span_depth(params, init, disc, batch, n_steps, sample_every, snapshots)
+    # a span's first state is read (depth - 1) intervals after it was kept
+    state = build(params, init, disc, ks=ks, steps=n_steps, lags=(depth - 1) * sample_every)
+    span = Span(np.empty((depth, 2) + state.u.shape), sample_every)
+    # the memory of a full span's largest samples from the start, so it never grows
+    eta_rows = _span_rows(params, init, disc, n_steps, snapshots)
+    span.scratch((depth, eta_rows) + state.u.shape, "eta")
+    span.scratch((depth, eta_rows) + batch + (disc.nx + 2,), "work")
     times = []
     # per sample the SAMPLE_TERMS, then the batch axis
-    batch = state.u.shape[:-1]
     shape = (2 + n_steps // sample_every, len(SAMPLE_TERMS)) + batch
     cols = _reserve(lambda: np.empty(shape), shape, batch, "the sample table",
                     f"{shape[0]} rows x {shape[1]} terms", "raise sample_every or shorten T",
                     SolverError)
     snaps = []
 
-    def take_sample():
-        # a snapshot shares the sample's eta, reconstructed once
-        eta = eta_field(state, params, disc) if snapshots else None
-        r = sample_state(state, params, disc, eta=eta)
-        cols[len(times)] = [getattr(r, name) for name in SAMPLE_TERMS]
-        times.append(state.t)
+    def take_samples():
+        count = len(span.steps)
+        if not count:
+            return
+        # a snapshot shares its sample's eta, reconstructed once
+        eta = eta_field(state, params, disc, span.scratch((count, eta_rows) + state.u.shape, "eta"),
+                        span=span) if snapshots else None
+        r = sample_state(state, params, disc, eta=eta, span=span)
+        for i, name in enumerate(SAMPLE_TERMS):
+            cols[len(times):len(times) + count, i] = getattr(r, name)
+        times.extend(span.times)
         if snapshots:
             on_grid = _kernel_on_grid(params.kernel, disc)
-            snaps.append(Snapshot(
-                t=state.t, u=state.u.copy(), v=state.v.copy(),
-                v_delayed=delayed_velocity(state, params, disc).copy(),
-                int_mu_eta=on_grid.w_mu @ eta, int_mu_prime_eta=on_grid.w_mu_prime @ eta,
-            ))
+            v_delayed = delayed_velocity(state, params, disc, span)
+            for i, t in enumerate(span.times):
+                snaps.append(Snapshot(
+                    t=t, u=span.u[i].copy(), v=span.v[i].copy(), v_delayed=v_delayed[i].copy(),
+                    int_mu_eta=on_grid.w_mu @ eta[i], int_mu_prime_eta=on_grid.w_mu_prime @ eta[i],
+                ))
+        span.clear()
 
-    take_sample()
+    span.keep(state)
+    take_samples()
     # per row: the step it aborted at, and how many samples it kept
     aborted = [None] * (1 if ks is None else len(ks))
     kept = [None] * len(aborted)
-    # one step call per sample interval, and one more to finish an interval
-    # where rows went non-finite and others live on
+    # one step call per span, spans on a grid of depth intervals, and one more
+    # call to finish a span where rows went non-finite and others live on
+    span_steps = depth * sample_every
     while state.step_index < n_steps:
-        end = min((state.step_index // sample_every + 1) * sample_every, n_steps)
+        end = min((state.step_index // span_steps + 1) * span_steps, n_steps)
         try:
-            step(state, params, disc, end - state.step_index)
+            step(state, params, disc, end - state.step_index, span=span)
         except NonFinite as err:
+            # the states before the abort, sampled before retire zeroes the
+            # aborted rows' delay line
+            take_samples()
             for r in err.rows or [0]:
                 aborted[r], kept[r] = err.step_index, len(times)
             if None not in aborted:
                 break
             state.retire(err.rows)
-        if state.step_index == end:
-            take_sample()
+            if state.step_index % sample_every == 0 or state.step_index == n_steps:
+                span.keep(state)
+        take_samples()
 
     cols = cols[:len(times)]
     times = np.array(times)

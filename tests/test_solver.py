@@ -301,22 +301,41 @@ def test_run_zero_horizon_single_sample():
 
 
 def test_snapshot_samples_reconstruct_eta_once(monkeypatch):
-    calls = []
+    # the time of every sample whose eta a call forms: a call of a span forms
+    # all of its samples' eta at once
+    formed = []
     original = solver.eta_field
 
-    def counted(*args):
-        calls.append(args[0].step_index)
-        return original(*args)
+    def counted(state, params, disc, out=None, rows=None, span=None):
+        formed.extend([state.t] if span is None else span.times)
+        return original(state, params, disc, out, rows, span)
 
     monkeypatch.setattr(solver, "eta_field", counted)
     params = ModelParams(kernel=KERNEL)
     disc = discretize(params, nx=40)
     init = InitialData(history="modulated", omega=2.0)
     trace = run(params, init, disc, 0.5, sample_every=10, snapshots=True)
-    assert len(calls) == trace.times.size == len(trace.snapshots)
+    # each sample's eta is formed once, and its snapshot shares it
+    assert formed == trace.times.tolist() == [snap.t for snap in trace.snapshots]
     plain = run(params, init, disc, 0.5, sample_every=10)
     np.testing.assert_array_equal(trace.memory, plain.memory)
     np.testing.assert_array_equal(trace.mu_prime_eta, plain.mu_prime_eta)
+
+
+@pytest.mark.parametrize("history", ["frozen", "modulated"])
+def test_snapshots_change_no_energy_term(history):
+    # sampled every 3 steps, several samples to a span; with snapshots every
+    # sample forms all ns - 1 rows of eta, without only the distinct ones
+    params = ModelParams(tau=0.2, k=0.3, kernel=KERNEL, mode="auxiliary")
+    init = InitialData(shape="gaussian", history=history, omega=2.0)
+    disc = discretize(params, nx=40)
+    assert solver._span_depth(params, init, disc, (), round(1.0 / disc.dt), 3) > 1
+    with_snapshots = run(params, init, disc, 1.0, sample_every=3, snapshots=True)
+    plain = run(params, init, disc, 1.0, sample_every=3)
+    assert len(with_snapshots.snapshots) == plain.times.size > 50
+    assert with_snapshots.times.tobytes() == plain.times.tobytes()
+    for name in solver.SAMPLE_TERMS:
+        assert getattr(with_snapshots, name).tobytes() == getattr(plain, name).tobytes(), name
 
 
 def test_memory_only_run_decays():

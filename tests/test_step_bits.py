@@ -5,8 +5,9 @@ line's slots when they are read.  ``_oracles.eager_map_step`` is the step
 that formed every buffer afresh and normed each slot as it was pushed.
 Both step the same states through runs that wrap both ring buffers, and
 every field, stored slot and slot norm must be the same bits.  A call of
-``step`` may make several steps, and ``run`` makes one call per sample
-interval: both keep the bits of single steps.
+``step`` may make several steps, and ``run`` makes one call per span of
+sample intervals and samples the span's states together: both keep the
+bits of single steps, each sampled as it is reached (``hand_run``).
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from viscodelay import solver
+from viscodelay import energy, solver
 from viscodelay.energy import sample_state
 from viscodelay.kernel import MemoryKernel
 from viscodelay.solver import (SAMPLE_TERMS, InitialData, ModelParams, NonFinite, build,
@@ -24,6 +25,8 @@ from viscodelay.solver import (SAMPLE_TERMS, InitialData, ModelParams, NonFinite
 from _oracles import eager_map_step, eager_slot_norms
 
 ONE_TERM = MemoryKernel.from_terms([(1.0, 2.0)])
+# s_max ~ 36: a displacement history longer than the runs below
+SLOW = MemoryKernel.from_terms([(0.25, 0.5)])
 THREE_TERMS = MemoryKernel.from_terms([(0.2, 0.7), (1.0, 5.0), (3.0, 30.0)])
 FROZEN = InitialData(shape="gaussian", width=0.08)
 MODULATED = InitialData(shape="gaussian", width=0.08, history="modulated", omega=3.0)
@@ -223,29 +226,34 @@ def counted_calls(monkeypatch):
     """The n of every ``solver.step`` call, as ``run`` passes it."""
     calls = []
     original = solver.step
-    monkeypatch.setattr(solver, "step", lambda *args: calls.append(args[3]) or original(*args))
+    monkeypatch.setattr(solver, "step", lambda *args, **kwargs:
+                        calls.append(args[3]) or original(*args, **kwargs))
     return calls
 
 
-def interval_calls(n_steps, sample_every, abort=None):
-    """A call per sample interval, and one more after a mid-interval abort."""
+def span_calls(n_steps, span_steps, abort=None):
+    """A call per span of ``span_steps`` steps, spans on a grid of that many
+    steps, and one more after a mid-span abort."""
     calls = []
-    for start in range(0, n_steps, sample_every):
-        end = min(start + sample_every, n_steps)
+    for start in range(0, n_steps, span_steps):
+        end = min(start + span_steps, n_steps)
         calls.append(end - start)
         if abort is not None and start < abort < end:
             calls.append(end - abort)
     return calls
 
 
-def test_solo_run_steps_an_interval_per_call_with_the_bits_of_single_steps(monkeypatch):
+def test_solo_run_steps_a_span_per_call_with_the_bits_of_single_steps(monkeypatch):
     params, init, _, _ = CASES["three-terms"]
     disc = discretize(params, nx=20, ns=16)
     horizon = 60 * disc.dt
     times, samples, aborted, _ = hand_run(params, init, disc, horizon, 7)
     calls = counted_calls(monkeypatch)
     trace = run(params, init, disc, horizon, sample_every=7)
-    assert calls == interval_calls(60, 7) == [7] * 8 + [4]
+    # every interval of the run fits in one span
+    depth = solver._span_depth(params, init, disc, (), 60, 7)
+    assert depth == 9
+    assert calls == span_calls(60, 7 * depth) == [60]
     assert trace.aborted_step is None and aborted == [None]
     assert trace.times.tobytes() == times.tobytes()
     for i, name in enumerate(SAMPLE_TERMS):
@@ -253,20 +261,123 @@ def test_solo_run_steps_an_interval_per_call_with_the_bits_of_single_steps(monke
 
 
 def test_batch_run_finishes_the_interval_of_an_abort_with_the_bits_of_single_steps(monkeypatch):
-    # the batch of test_retired_row_keeps_the_live_rows_unread_norms
+    # the batch of test_retired_row_keeps_the_live_rows_unread_norms; its
+    # displacement history is shorter than the run, so a span is one interval
     params, init, ks, abort = ABORTING
     disc = discretize(params, nx=40, ns=16)
     times, samples, aborted, kept = hand_run(params, init, disc, 9.6, 7, ks)
     assert aborted == [None, abort, None] and abort % 7 != 0
     calls = counted_calls(monkeypatch)
     batch = run(params, init, disc, 9.6, sample_every=7, ks=ks)
-    assert calls == interval_calls(round(9.6 / disc.dt), 7, abort)
+    n_steps = round(9.6 / disc.dt)
+    assert disc.n_hist < n_steps and solver._span_depth(params, init, disc, (3,), n_steps, 7) == 1
+    assert calls == span_calls(n_steps, 7, abort)
     for r, trace in enumerate(batch):
         n = times.size if kept[r] is None else kept[r]
         assert trace.aborted_step == aborted[r]
         assert trace.times.tobytes() == times[:n].tobytes()
         for i, name in enumerate(SAMPLE_TERMS):
             assert getattr(trace, name).tobytes() == samples[:n, i, r].tobytes(), (r, name)
+
+
+def assert_run_is_hand_run(params, init, disc, horizon, sample_every, ks=None):
+    """``run`` gives the times, terms, abort steps and kept samples of
+    ``hand_run``, bit for bit; returns its traces and ``hand_run``'s kept."""
+    times, samples, aborted, kept = hand_run(params, init, disc, horizon, sample_every, ks)
+    traces = run(params, init, disc, horizon, sample_every=sample_every, ks=ks)
+    for r, trace in enumerate([traces] if ks is None else traces):
+        n = times.size if kept[r] is None else kept[r]
+        assert trace.aborted_step == aborted[r]
+        assert trace.times.tobytes() == times[:n].tobytes()
+        for i, name in enumerate(SAMPLE_TERMS):
+            column = samples[:n, i] if ks is None else samples[:n, i, r]
+            assert getattr(trace, name).tobytes() == column.tobytes(), (r, name)
+    return traces, kept
+
+
+def test_a_history_shorter_than_the_run_takes_spans_of_one(monkeypatch):
+    # n_hist = 776 slots for 840 steps: a lagged read could find its slot overwritten
+    params = ModelParams(tau=0.3, k=0.05, kernel=ONE_TERM)
+    disc = discretize(params, nx=20)
+    n_steps = round(10.0 / disc.dt)
+    assert disc.n_hist < n_steps
+    assert solver._span_depth(params, MODULATED, disc, (), n_steps, 5) == 1
+    calls = counted_calls(monkeypatch)
+    trace, _ = assert_run_is_hand_run(params, MODULATED, disc, 10.0, 5)
+    assert calls == span_calls(n_steps, 5)
+    assert trace.final_state.u_hist.capacity == min(disc.n_hist, n_steps)
+    assert trace.final_state.v_hist.capacity == disc.n_delay + 2
+
+
+def test_lags_reach_the_deepest_delay_line_slot_a_span_reads(monkeypatch):
+    # spans of 5 intervals of 3 steps: a span's first state is sampled 12
+    # steps after it was kept, so the run's delay line has 12 more slots, and
+    # that state's delay integral reads back to slot n_delay + 12
+    monkeypatch.setattr(solver, "SPAN_BYTES", 2 ** 15)
+    params = ModelParams(tau=0.05, k=0.4, kernel=SLOW, mode="auxiliary")
+    disc = discretize(params, nx=20, ns=16)
+    n_steps = round(3.0 / disc.dt)
+    assert solver._span_depth(params, MODULATED, disc, (), n_steps, 3) == 5
+    lags = []
+    original = energy.sample_state
+
+    def sampled(state, params, disc, eta=None, span=None):
+        lags.extend(span.lags(state).tolist())
+        return original(state, params, disc, eta, span)
+
+    monkeypatch.setattr(energy, "sample_state", sampled)
+    trace, _ = assert_run_is_hand_run(params, MODULATED, disc, 3.0, 3)
+    assert max(lags) == 12 and lags.count(12) == n_steps // 15
+    capacity = trace.final_state.v_hist.capacity
+    assert capacity == disc.n_delay + 2 + 12 and n_steps > 10 * capacity
+
+
+@pytest.mark.parametrize("ks", [None, ABORTING[2]], ids=["solo", "batch"])
+def test_a_mid_span_abort_keeps_the_samples_before_it_and_kept(monkeypatch, ks):
+    # the k = -330 row of ABORTING, alone or in its batch, with a displacement
+    # history longer than the run, in spans of several intervals of 7 steps
+    monkeypatch.setattr(solver, "SPAN_BYTES", 2 ** 17)
+    params = ModelParams(tau=0.02, k=-330.0, kernel=SLOW)  # a batch reads ks, not k
+    abort = ABORTING[3]
+    disc = discretize(params, nx=40, ns=16)
+    n_steps = round(9.6 / disc.dt)
+    depth = solver._span_depth(params, FROZEN, disc, () if ks is None else (3,), n_steps, 7)
+    assert depth > 1 and disc.n_hist >= n_steps
+    # the abort falls between two samples, after the first one of its span
+    assert abort % (7 * depth) > 7 and abort % 7 != 0
+    calls = counted_calls(monkeypatch)
+    traces, kept = assert_run_is_hand_run(params, FROZEN, disc, 9.6, 7, ks)
+    # the aborting row keeps its samples at steps 0, 7, ..., up to the abort
+    if ks is None:
+        assert traces.aborted_step == abort and kept == [abort // 7 + 1]
+        # a solo run stops there: no call finishes the span
+        assert calls == span_calls(n_steps, 7 * depth)[:abort // (7 * depth) + 1]
+    else:
+        assert [trace.aborted_step for trace in traces] == [None, abort, None]
+        assert kept == [None, abort // 7 + 1, None]
+        assert calls == span_calls(n_steps, 7 * depth, abort)
+
+
+@pytest.mark.parametrize("case", ["no-memory", "no-memory-batch", "tau0", "tau0-batch"])
+def test_spans_without_a_kernel_or_a_delay_keep_the_bits_of_single_steps(case):
+    params, init, ks, _ = CASES[case]
+    disc = discretize(params, nx=20, ns=16)
+    n_steps = round(2.0 / disc.dt)
+    batch = () if ks is None else (len(ks),)
+    assert solver._span_depth(params, init, disc, batch, n_steps, 3) > 1
+    assert_run_is_hand_run(params, init, disc, 2.0, 3, ks)
+
+
+def test_a_last_interval_shorter_than_sample_every_ends_the_last_span(monkeypatch):
+    # 100 steps sampled every 7 in spans of 3 intervals: the last span holds
+    # the samples at steps 91 and 98, then the last step's
+    monkeypatch.setattr(solver, "SPAN_BYTES", 2 ** 16)
+    params, init, ks, _ = CASES["three-terms-batch"]
+    disc = discretize(params, nx=20, ns=16)
+    assert solver._span_depth(params, init, disc, (3,), 100, 7) == 3
+    calls = counted_calls(monkeypatch)
+    assert_run_is_hand_run(params, init, disc, 100 * disc.dt, 7, ks)
+    assert calls == span_calls(100, 21) == [21] * 4 + [16]
 
 
 # A call makes its steps in chunks of at most ``solver._chunk_bound`` steps:
