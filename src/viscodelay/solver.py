@@ -40,9 +40,9 @@ is (m, R, nx), each ring-buffer slot holds an (R, nx) block, and one
 ``step`` advances every row by its own map.  No operation reduces
 across the batch axis, and every per-row reduction is the one a single
 row makes, so a row of a batch has the bits of its solo run.  A solo
-state keeps (nx,) fields but steps and samples as a batch of one, on the
-same code.  Only the map path is batched; the grid realizations step one
-row at a time.
+state keeps (nx,) fields and steps and samples on the same code; its
+map step's matmul reads its inputs without a batch axis of one.  Only
+the map path is batched; the grid realizations step one row at a time.
 
 Time stepping is the classical 4-stage explicit scheme ``_rk4`` applied to
 the one generator ``_rhs``, the only place the system is written down; it
@@ -1070,7 +1070,10 @@ def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int)
     contiguous block.  The block, (K, n_in) + batch + (nx + 2,), holds
     step j's X in row j: the output [u; v; q] of step j - 1, then step j's
     delay inputs.  The matmul forms only the interior of the products
-    C0 X, C1 X, C2 X, so the end columns of C0 X and C2 X stay -0.0.
+    C0 X, C1 X, C2 X, so the end columns of C0 X and C2 X stay -0.0.  It
+    reads X as (n_in, nx) and writes the products as (3 (2 + m), nx) for a
+    solo state, whose map is 2-D; a batch of R rows, its maps stacked,
+    has them as (R, n_in, nx) and (R, 3 (2 + m), nx).
 
     The plan holds ``coeffs``, the bound and K; the fields of the block's
     first row and their interior views; per chunk length k, its first
@@ -1091,7 +1094,7 @@ def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int)
     rows = min(n, bound)
     block = np.full((rows, n_in) + batch + (width,), -0.0)
     inner = block[..., 1:-1]
-    xs = [x.reshape(n_in, -1, width).swapaxes(0, 1)[..., 1:-1] for x in block]
+    xs = [np.moveaxis(x, 0, -2)[..., 1:-1] for x in block]
     outs = [y[:nw].reshape(-1) for y in block[1:]]
     steps = [(x, out, out[1:], out[:-1]) for x, out in zip(xs, outs)]
     # step j's delay inputs v(t - tau), v(t - tau + dt) are back(n_delay - j)
@@ -1110,7 +1113,7 @@ def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int)
     c0, c1, c2 = (level.reshape(-1) for level in products)
     return (coeffs, bound, rows, block[0, :nw], inner[0, 0], inner[0, 1],
             inner[0, 2:nw] if nw > 2 else None, chunks,
-            products.reshape(n_out, -1, width).swapaxes(0, 1)[..., 1:-1],
+            np.moveaxis(products.reshape((n_out,) + batch + (width,)), 0, -2)[..., 1:-1],
             np.empty(c1.shape), c0, c1, c2, c1[1:], c1[:-1], c2[:-1], c2[1:],
             products[1, ..., ::width - 1], products.shape[1:], inner[:, :2])
 
@@ -1132,7 +1135,6 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
     """
     if n < 1:
         return
-    # a solo state steps as a batch of one, R = 1, its map broadcast over it
     coeffs = (_step_map(params, disc) if state.ks is None
               else _stacked_maps(params, disc, state.ks))
     plan = state.work.get("map_plan")
@@ -1142,6 +1144,9 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
      c1_hi, c1_lo, c2_lo, c2_hi, c1_ends, shape, states) = plan
     end = state.step_index + n
     u_hist, v_hist = state.u_hist, state.v_hist
+    # a step is ten calls on a few thousand entries, whose cost is the call:
+    # bound once, each output passed by position, not as ``out=``
+    matmul, subtract, add, fill_ends = np.matmul, np.subtract, np.add, c1_ends.fill
     x_u[...] = state.u
     x_v[...] = state.v
     if x_q is not None:
@@ -1157,18 +1162,20 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
         for x, out, out_hi, out_lo in (*chunk_steps, (x_last, last, last[1:], last[:-1])):
             # each row's X multiplied by its own map; a column of X reaches only
             # the same column of the products, so only the interior is formed
-            np.matmul(coeffs, x, out=products)
+            matmul(coeffs, x, products)
             # Horner, C0 X + L (C1 X + L C2 X), each level (t - 2 w) + w[i-1] +
-            # w[i+1] as ``_add_second_difference`` forms it.  The end columns a
-            # level adds are -0.0, which added to any double, -0.0 too, leaves
-            # it as no add at all would; C2 X's stay so from the plan on.
-            np.subtract(c1, np.multiply(2.0, c2, out=twice), out=c1)
-            np.add(c1_hi, c2_lo, out=c1_hi)
-            np.add(c1_lo, c2_hi, out=c1_lo)
-            c1_ends.fill(-0.0)
-            np.subtract(c0, np.multiply(2.0, c1, out=twice), out=out)
-            np.add(out_hi, c1_lo, out=out_hi)
-            np.add(out_lo, c1_hi, out=out_lo)
+            # w[i+1] as ``_add_second_difference`` forms it.  2 w is w + w: both
+            # round the exact 2 w once, so they agree on every double, inf, nan
+            # and signed zero.  The end columns a level adds are -0.0, which
+            # added to any double, -0.0 too, leaves it as no add at all would;
+            # C2 X's stay so from the plan on.
+            subtract(c1, add(c2, c2, twice), c1)
+            add(c1_hi, c2_lo, c1_hi)
+            add(c1_lo, c2_hi, c1_lo)
+            fill_ends(-0.0)
+            subtract(c0, add(c1, c1, twice), out)
+            add(out_hi, c1_lo, out_hi)
+            add(out_lo, c1_hi, out_lo)
         u, v = fields[0, ..., 1:-1], fields[1, ..., 1:-1]
         # the sum of squares of the outputs is finite when every entry is,
         # unless huge finite entries overflow it

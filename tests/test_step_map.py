@@ -218,3 +218,19 @@ def test_the_swapped_in_stage_loop_makes_four_stage_calls_a_step(monkeypatch):
         assert trace.final_state.step_index == 12
         assert len(calls) == 4 * 12
         calls.clear()
+
+
+def test_doubling_by_an_add_is_the_product_by_two():
+    # the map step forms each Horner level's 2 w as w + w: both round the
+    # exact 2 w once, so they must give the same bytes on every double
+    tiny = np.finfo(np.float64).smallest_subnormal
+    huge = np.finfo(np.float64).max
+    special = [0.0, -0.0, tiny, -tiny, np.finfo(np.float64).smallest_normal - tiny,
+               huge, -huge, np.inf, -np.inf, np.nan]
+    w = np.concatenate([special, np.random.default_rng(0).standard_normal(1000)])
+    twice = np.empty_like(w)
+    with np.errstate(over="ignore"):
+        np.add(w, w, twice)
+        product = np.multiply(2.0, w)
+    assert twice.tobytes() == product.tobytes()
+    assert twice[5] == np.inf and np.signbit(twice[1]) and twice[2] == np.nextafter(tiny, 1.0)
