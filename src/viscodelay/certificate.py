@@ -290,18 +290,22 @@ class ConstantsReport:
         return {**asdict(self), "certified": self.certified}
 
 
-def compute_constants(inputs: CertificateInputs) -> ConstantsReport:
+def compute_constants(inputs: CertificateInputs, k_hat: float | None = None) -> ConstantsReport:
     """Evaluate the full constants chain at ``abs(inputs.k)``.
 
     ``sigma`` may come out nonpositive when |k| is too large; the report
     still carries every constant so the caller can see how far off it is.
+    ``khat_fixed_point`` does not read ``inputs.k``, so a caller holding
+    ``k_hat`` from a report on the same inputs at another k passes it and
+    the bisection is not run again.
     """
     k_abs = abs(inputs.k)
     c0, c1, c2, c_star, c_big = _chain(inputs, k_abs)
     sigma_tilde = 1.0 / c_big
     sigma = sigma_tilde - math.e * inputs.theta * k_abs * math.exp(inputs.tau)
     k_bar = k_bar_threshold(inputs)
-    k_hat = khat_fixed_point(inputs)
+    if k_hat is None:
+        k_hat = khat_fixed_point(inputs)
     lb, g1, g2 = explicit_lower_bound(inputs)
     return ConstantsReport(
         c0=c0,

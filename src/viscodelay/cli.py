@@ -13,7 +13,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cached_property, partial
 from itertools import repeat
@@ -91,6 +90,12 @@ class RunConfig:
     def certificates(self) -> dict:
         """The certificate ``_best_certificate`` formed at each (k, tau), kept
         with the config, so a pickled config carries them to its worker."""
+        return {}
+
+    @cached_property
+    def k_hats(self) -> dict:
+        """k_hat at each (tau, theta), kept like ``certificates``: it does not
+        depend on k, so ``_best_certificate`` bisects for it once."""
         return {}
 
     def poincare(self) -> float:
@@ -364,13 +369,18 @@ def _write_table(path: Path, header: str, rows: np.ndarray, resolved: dict) -> N
 def _best_certificate(cfg: RunConfig, k: float, tau: float):
     """Certificate report at |k| and delay ``tau``, best sigma over theta_values
     (the first best); None without a kernel or a theta above 1.  Formed once
-    per (k, tau) and kept in ``cfg.certificates``."""
+    per (k, tau) and kept in ``cfg.certificates``, from the k_hat of each
+    (tau, theta) kept in ``cfg.k_hats``."""
     if cfg.kernel.is_empty:
         return None
     if (k, tau) not in cfg.certificates:
         thetas = [theta for theta in cfg.theta_values or [cfg.theta] if theta > 1.0]
-        reports = [certificate.compute_constants(
-            _certificate_inputs(cfg, tau=tau, theta=theta, k=k)) for theta in thetas]
+        reports = []
+        for theta in thetas:
+            report = certificate.compute_constants(
+                _certificate_inputs(cfg, tau=tau, theta=theta, k=k), cfg.k_hats.get((tau, theta)))
+            cfg.k_hats[tau, theta] = report.k_hat
+            reports.append(report)
         cfg.certificates[k, tau] = max(reports, key=lambda report: report.sigma, default=None)
     return cfg.certificates[k, tau]
 
@@ -383,7 +393,9 @@ def _preflight(cfg: RunConfig, command: str, ks: list[float]) -> solver.Discreti
     The certificate is formed at ``ks[0]`` only: its inputs depend on k
     through its finiteness alone, which the parser has checked, so the
     other rows' certificates form too.  It is kept on ``cfg`` for
-    ``_judge``.  Nothing is stepped or written.
+    ``_judge``, with the k_hat of each theta, so no row's certificate, in
+    this process or a sweep's worker, bisects again.  Nothing is stepped or
+    written.
     """
     if cfg.horizon is None:
         raise ConfigError("T", f"{command} needs a horizon")
@@ -518,6 +530,13 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return CSV_FLOAT % value if isinstance(value, float) else value
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported only when a sweep forks: the
+    import loads multiprocessing, a sizeable share of a command's start-up."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _sweep_batches(ks: list[float], jobs: int) -> list[list[float]]:

@@ -27,7 +27,9 @@ trapezoid over the squared norms the velocity ring buffer keeps per slot
 sample when it is read), S rows of n_delay + 1 scalars, each a state's lag
 further back, instead of reducing the whole delay line again; its
 coefficient is computed once per (theta, tau, k).  The gradients of u and
-eta are formed in scratch memory the span reuses (``Span.scratch``).
+eta are formed in scratch memory the span reuses (``Span.scratch``), from
+rows nx + 2 wide whose end columns are the Dirichlet +0.0, each by one flat
+subtract and one flat divide over the whole buffer (``_grad_into``).
 """
 
 from __future__ import annotations
@@ -78,22 +80,29 @@ class SampleRow:
 
 def grad_full(interior: np.ndarray, dx: float) -> np.ndarray:
     """Gradient on the padded grid: centered inside, one-sided at the ends."""
-    return _grad_into(interior, np.empty(interior.shape[:-1] + (interior.shape[-1] + 2,)), dx)
+    padded = np.zeros(interior.shape[:-1] + (interior.shape[-1] + 2,))
+    padded[..., 1:-1] = interior
+    return _grad_into(padded, np.empty(padded.shape), dx)
 
 
 def _grad_into(f: np.ndarray, g: np.ndarray, dx: float) -> np.ndarray:
-    """``grad_full`` of interior values ``f`` written into ``g``.
+    """``grad_full`` of padded rows ``f``, whose end columns are +0.0, written
+    into ``g``; both contiguous.
 
-    Each entry is the padded formula's own quotient: its neighbours past
-    the ends are the Dirichlet zeros, and w - 0 and 0 - w are w and -w.
+    One flat subtract and one flat divide over the whole buffer give every
+    interior column its centered quotient: w - (+0.0) is w, so column 1 is
+    the padded formula's own.  At column -2, 0 - w would turn a -0.0 quotient
+    into +0.0, so that column is formed again as w / (-h); the flat pass runs
+    across the rows' ends, whose columns are the one-sided quotients.
     """
     h = 2.0 * dx
-    np.subtract(f[..., 2:], f[..., :-2], out=g[..., 2:-2])
-    g[..., 2:-2] /= h
-    np.divide(f[..., 1], h, out=g[..., 1])
-    np.divide(f[..., -2], -h, out=g[..., -2])
-    np.divide(f[..., 0], dx, out=g[..., 0])
-    np.divide(f[..., -1], -dx, out=g[..., -1])
+    flat, out = f.reshape(-1), g.reshape(-1)
+    inner = out[1:-1]
+    np.subtract(flat[2:], flat[:-2], out=inner)
+    np.divide(inner, h, out=inner)
+    np.divide(f[..., -3], -h, out=g[..., -2])
+    np.divide(f[..., 1], dx, out=g[..., 0])
+    np.divide(f[..., -2], -dx, out=g[..., -1])
     return g
 
 
@@ -156,7 +165,8 @@ def _delay_integral(state: SimState, disc: Discretization,
 def sample_state(state: SimState, params: ModelParams, disc: Discretization,
                  eta: np.ndarray | None = None,
                  span: solver_mod.Span | None = None) -> SampleRow:
-    """One energy row; ``eta`` is ``eta_field(state, ...)`` when the caller has it.
+    """One energy row; ``eta`` is the padded rows ``eta_field(state, ...)``
+    filled, nx + 2 wide, when the caller has them.
 
     A solo state is sampled as a batch of one, and its terms are returned
     as floats; a batched state gets arrays over the batch axis, every
@@ -187,8 +197,8 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
     stack = u.shape[:-1]
     ut_sq = dx * np.vecdot(v, v)
     mu_tilde = params.kernel.mu_tilde
-    # the gradient of u, squared in place, in memory the span reuses
-    gu = _grad_into(u, span.scratch(stack + (disc.nx + 2,), "grad_u"), dx)
+    # the gradient of u's padded rows, squared in place, in memory the span reuses
+    gu = _grad_into(span.u_padded, span.scratch(stack + (disc.nx + 2,), "grad_u"), dx)
     elastic = 0.5 * (1.0 - mu_tilde) * integral_x(np.multiply(gu, gu, out=gu), dx)
 
     if params.kernel.is_empty:
@@ -200,12 +210,13 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
         # distinct rows than the current one, and its rows past its own count
         # are bitwise its last distinct one
         n = m if eta is not None else solver_mod._distinct_eta_rows(state, params, disc)
-        # eta and its gradient in scratch memory; the gradient takes the
-        # memory eta_field gathered into, which it no longer reads
-        shape = (lags.size, n) + state.u.shape
+        # eta and its gradient on padded rows in scratch memory; the gradient
+        # takes the memory eta_field gathered into, which it no longer reads
+        shape = (lags.size, n) + state.u.shape[:-1] + (disc.nx + 2,)
         if eta is None:
-            eta = solver_mod.eta_field(state, params, disc, span.scratch(shape, "eta"), n, span)
-        ge = _grad_into(eta, span.scratch(shape[:-1] + (disc.nx + 2,), "work"), dx)
+            eta = span.scratch(shape, "eta")
+            solver_mod.eta_field(state, params, disc, eta, n, span)
+        ge = _grad_into(eta, span.scratch(shape, "work"), dx)
         formed = integral_x(np.multiply(ge, ge, out=ge), dx)
         # per s-node, batch axes first, so each row's s-sum is over contiguous values
         grad_sq = np.empty(stack + (m,))

@@ -23,9 +23,11 @@ Two realizations of the memory term are provided:
   evaluates the prescribed past u0 = phi * factor(t) on demand.  One
   gather per neighbour, at offsets ``_node_steps`` fixes once per grid
   (each a state's lag further back for the states of a ``Span``), reads
-  either kind of row; this module alone knows which eta row reads which,
-  and ``_distinct_eta_rows`` tells the energy how many leading rows a
-  frozen past leaves distinct.
+  either kind of row.  Both ring buffers and the span store rows nx + 2
+  wide with +0.0 end columns, so eta comes out on such rows and its
+  gradient is one flat pass.  This module alone knows which eta row reads
+  which, and ``_distinct_eta_rows`` tells the energy how many leading rows
+  a frozen past leaves distinct.
 * ``eta_grid``: eta is evolved directly on the s-grid with first-order
   upwinding and the memory force is the trapezoid s-quadrature.  Kept as
   a cross-validation mode; its first-order transport error is far too
@@ -466,6 +468,13 @@ class RingBuffer:
     its slot has been overwritten.  A buffer with no past reads by
     wrap-around (the delay line reads slots ``n_delay`` and ``n_delay - 1``).
 
+    The slots live in ``padded``, rows nx + 2 wide whose end columns are
+    the Dirichlet zeros; ``data`` is its interior, (capacity,) + a slot's
+    shape, which every push and read of one slot uses, so the end columns
+    are never written.  The buffer keeps phi padded alike, formed once.
+    The gathers (``back_rows``, ``back_interp_rows``) take whole padded
+    rows, so eta and its gradient are formed on flat contiguous rows.
+
     After ``keep_norms()`` the buffer also holds each slot's squared norm
     per batch row in ``norms`` (shape (capacity,) + batch, indexed like
     ``data``).  A push only stores its row: ``slot_norms`` norms the slots
@@ -479,26 +488,32 @@ class RingBuffer:
     offsets.
     """
 
-    __slots__ = ("data", "capacity", "head", "norms", "normed", "pushed", "past", "factor")
+    __slots__ = ("padded", "data", "capacity", "head", "norms", "normed", "pushed", "past",
+                 "factor")
 
     def __init__(self, capacity: int, row_shape: int | tuple[int, ...],
                  past: np.ndarray | None = None,
                  factor: Callable[[np.ndarray], np.ndarray] | None = None):
         if isinstance(row_shape, int):
             row_shape = (row_shape,)
-        self.data = np.zeros((capacity, *row_shape))
+        self.padded = np.zeros((capacity, *row_shape[:-1], row_shape[-1] + 2))
+        self.data = self.padded[..., 1:-1]
         self.capacity = capacity
         self.head = 0
         self.norms = None
         self.normed = 0  # ``pushed`` when ``norms`` was last brought up to date
         self.pushed = 0
-        self.past = past
+        self.past = None  # phi padded like a slot, formed once
+        if past is not None:
+            self.past = np.zeros(past.shape[:-1] + (past.shape[-1] + 2,))
+            self.past[..., 1:-1] = past
+            self.past.flags.writeable = False
         self.factor = factor
 
     @property
     def nbytes(self) -> int:
-        """Allocated bytes: the slots and their norms."""
-        return self.data.nbytes + (0 if self.norms is None else self.norms.nbytes)
+        """Allocated bytes: the padded slots and their norms."""
+        return self.padded.nbytes + (0 if self.norms is None else self.norms.nbytes)
 
     def keep_norms(self) -> None:
         # every einsum here reduces a row in the same order, so a slot's norm
@@ -546,8 +561,9 @@ class RingBuffer:
         if self.past is not None:
             if steps >= self.pushed:
                 # one IEEE multiply per entry, as a stored factor * phi row had
-                row = self.past if self.factor is None else (
-                    self.factor(np.array([steps - self.pushed]))[0] * self.past)
+                phi = self.past[..., 1:-1]
+                row = phi if self.factor is None else (
+                    self.factor(np.array([steps - self.pushed]))[0] * phi)
                 return np.broadcast_to(row, self.data.shape[1:])
             if steps >= self.capacity:
                 self._refuse_overwritten(steps)
@@ -581,17 +597,19 @@ class RingBuffer:
         return np.take(self.norms.T, (self.head + offsets) % self.capacity, axis=-1)
 
     def back_rows(self, offsets: np.ndarray) -> np.ndarray:
-        """``back(p)`` for every p in ``offsets``, stored slots only, by one gather."""
-        return self.data.take(self.head + offsets, axis=0, mode="wrap")
+        """``back(p)`` for every p in ``offsets``, stored slots only, by one
+        gather of padded rows; returns their interior."""
+        return self.padded.take(self.head + offsets, axis=0, mode="wrap")[..., 1:-1]
 
     def back_interp_rows(self, newer: np.ndarray, older: np.ndarray, frac: np.ndarray,
                          lags: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """back(newer + lag) + frac * (back(older + lag) - back(newer + lag)) for
         each of the S ``lags`` and each of the n non-decreasing offsets in
-        ``newer`` and ``older``, into ``out`` (contiguous, (S, n) + a slot's
-        shape); ``work``, shaped like ``out``, takes the gathered newer rows.
+        ``newer`` and ``older``, into ``out``, padded rows (contiguous, (S, n)
+        + ``padded``'s slot shape); ``work``, shaped like ``out``, takes the
+        gathered newer rows.  The end columns come out +0.0 or -0.0.
 
-        Each neighbour is one gather of stored slots; then in each of the S
+        Each neighbour is one gather of padded slots; then in each of the S
         rows the reads from the first that reaches back past the pushes get
         the past, its factors at every such age of both neighbours from one
         ``factor`` call.  Where ``older`` is ``newer`` (frac 0) the
@@ -600,8 +618,8 @@ class RingBuffer:
         both = ((newer, work), (older, out))
         for j, rows in both:
             # mode "wrap" writes into ``rows`` directly; "raise" would buffer
-            self.data.take((self.head + j + lags[:, None]).reshape(-1), axis=0, mode="wrap",
-                           out=rows.reshape((lags.size * j.size,) + self.data.shape[1:]))
+            self.padded.take((self.head + j + lags[:, None]).reshape(-1), axis=0, mode="wrap",
+                             out=rows.reshape((lags.size * j.size,) + self.padded.shape[1:]))
         if self.past is None:
             stored = None
         else:
@@ -629,7 +647,11 @@ class RingBuffer:
                                 self.past, out=rows[s, c:])
                     used += k
         np.subtract(out, work, out=out)
-        np.multiply(frac.reshape(frac.shape + (1,) * (out.ndim - 2)), out, out=out)
+        # frac spread over a slot, so each state's multiply is one flat pass:
+        # broadcast along a slot, the multiply took about twice as long
+        spread = np.empty(out.shape[1:])
+        spread[...] = frac.reshape(frac.shape + (1,) * (out.ndim - 2))
+        np.multiply(spread, out, out=out)
         return np.add(work, out, out=out)
 
 
@@ -692,21 +714,24 @@ class Span:
     so that ``energy.sample_state`` forms their samples in one stacked pass.
 
     ``fields`` has room for the u and v of ``depth`` states, shape
-    (depth, 2) + batch + (nx,); ``steps`` and ``times`` hold the step index
-    and time of each state kept since the last ``clear``, oldest first.  A
-    call of ``step`` given a span keeps the state after each of its steps
-    whose index is a multiple of ``every``, and after its last; the map path
-    copies a chunk's kept states out of its block by one slice copy.  A
-    state kept ``lag`` steps before the current one is read from the
-    histories ``lag`` slots further back (``lags``), so ``run`` sizes the
-    delay line for the largest lag.  ``scratch`` hands out the memory the
-    samples reuse: a run's span owns it, so it is not kept with the state.
+    (2, depth) + batch + (nx + 2,): rows whose end columns are the Dirichlet
+    zeros, the u rows of the kept states contiguous, so their gradient is
+    one flat pass.  Only the interior is ever written.  ``steps`` and
+    ``times`` hold the step index and time of each state kept since the
+    last ``clear``, oldest first.  A call of ``step`` given a span keeps the
+    state after each of its steps whose index is a multiple of ``every``,
+    and after its last; the map path copies a chunk's kept states out of
+    its block by one slice copy.  A state kept ``lag`` steps before the
+    current one is read from the histories ``lag`` slots further back
+    (``lags``), so ``run`` sizes the delay line for the largest lag.
+    ``scratch`` hands out the memory the samples reuse: a run's span owns
+    it, so it is not kept with the state.
     """
 
     __slots__ = ("fields", "every", "steps", "times", "pool")
 
-    def __init__(self, fields: np.ndarray, every: int):
-        self.fields = fields
+    def __init__(self, depth: int, row_shape: tuple[int, ...], every: int):
+        self.fields = np.zeros((2, depth) + row_shape[:-1] + (row_shape[-1] + 2,))
         self.every = every
         self.steps: list[int] = []
         self.times: list[float] = []
@@ -715,17 +740,21 @@ class Span:
     @classmethod
     def of(cls, state: SimState) -> "Span":
         """The state alone, at lag 0."""
-        span = cls(np.empty((1, 2) + state.u.shape), 1)
+        span = cls(1, state.u.shape, 1)
         span.keep(state)
         return span
 
     @property
+    def u_padded(self) -> np.ndarray:
+        return self.fields[0, :len(self.steps)]
+
+    @property
     def u(self) -> np.ndarray:
-        return self.fields[:len(self.steps), 0]
+        return self.fields[0, :len(self.steps), ..., 1:-1]
 
     @property
     def v(self) -> np.ndarray:
-        return self.fields[:len(self.steps), 1]
+        return self.fields[1, :len(self.steps), ..., 1:-1]
 
     def lags(self, state: SimState) -> np.ndarray:
         """How many steps before ``state`` each kept state was taken."""
@@ -733,7 +762,7 @@ class Span:
 
     def keep(self, state: SimState) -> None:
         """Keep the state as it is now."""
-        uv = self.fields[len(self.steps)]
+        uv = self.fields[:, len(self.steps), ..., 1:-1]
         uv[0] = state.u
         uv[1] = state.v
         self.steps.append(state.step_index)
@@ -743,8 +772,9 @@ class Span:
                 k: int, dt: float, end: int) -> float:
         """Keep the sample states among the k steps after step ``start``, at
         time ``t``, of a call that ends at step ``end``: ``block[j]`` is (u, v)
-        after step start + j for 0 < j < k, and ``last`` after start + k.
-        Returns the time after the k steps, each dt added as a step adds it."""
+        after step start + j for 0 < j < k, and ``last`` after start + k,
+        interior columns both.  Returns the time after the k steps, each dt
+        added as a step adds it."""
         kept = len(self.steps)
         for j in range(start + 1, start + k + 1):
             t += dt
@@ -752,9 +782,9 @@ class Span:
                 self.steps.append(j)
                 self.times.append(t)
         inside = block[self.every - start % self.every:k:self.every]
-        self.fields[kept:kept + len(inside)] = inside
+        self.fields[:, kept:kept + len(inside), ..., 1:-1] = inside.swapaxes(0, 1)
         if len(self.steps) > kept + len(inside):
-            self.fields[len(self.steps) - 1] = last
+            self.fields[:, len(self.steps) - 1, ..., 1:-1] = last
         return t
 
     def clear(self) -> None:
@@ -797,7 +827,9 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
     k = ks[r] (``params.k`` is not read).  Without it the fields are
     (nx,), and ``step`` and ``sample_state`` treat the state as a batch of
     one.  The delay line has n_delay + 2 slots, and ``lags`` more so that
-    a ``Span`` of states kept up to ``lags`` steps back reads theirs.
+    a ``Span`` of states kept up to ``lags`` steps back reads theirs.  Both
+    histories store rows nx + 2 wide (``RingBuffer.padded``), and a refusal
+    to allocate one counts those bytes.
     """
     if disc.tau > 0.0 and params.tau <= 0.0:
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
@@ -825,7 +857,7 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
             state.u_hist = _reserve(
                 lambda: RingBuffer(capacity, batch + (disc.nx,),
                                    past=phi if ks is None else phi[None], factor=factor),
-                (capacity,) + batch + (disc.nx,), batch, "the displacement history",
+                (capacity,) + batch + (disc.nx + 2,), batch, "the displacement history",
                 f"{'n_hist' if capacity == disc.n_hist else 'steps'}={capacity} rows "
                 f"x nx={disc.nx}", "raise the kernel rates, shorten T or coarsen the grid",
                 HistoryTooLarge)
@@ -837,7 +869,7 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
     if disc.n_delay > 0:
         capacity = disc.n_delay + 2 + lags
         vbuf = _reserve(lambda: RingBuffer(capacity, batch + (disc.nx,)),
-                        (capacity,) + batch + (disc.nx,), batch, "the delay line",
+                        (capacity,) + batch + (disc.nx + 2,), batch, "the delay line",
                         f"{f'lags={lags} + ' if lags else ''}n_delay+2={disc.n_delay + 2} "
                         f"rows x nx={disc.nx}",
                         "shorten the delay, raise cfl or coarsen the grid", HistoryTooLarge)
@@ -1294,41 +1326,45 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization,
               out: np.ndarray | None = None, rows: int | None = None,
               span: Span | None = None) -> np.ndarray:
     """History field eta(x, s_j) on the interior s-nodes, shape (ns-1, nx),
-    or (ns-1, R, nx) for a batch; written into ``out`` (contiguous) when
-    given.  Given ``rows``, only the first ``rows`` s-nodes, each row
-    bitwise as in the full field.  Given ``span``, the field of each of its
-    S states, stacked (S, ns-1) + ..., each bitwise as at its own step.
+    or (ns-1, R, nx) for a batch.  Given ``rows``, only the first ``rows``
+    s-nodes, each row bitwise as in the full field.  Given ``span``, the
+    field of each of its S states, stacked (S, ns-1) + ..., each bitwise as
+    at its own step.  The field is formed on rows nx + 2 wide with +0.0 end
+    columns, in ``out`` when given (contiguous, those rows); the interior
+    view is returned.
 
     For the prony_modes realization this is the exact characteristics
     solution eta(s) = u(t) - u(t - s) read off the u ring buffer, by one
-    gather of the two neighbours of every s-node at every state
+    gather of the two padded neighbour rows of every s-node at every state
     (``back_interp_rows`` at the ``_node_steps`` of the grid, each state's
-    lag further back); for eta_grid it is the evolved array itself, at the
-    state's own step only.  Which rows read stored slots and which the past
-    is known to this module alone: ``_distinct_eta_rows`` tells a caller
-    how many differ.
+    lag further back), then one subtraction from the span's padded u rows;
+    for eta_grid it is the evolved array itself, copied in, at the state's
+    own step only.  Which rows read stored slots and which the past is
+    known to this module alone: ``_distinct_eta_rows`` tells a caller how
+    many differ.
     """
     one = span is None
     if one:
         span = Span.of(state)
         out = None if out is None else out[None]
     lags = span.lags(state)
-    if params.kernel.is_empty:
-        eta = np.zeros((lags.size, 0) + state.u.shape)
-    elif state.eta is not None:
+    m = 0 if params.kernel.is_empty else disc.ns - 1
+    if rows is not None:
+        m = min(m, rows)
+    shape = (lags.size, m) + state.u.shape[:-1] + (disc.nx + 2,)
+    eta = np.empty(shape) if out is None else out
+    if state.eta is not None and m:
         if lags.any():
             raise ValueError("an evolved eta is at the state's own step only")
-        eta = state.eta[None, :rows]
-        if out is not None:
-            out[...] = eta
-            eta = out
-    else:
-        newer, older, frac = (arr[:rows] for arr in _node_steps(disc))
-        shape = (lags.size, newer.size) + state.u.shape
-        u_past = state.u_hist.back_interp_rows(
-            newer, older, frac, lags, np.empty(shape) if out is None else out,
-            span.scratch(shape, "work"))
-        eta = np.subtract(span.u[:, None], u_past, out=u_past)
+        eta[0, ..., 1:-1] = state.eta[:m]
+        eta[..., ::disc.nx + 1] = 0.0  # ``out``'s end columns may hold anything
+    elif m:
+        newer, older, frac = (arr[:m] for arr in _node_steps(disc))
+        u_past = state.u_hist.back_interp_rows(newer, older, frac, lags, eta,
+                                               span.scratch(shape, "work"))
+        # the span's u rows end in +0.0, and +0.0 minus either zero is +0.0
+        np.subtract(span.u_padded[:, None], u_past, out=eta)
+    eta = eta[..., 1:-1]
     return eta[0] if one else eta
 
 
@@ -1452,11 +1488,12 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
     depth = _span_depth(params, init, disc, batch, n_steps, sample_every, snapshots)
     # a span's first state is read (depth - 1) intervals after it was kept
     state = build(params, init, disc, ks=ks, steps=n_steps, lags=(depth - 1) * sample_every)
-    span = Span(np.empty((depth, 2) + state.u.shape), sample_every)
+    span = Span(depth, state.u.shape, sample_every)
     # the memory of a full span's largest samples from the start, so it never grows
     eta_rows = _span_rows(params, init, disc, n_steps, snapshots)
-    span.scratch((depth, eta_rows) + state.u.shape, "eta")
-    span.scratch((depth, eta_rows) + batch + (disc.nx + 2,), "work")
+    wide = batch + (disc.nx + 2,)
+    span.scratch((depth, eta_rows) + wide, "eta")
+    span.scratch((depth, eta_rows) + wide, "work")
     times = []
     # per sample the SAMPLE_TERMS, then the batch axis
     shape = (2 + n_steps // sample_every, len(SAMPLE_TERMS)) + batch
@@ -1469,10 +1506,10 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
         count = len(span.steps)
         if not count:
             return
-        # a snapshot shares its sample's eta, reconstructed once
-        eta = eta_field(state, params, disc, span.scratch((count, eta_rows) + state.u.shape, "eta"),
-                        span=span) if snapshots else None
-        r = sample_state(state, params, disc, eta=eta, span=span)
+        # a snapshot shares its sample's eta, reconstructed once on padded rows
+        padded = span.scratch((count, eta_rows) + wide, "eta") if snapshots else None
+        eta = eta_field(state, params, disc, padded, span=span) if snapshots else None
+        r = sample_state(state, params, disc, eta=padded, span=span)
         for i, name in enumerate(SAMPLE_TERMS):
             cols[len(times):len(times) + count, i] = getattr(r, name)
         times.extend(span.times)

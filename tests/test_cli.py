@@ -601,6 +601,32 @@ def test_sweep_theta_scan_picks_best_sigma(tmp_path):
     assert max(sigmas) > 0.0
 
 
+def test_sweep_bisects_k_hat_once_per_theta(tmp_path, monkeypatch):
+    # k_hat does not read k: four k under two theta bisect twice, and every
+    # certificate has the bytes of one formed on its own
+    from viscodelay import cli
+
+    thetas = []
+    bisect = certificate.khat_fixed_point
+
+    def counted(inputs):
+        thetas.append(inputs.theta)
+        return bisect(inputs)
+
+    monkeypatch.setattr(certificate, "khat_fixed_point", counted)
+    path = write_config(tmp_path, sweep_config(k_values=[0.02, -0.02, 0.0005, 0.0], T=1.0,
+                                               theta_values=[1.5, 4.0]))
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert thetas == [1.5, 4.0]
+    cfg = load_config(path)
+    tau = cfg.discretize().tau
+    for k in cfg.k_values:
+        report = cli._best_certificate(cfg, k, tau)
+        alone = certificate.compute_constants(report.inputs)
+        assert repr(report.as_flat_dict()) == repr(alone.as_flat_dict())
+    assert sorted(cfg.k_hats) == [(tau, 1.5), (tau, 4.0)]
+
+
 def test_sweep_empty_k_values_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, sweep_config(k_values=[]))
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from viscodelay import energy
 from viscodelay.energy import SampleRow, WrongMode, check_dissipation, sample_state
 from viscodelay.kernel import MemoryKernel
 from viscodelay.solver import (SAMPLE_TERMS, InitialData, ModelParams, build, discretize,
@@ -146,3 +147,42 @@ def test_solo_sample_is_floats_and_batch_sample_is_arrays():
     for name in SAMPLE_TERMS:
         assert getattr(batch, name).shape == (2,)
         assert getattr(batch, name)[1] == getattr(solo, name)
+
+
+def gradient_reference(f: list[float], dx: float) -> list[float]:
+    """The padded gradient of one row of interior values, entry by entry:
+    one-sided at the ends, f[1] / h and f[-2] / (-h) next to them, centered
+    between, each one IEEE operation on Python floats."""
+    h = 2.0 * dx
+    inside = [(f[j] - f[j - 2]) / h for j in range(2, len(f))]
+    return [f[0] / dx, f[1] / h, *inside, f[-2] / -h, f[-1] / -dx]
+
+
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1.5e-320, math.inf, -math.inf, math.nan,
+            1.7e308, -1.7e308]
+
+
+@pytest.mark.parametrize("shape", [(30,), (3, 17), (2, 3, 4, 12)],
+                         ids=["row", "batch", "stacked-batch"])
+def test_flat_gradient_keeps_the_bits_of_the_per_entry_formula(shape):
+    rng = np.random.default_rng(11)
+    interior = rng.standard_normal(shape)
+    flat = interior.reshape(-1)
+    # half the entries special, each special at least once
+    picks = rng.choice(flat.size, flat.size // 2, replace=False)
+    flat[picks] = np.resize(SPECIALS, picks.size)
+    rows = interior.reshape(-1, shape[-1])
+    # zeros next to the far end, where a centered 0 - (+0.0) would change the sign
+    rows[::2, -2], rows[1::2, -2] = 0.0, -0.0
+    dx = 1.0 / 37.0
+    padded = np.zeros(shape[:-1] + (shape[-1] + 2,))
+    padded[..., 1:-1] = interior
+    with np.errstate(all="ignore"):
+        expected = np.array([gradient_reference(row.tolist(), dx) for row in rows])
+        flat_pass = energy._grad_into(padded, np.empty(padded.shape), dx)
+        full = energy.grad_full(interior, dx)
+    expected = expected.reshape(padded.shape).view(np.uint64)
+    assert np.array_equal(flat_pass.view(np.uint64), expected)
+    assert np.array_equal(full.view(np.uint64), expected)
+    # the end columns of the input are read as the Dirichlet +0.0 and kept
+    assert not padded[..., ::shape[-1] + 1].view(np.uint64).any()

@@ -181,6 +181,6 @@ def test_slow_kernel_history_is_sized_to_the_run():
     n_hist, nx, steps, nbytes = (int(word) for word in out[:4])
     aborted, peak_kib = out[4], int(out[5])
     assert 8 * n_hist * nx >= 400e6  # what a history of n_hist rows would take
-    assert nbytes == 8 * nx * steps
+    assert nbytes == 8 * (nx + 2) * steps
     assert aborted == "None"
     assert peak_kib < 150 * 1024

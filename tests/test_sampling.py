@@ -96,7 +96,7 @@ def test_state_bytes_count_delay_line_norms(tau):
     disc = discretize(params, nx=20)
     state = build(params, InitialData(), disc)
     fields = [state.u, state.v, state.q, state.eta, state.z_rho]
-    fields += [buf.data for buf in (state.u_hist, state.v_hist) if buf is not None]
+    fields += [buf.padded for buf in (state.u_hist, state.v_hist) if buf is not None]
     without_norms = sum(arr.nbytes for arr in fields if arr is not None)
     expected = 8 * (disc.n_delay + 2) if tau > 0.0 else 0
     assert state.nbytes() - without_norms == expected
@@ -244,3 +244,40 @@ def test_node_steps_fix_each_rows_neighbours_once_per_grid(name):
     assert np.all(np.diff(newer) >= 0)
     assert not any(arr.flags.writeable for arr in (newer, older, frac))
     assert solver._node_steps(disc) is solver._node_steps(disc)
+
+
+def positive_zero_ends(rows: np.ndarray) -> bool:
+    """Whether both end columns of every row are +0.0, bit for bit."""
+    return not rows[..., ::rows.shape[-1] - 1].view(np.uint64).any()
+
+
+@pytest.mark.parametrize("ks", [None, BATCH_KS], ids=["solo", "batch"])
+def test_padded_rows_keep_positive_zero_ends(ks):
+    # the map block's end columns carry neighbour sums; the histories, the
+    # kept states and eta's rows must still end in +0.0, which the flat
+    # gradient reads as the Dirichlet zeros
+    params = ModelParams(tau=0.2, k=-0.3, kernel=KERNEL, mode="auxiliary")
+    disc = discretize(params, nx=20)
+    every, depth = 5, 4
+    state = build(params, MODULATED, disc, ks=ks, lags=(depth - 1) * every)
+    coeffs = (solver._step_map(params, disc) if ks is None
+              else solver._stacked_maps(params, disc, tuple(ks)))
+    assert solver._chunk_bound(coeffs, state, disc) > 1
+    span = solver.Span(depth, state.u.shape, every)
+    rows = disc.ns - 1
+    eta = np.full((depth, rows) + state.u.shape[:-1] + (disc.nx + 2,), np.nan)
+    for _ in range(3):
+        step(state, params, disc, depth * every, span=span)
+        assert positive_zero_ends(span.fields)
+        solver.eta_field(state, params, disc, eta, span=span)
+        assert positive_zero_ends(eta)
+        span.clear()
+    # and once both rings have wrapped
+    step(state, params, disc, disc.n_hist)
+    assert state.u_hist.pushed > state.u_hist.capacity
+    assert positive_zero_ends(state.u_hist.padded)
+    assert positive_zero_ends(state.v_hist.padded)
+    if ks is None:
+        trace = run(params, MODULATED, disc, 1.0, sample_every=every)
+        assert positive_zero_ends(trace.final_state.u_hist.padded)
+        assert positive_zero_ends(trace.final_state.v_hist.padded)
