@@ -333,8 +333,12 @@ def _certificate_inputs(cfg: RunConfig, tau: float | None = None,
 
 
 def cmd_certify(cfg: RunConfig, out_dir: Path, seed: int) -> int:
+    """The certificate at the config's k and tau: at its theta, or the best
+    over ``theta_values`` when given, as ``simulate`` and ``sweep`` form it."""
     inputs = _certificate_inputs(cfg)
-    report = certificate.compute_constants(inputs)
+    report = (certificate.compute_constants(inputs) if cfg.theta_values is None
+              else _best_certificate(cfg, cfg.k, cfg.tau))
+    inputs = report.inputs
     flat = report.as_flat_dict()
     flat["nodelay_threshold"] = certificate.nodelay_threshold(
         inputs.mu0, inputs.mu_tilde, inputs.alpha, inputs.c_poincare

@@ -9,7 +9,7 @@ The energy of a state is
 Spatial integrals use the trapezoid rule on the x-grid with gradients by
 centered differences (one-sided at the boundary); the s-integral uses the
 discretization's own quadrature weights, with the kernel values on the
-s-grid computed once per grid.
+s-grid the grid keeps (``Discretization.kernel_on_grid``).
 
 ``sample_state`` forms the samples of a ``solver.Span``, the states a run
 kept over up to S sample intervals, in one stacked pass; a call without
@@ -25,16 +25,15 @@ displacement history is the solver's alone.  The delay integral is a
 trapezoid over the squared norms the velocity ring buffer keeps per slot
 (``RingBuffer.slot_norms``, which norms the slots pushed since the last
 sample when it is read), S rows of n_delay + 1 scalars, each a state's lag
-further back, instead of reducing the whole delay line again; its
-coefficient is computed once per (theta, tau, k).  The gradients of u and
-eta are formed in scratch memory the span reuses (``Span.scratch``), from
-rows nx + 2 wide whose end columns are the Dirichlet +0.0, each by one flat
-subtract and one flat divide over the whole buffer (``_grad_into``).
+further back, instead of reducing the whole delay line again.  The
+gradients of u and eta are formed in scratch memory the span reuses
+(``Span.scratch``), from rows nx + 2 wide whose end columns are the
+Dirichlet +0.0, each by one flat subtract and one flat divide over the
+whole buffer (``_grad_into``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -113,38 +112,6 @@ def integral_x(values_full: np.ndarray, dx: float) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=solver_mod.GRID_CACHE_SIZE)
-def _delay_weights(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot offsets 0..n_delay, trapezoid weights and e^{-s} at s = offset * dt.
-
-    Cached per grid (``Discretization`` hashes by identity); read-only
-    because every sample shares them.
-    """
-    nd = disc.n_delay
-    dt = disc.dt
-    offsets = np.arange(nd + 1)
-    w = np.full(nd + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    decay = np.exp(-dt * offsets)
-    for arr in (offsets, w, decay):
-        arr.flags.writeable = False
-    return offsets, w, decay
-
-
-@functools.lru_cache(maxsize=solver_mod.GRID_CACHE_SIZE)
-def _delay_coefficient(theta: float, tau: float,
-                       k: float | tuple[float, ...]) -> tuple[np.ndarray, np.ndarray | None]:
-    """The delay term's factor 0.5 * theta |k| e^tau per batch row (``k`` a
-    tuple for a batch), and which rows have a delay term at all (k != 0 and
-    tau > 0), None when every row has; read-only, as every sample shares them."""
-    k = np.array(k)
-    half = np.asarray(0.5 * (theta * np.abs(k) * math.exp(tau)))
-    live = np.asarray((k != 0.0) & (tau > 0.0))
-    for arr in (half, live):
-        arr.flags.writeable = False
-    return half, None if live.all() else live
-
-
 def _delay_integral(state: SimState, disc: Discretization,
                     lags: np.ndarray | None = None) -> np.ndarray:
     """int_{t-tau}^t e^{-(t-s)} ||u_t(s)||^2 ds from the delay line's slot norms,
@@ -153,7 +120,7 @@ def _delay_integral(state: SimState, disc: Discretization,
     shape = state.u.shape[:-1] if lags is None else lags.shape + state.u.shape[:-1]
     if disc.n_delay == 0 or state.v_hist is None:
         return np.zeros(shape)
-    offsets, w, decay = _delay_weights(disc)
+    offsets, w, decay = disc.delay_weights
     if lags is not None:
         offsets = offsets + lags[:, None]
     norms = disc.dx * state.v_hist.slot_norms(offsets)
@@ -223,16 +190,19 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
         grad_sq[..., :n] = formed.swapaxes(1, -1)
         grad_sq[..., n:] = formed[:, -1, ..., None]
         # w @ (mu * grad_sq), not (w * mu) @ grad_sq: keeps the reported bits
-        on_grid = solver_mod._kernel_on_grid(params.kernel, disc)
+        on_grid = disc.kernel_on_grid
         w_inner = disc.s_weights[1:]
         memory = 0.5 * np.vecdot(on_grid.mu * grad_sq, w_inner)
         mu_prime_eta = 0.5 * np.vecdot(on_grid.mu_prime * grad_sq, w_inner)
 
     delay_raw = _delay_integral(state, disc, lags)
-    half, live = _delay_coefficient(params.theta, disc.tau,
-                                    params.k if state.ks is None else state.ks)
-    # a row without a delay term reads 0 even where its integral is not finite
-    delay = half * delay_raw if live is None else np.where(live, half * delay_raw, 0.0)
+    # per batch row, the delay term's factor 0.5 theta |k| e^tau; a row without
+    # a delay term (k = 0 or tau = 0) reads 0 even where its integral is not finite
+    k_abs = np.abs(params.k if state.ks is None else state.ks)
+    delay = 0.5 * (params.theta * k_abs * math.exp(disc.tau)) * delay_raw
+    live = (k_abs != 0.0) & (disc.tau > 0.0)
+    if not live.all():
+        delay = np.where(live, delay, 0.0)
 
     v_tau = solver_mod.delayed_velocity(state, params, disc, span)
     ut_tau_sq = dx * np.vecdot(v_tau, v_tau)

@@ -21,7 +21,7 @@ Two realizations of the memory term are provided:
   The buffer holds only the fields pushed since t = 0, so a run of
   ``steps`` steps gets min(steps, n_hist) slots: a read from before t = 0
   evaluates the prescribed past u0 = phi * factor(t) on demand.  One
-  gather per neighbour, at offsets ``_node_steps`` fixes once per grid
+  gather per neighbour, at offsets the grid keeps (``node_steps``)
   (each a state's lag further back for the states of a ``Span``), reads
   either kind of row.  Both ring buffers and the span store rows nx + 2
   wide with +0.0 end columns, so eta comes out on such rows and its
@@ -53,12 +53,15 @@ delay-line rows.  The system is linear and its only spatial operator is the
 Dirichlet Laplacian L, so with ``prony_modes`` memory and the ring-buffer
 delay (or none) one step is a fixed map C0 + C1 L + C2 L^2 acting on
 [u; v; q; two delay-line rows].  ``_step_map`` obtains its small scalar
-coefficient matrices once per (params, grid) by running ``_rk4`` on unit
-rows that are polynomials in L.  A call of ``step`` makes any number of
-steps: the map and the plan of buffers the state keeps for it
-(``_map_plan``) are looked up once per call.  ``run`` makes one call per
-span of up to S sample intervals (``_span_depth``): the call keeps the u
-and v of the span's sample steps in a ``Span`` as it passes them, and
+coefficient matrices by running ``_rk4`` on unit rows that are polynomials
+in L.  A call of ``step`` makes any number of steps: the state keeps the
+map with the plan of buffers it steps by (``_map_plan``), formed again
+only for another params or grid object.  No table outlives what it is
+derived from: the grid keeps its own (kernel values, eta's node steps,
+delay weights), and nothing is kept at module level between runs.
+``run`` makes one call per span of up to S sample intervals
+(``_span_depth``): the call keeps the u and v of the span's sample steps
+in a ``Span`` as it passes them, and
 ``energy.sample_state`` forms all their samples in one stacked pass, each
 reading the histories as many slots further back as steps have passed
 since it was kept.  So a span reads no slot that has been overwritten:
@@ -91,11 +94,11 @@ tested against.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TypeVar
 
 import numpy as np
@@ -138,10 +141,6 @@ RK4_REAL_AXIS_LIMIT = 2.785
 ETA_GRID_COURANT_LIMIT = 1.5
 # the largest history frequency whose square (in the memory weights) is finite
 OMEGA_MAX = math.sqrt(sys.float_info.max)
-# entries of each per-grid table cache (``_step_map``, ``_kernel_on_grid``, ...):
-# a run reads one, and a grid is keyed by identity, so more would only keep
-# finished runs' grids alive
-GRID_CACHE_SIZE = 2
 # the most bytes of map-step inputs a chunk of steps works in: 32 steps of a solo
 # nx = 200 state with one memory term and a delay line
 CHUNK_BYTES = 2 ** 18
@@ -263,9 +262,25 @@ def geometric_s_grid(s_max: float, ns: int, first_interval: float,
     return nodes
 
 
+@dataclass(frozen=True)
+class KernelOnGrid:
+    """The kernel on the interior s-nodes (node 0 carries eta = 0)."""
+
+    mu: np.ndarray          # mu(s_j)
+    mu_prime: np.ndarray    # mu'(s_j)
+    w_mu: np.ndarray        # w_j mu(s_j), the memory force quadrature
+    w_mu_prime: np.ndarray  # w_j mu'(s_j), the memory identity's mu' moment
+
+
 @dataclass(frozen=True, eq=False)
 class Discretization:
-    """Grid parameters; ``tau`` is the delay snapped to the step grid."""
+    """Grid parameters; ``tau`` is the delay snapped to the step grid and
+    ``kernel`` the kernel the s-grid was cut for.
+
+    The tables derived from a grid's fields are formed on first use and
+    kept with it, read-only because every run on the grid shares them; a
+    grid made by ``replace`` starts with none.
+    """
 
     nx: int
     dx: float
@@ -277,6 +292,7 @@ class Discretization:
     s_weights: np.ndarray
     s_max: float
     n_hist: int
+    kernel: MemoryKernel
 
     @property
     def ns(self) -> int:
@@ -284,6 +300,38 @@ class Discretization:
 
     def x_interior(self) -> np.ndarray:
         return self.dx * np.arange(1, self.nx + 1)
+
+    @cached_property
+    def kernel_on_grid(self) -> KernelOnGrid:
+        """The kernel's values on the interior s-nodes."""
+        s, w = self.s_nodes[1:], self.s_weights[1:]
+        mu, mu_prime = self.kernel.value(s), self.kernel.derivative(s)
+        return KernelOnGrid(*_read_only(mu, mu_prime, w * mu, w * mu_prime))
+
+    @cached_property
+    def node_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where eta's row j reads the displacement history, s_j / dt steps back:
+        (newer, older, frac) = (floor, floor + 1 or floor itself at a whole
+        step, s_j / dt - floor)."""
+        steps = self.s_nodes[1:] / self.dt
+        newer = np.floor(steps).astype(np.intp)
+        frac = steps - newer
+        return _read_only(newer, newer + (frac > 0.0), frac)
+
+    @cached_property
+    def delay_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Delay-line slot offsets 0..n_delay, their trapezoid weights and
+        e^{-s} at s = offset * dt."""
+        offsets = np.arange(self.n_delay + 1)
+        w = np.full(self.n_delay + 1, self.dt)
+        w[0] = w[-1] = 0.5 * self.dt
+        return _read_only(offsets, w, np.exp(-self.dt * offsets))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def _steps_in(span: float, dt: float, name: str, remedy: str) -> float:
@@ -366,6 +414,7 @@ def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
         nx=nx, dx=dx, dt=dt, cfl=cfl,
         tau=tau_snapped, n_delay=n_delay,
         s_nodes=s_nodes, s_weights=s_weights, s_max=s_max, n_hist=n_hist,
+        kernel=params.kernel,
     )
 
 
@@ -901,32 +950,6 @@ def laplacian(w: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class KernelOnGrid:
-    """The kernel on the interior s-nodes (node 0 carries eta = 0)."""
-
-    mu: np.ndarray          # mu(s_j)
-    mu_prime: np.ndarray    # mu'(s_j)
-    w_mu: np.ndarray        # w_j mu(s_j), the memory force quadrature
-    w_mu_prime: np.ndarray  # w_j mu'(s_j), the memory identity's mu' moment
-
-
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _kernel_on_grid(kernel: MemoryKernel, disc: Discretization) -> KernelOnGrid:
-    """Kernel values for ``disc``'s s-grid, evaluated once per (kernel, grid).
-
-    ``Discretization`` hashes by identity, so a grid built by ``replace``
-    gets its own entry; the arrays are read-only because every caller
-    shares them.
-    """
-    s, w = disc.s_nodes[1:], disc.s_weights[1:]
-    mu, mu_prime = kernel.value(s), kernel.derivative(s)
-    tables = KernelOnGrid(mu=mu, mu_prime=mu_prime, w_mu=w * mu, w_mu_prime=w * mu_prime)
-    for arr in vars(tables).values():
-        arr.flags.writeable = False
-    return tables
-
-
 def _rhs(params: ModelParams, disc: Discretization, u: np.ndarray, v: np.ndarray,
          mem, z, vd: np.ndarray | None,
          lap: Callable[[np.ndarray, float], np.ndarray] = laplacian):
@@ -948,7 +971,7 @@ def _rhs(params: ModelParams, disc: Discretization, u: np.ndarray, v: np.ndarray
         dmem = u[None, :] - b[:, None] * mem
     else:
         mu_tilde = params.kernel.mu_tilde
-        wmu = _kernel_on_grid(params.kernel, disc).w_mu
+        wmu = disc.kernel_on_grid.w_mu
         dv = lap((1.0 - mu_tilde) * u + wmu @ mem, disc.dx)
         gaps = np.diff(disc.s_nodes)
         upwind = mem.copy()
@@ -1031,7 +1054,6 @@ def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
             span.keep(state)
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _step_map(params: ModelParams, disc: Discretization) -> np.ndarray:
     """One RK4 step without eta or z fields, as the map C0 + C1 L + C2 L^2.
 
@@ -1064,13 +1086,12 @@ def _step_map(params: ModelParams, disc: Discretization) -> np.ndarray:
     return coeffs
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _stacked_maps(params: ModelParams, disc: Discretization,
                   ks: tuple[float, ...]) -> np.ndarray:
     """``_step_map`` of each row k in ``ks``, stacked, shape (R, 3 (2 + m), n_in).
 
     A row without delay inputs (k = 0) gets zero columns for them when
-    another row has them.  Read-only, one stack per (params, grid, ks).
+    another row has them.  Read-only.
     """
     maps = [_step_map(replace(params, k=k), disc) for k in ks]
     stacked = np.zeros((len(maps), maps[0].shape[0], max(c.shape[1] for c in maps)))
@@ -1092,10 +1113,10 @@ def _chunk_bound(coeffs: np.ndarray, state: SimState, disc: Discretization) -> i
     return max(1, min(bounds))
 
 
-def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int) -> tuple:
-    """The memory a state's map steps reuse while ``coeffs`` is their map,
-    none of it handed out, for chunks of up to K = min(n, ``_chunk_bound``)
-    steps.
+def _map_plan(params: ModelParams, state: SimState, disc: Discretization, n: int) -> tuple:
+    """The map of a state's steps under ``params`` on ``disc`` and the memory
+    they reuse, none of it handed out, for chunks of up to
+    K = min(n, ``_chunk_bound``) steps.
 
     Every row is nx + 2 wide, its end columns the Dirichlet zeros, so a
     second difference adds each neighbour by one flat add over a whole
@@ -1107,7 +1128,8 @@ def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int)
     solo state, whose map is 2-D; a batch of R rows, its maps stacked,
     has them as (R, n_in, nx) and (R, 3 (2 + m), nx).
 
-    The plan holds ``coeffs``, the bound and K; the fields of the block's
+    The plan holds ``params``, ``disc``, the map (``_stacked_maps`` at the
+    state's ``ks`` for a batch), the bound and K; the fields of the block's
     first row and their interior views; per chunk length k, its first
     k - 1 steps (X as the matmul reads it and the next row's [u; v; q]
     flat, and shifted by one entry either way), X of its last step, the
@@ -1118,6 +1140,8 @@ def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int)
     of C1 X, the shape of a step's output [u; v; q], and the interior u and
     v of every row of the block, where a ``Span`` finds a chunk's states.
     """
+    coeffs = (_step_map(params, disc) if state.ks is None
+              else _stacked_maps(params, disc, state.ks))
     n_out, n_in = coeffs.shape[-2:]
     nw = n_out // 3
     width = disc.nx + 2
@@ -1143,7 +1167,7 @@ def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int)
               for k in range(1, rows + 1)]
     products = np.full((3, nw) + batch + (width,), -0.0)
     c0, c1, c2 = (level.reshape(-1) for level in products)
-    return (coeffs, bound, rows, block[0, :nw], inner[0, 0], inner[0, 1],
+    return (params, disc, coeffs, bound, rows, block[0, :nw], inner[0, 0], inner[0, 1],
             inner[0, 2:nw] if nw > 2 else None, chunks,
             np.moveaxis(products.reshape((n_out,) + batch + (width,)), 0, -2)[..., 1:-1],
             np.empty(c1.shape), c0, c1, c2, c1[1:], c1[:-1], c2[:-1], c2[1:],
@@ -1155,24 +1179,23 @@ def _map_plan(coeffs: np.ndarray, state: SimState, disc: Discretization, n: int)
 def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
                  n: int, span: Span | None = None) -> None:
     """``n`` map steps in chunks of up to K, chained through the block of the
-    state's plan (``_map_plan``, rebuilt when the map changes or a call needs
-    longer chunks); a chunk's last step writes a fresh block [u; v; q], of
-    which the state's fields become interior views.  Per chunk, the delay
-    inputs are copied in, one sum of squares screens the outputs and their
-    u and v are pushed; after a sum that is not finite the call goes on from
-    the chunk's start one step at a time, where ``_non_finite_rows``
-    decides.  Once a chunk is kept, the ``span``'s states among its steps
-    are copied out of the block.  It takes the arguments of
-    ``_step_by_stages``, so ``step`` calls either alike.
+    state's plan (``_map_plan``, rebuilt when ``params`` or ``disc`` is
+    another object or a call needs longer chunks); a chunk's last step
+    writes a fresh block [u; v; q], of which the state's fields become
+    interior views.  Per chunk, the delay inputs are copied in, one sum of
+    squares screens the outputs and their u and v are pushed; after a sum
+    that is not finite the call goes on from the chunk's start one step at
+    a time, where ``_non_finite_rows`` decides.  Once a chunk is kept, the
+    ``span``'s states among its steps are copied out of the block.  It
+    takes the arguments of ``_step_by_stages``, so ``step`` calls either
+    alike.
     """
     if n < 1:
         return
-    coeffs = (_step_map(params, disc) if state.ks is None
-              else _stacked_maps(params, disc, state.ks))
     plan = state.work.get("map_plan")
-    if plan is None or plan[0] is not coeffs or plan[2] < min(n, plan[1]):
-        plan = state.work["map_plan"] = _map_plan(coeffs, state, disc, n)
-    (_, _, size, first, x_u, x_v, x_q, chunks, products, twice, c0, c1, c2,
+    if plan is None or plan[0] is not params or plan[1] is not disc or plan[4] < min(n, plan[3]):
+        plan = state.work["map_plan"] = _map_plan(params, state, disc, n)
+    (_, _, coeffs, _, size, first, x_u, x_v, x_q, chunks, products, twice, c0, c1, c2,
      c1_hi, c1_lo, c2_lo, c2_hi, c1_ends, shape, states) = plan
     end = state.step_index + n
     u_hist, v_hist = state.u_hist, state.v_hist
@@ -1252,8 +1275,8 @@ def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1,
          span: Span | None = None) -> SimState:
     """Advance ``n`` steps of dt by the classical 4-stage explicit scheme (in place).
 
-    A state with no evolved eta or z fields advances by ``_step_map``, looked
-    up once per call, in chunks of up to ``_chunk_bound`` steps
+    A state with no evolved eta or z fields advances by ``_step_map``, kept
+    in the state's plan, in chunks of up to ``_chunk_bound`` steps
     (``_step_by_map``): the delay inputs, the history pushes and the
     finiteness screen are done once per chunk, and the exact per-row check
     runs only where the screen's sum of squares is not finite.  The
@@ -1288,20 +1311,6 @@ def delayed_velocity(state: SimState, params: ModelParams, disc: Discretization,
     return span.v if state.z_rho is None else state.z_rho[None, -1]
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _node_steps(disc: Discretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where eta's row j reads the displacement history, s_j / dt steps back:
-    (newer, older, frac) = (floor, floor + 1 or floor itself at a whole
-    step, s_j / dt - floor); read-only, one per grid."""
-    steps = disc.s_nodes[1:] / disc.dt
-    newer = np.floor(steps).astype(np.intp)
-    frac = steps - newer
-    older = newer + (frac > 0.0)
-    for arr in (newer, older, frac):
-        arr.flags.writeable = False
-    return newer, older, frac
-
-
 def _distinct_eta_rows(state: SimState, params: ModelParams, disc: Discretization) -> int:
     """How many leading rows of ``eta_field`` can differ; every later row
     repeats the last of them.
@@ -1319,7 +1328,7 @@ def _distinct_eta_rows(state: SimState, params: ModelParams, disc: Discretizatio
 
 def _frozen_distinct_rows(disc: Discretization, pushed: int) -> int:
     """``_distinct_eta_rows`` of a frozen past after ``pushed`` pushes."""
-    return min(int(np.searchsorted(_node_steps(disc)[0], pushed)) + 1, disc.ns - 1)
+    return min(int(np.searchsorted(disc.node_steps[0], pushed)) + 1, disc.ns - 1)
 
 
 def eta_field(state: SimState, params: ModelParams, disc: Discretization,
@@ -1336,7 +1345,7 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization,
     For the prony_modes realization this is the exact characteristics
     solution eta(s) = u(t) - u(t - s) read off the u ring buffer, by one
     gather of the two padded neighbour rows of every s-node at every state
-    (``back_interp_rows`` at the ``_node_steps`` of the grid, each state's
+    (``back_interp_rows`` at the grid's ``node_steps``, each state's
     lag further back), then one subtraction from the span's padded u rows;
     for eta_grid it is the evolved array itself, copied in, at the state's
     own step only.  Which rows read stored slots and which the past is
@@ -1359,7 +1368,7 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization,
         eta[0, ..., 1:-1] = state.eta[:m]
         eta[..., ::disc.nx + 1] = 0.0  # ``out``'s end columns may hold anything
     elif m:
-        newer, older, frac = (arr[:m] for arr in _node_steps(disc))
+        newer, older, frac = (arr[:m] for arr in disc.node_steps)
         u_past = state.u_hist.back_interp_rows(newer, older, frac, lags, eta,
                                                span.scratch(shape, "work"))
         # the span's u rows end in +0.0, and +0.0 minus either zero is +0.0
@@ -1514,7 +1523,7 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
             cols[len(times):len(times) + count, i] = getattr(r, name)
         times.extend(span.times)
         if snapshots:
-            on_grid = _kernel_on_grid(params.kernel, disc)
+            on_grid = disc.kernel_on_grid
             v_delayed = delayed_velocity(state, params, disc, span)
             for i, t in enumerate(span.times):
                 snaps.append(Snapshot(
@@ -1603,7 +1612,7 @@ def dissipativity_spot_check(params: ModelParams, disc: Discretization,
     use_eta = not kernel.is_empty
     use_z = disc.n_delay > 0 and params.k != 0.0
     mu_tilde = kernel.mu_tilde
-    wmu = _kernel_on_grid(kernel, disc).w_mu if use_eta else None
+    wmu = disc.kernel_on_grid.w_mu if use_eta else None
     d_rho = 1.0 / disc.n_delay if use_z else 0.0
 
     def pairing(du, dv, deta, dz, u, v, eta, z) -> float:

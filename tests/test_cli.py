@@ -56,6 +56,22 @@ def test_certify_theta_one_with_delay_errors(tmp_path, capsys):
     assert "theta" in capsys.readouterr().err
 
 
+def test_certify_takes_the_best_of_theta_values(tmp_path, capsys):
+    # k0 is 8.84e-4 at theta = 2 and 9.97e-4 at theta = 1.5: certify judges
+    # k as simulate and sweep do, at the best theta of theta_values
+    doc = certify_config(0.00095, nx=40, T=2.0, theta_values=[1.5, 3.0])
+    cfg = write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert ": certified" in capsys.readouterr().out
+    cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert cert["inputs"]["theta"] == 1.5
+    assert cert["k0"] == pytest.approx(9.97e-4, rel=1e-3)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+    report = json.loads((tmp_path / "sim" / "report.json").read_text())
+    assert report["certificate"]["k0"] == cert["k0"]
+    assert report["certificate"]["inputs"]["theta"] == 1.5
+
+
 def test_certify_reports_nodelay_threshold(tmp_path):
     cfg = write_config(tmp_path, certify_config(0.0))
     main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -232,7 +232,7 @@ def node_step_grids():
 @pytest.mark.parametrize("name", ["aux_long", "long_memory", "whole"])
 def test_node_steps_fix_each_rows_neighbours_once_per_grid(name):
     disc, n_whole = node_step_grids()[name]
-    newer, older, frac = solver._node_steps(disc)
+    newer, older, frac = disc.node_steps
     steps = disc.s_nodes[1:] / disc.dt
     assert newer.dtype == older.dtype == np.intp
     assert np.array_equal(newer + frac, steps)
@@ -243,7 +243,7 @@ def test_node_steps_fix_each_rows_neighbours_once_per_grid(name):
     assert np.array_equal(older[~exact], newer[~exact] + 1)
     assert np.all(np.diff(newer) >= 0)
     assert not any(arr.flags.writeable for arr in (newer, older, frac))
-    assert solver._node_steps(disc) is solver._node_steps(disc)
+    assert disc.node_steps is disc.node_steps
 
 
 def positive_zero_ends(rows: np.ndarray) -> bool:

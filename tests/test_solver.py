@@ -1,11 +1,14 @@
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from viscodelay import solver
 from viscodelay.energy import sample_state
-from viscodelay.kernel import MemoryKernel
+from viscodelay.kernel import MemoryKernel, quadrature_weights
 from viscodelay.solver import (
     CflViolation,
     DelayUnresolvable,
@@ -320,6 +323,29 @@ def test_snapshot_samples_reconstruct_eta_once(monkeypatch):
     plain = run(params, init, disc, 0.5, sample_every=10)
     np.testing.assert_array_equal(trace.memory, plain.memory)
     np.testing.assert_array_equal(trace.mu_prime_eta, plain.mu_prime_eta)
+
+
+def test_nothing_outlives_a_run():
+    # the tables a run reads belong to its grid and its state, so once the
+    # caller drops a run's results no module holds its grid, params or state
+    params = ModelParams(tau=0.2, k=0.1, kernel=KERNEL, mode="auxiliary")
+    disc = discretize(params, nx=20)
+    init = InitialData(history="modulated", omega=2.0)
+    trace = run(params, init, disc, 0.5, sample_every=5, snapshots=True)
+    batch = run(params, init, disc, 0.5, sample_every=5, ks=[0.1, -0.2])
+    assert trace.aborted_step is None and len(batch) == 2
+    alive = [weakref.ref(obj) for obj in (disc, params, trace.final_state)]
+    del params, disc, trace, batch
+    gc.collect()
+    assert [ref() for ref in alive] == [None] * 3
+    # a grid made by replace forms its tables from its own fields
+    base = discretize(ModelParams(kernel=KERNEL), nx=20)
+    assert base.kernel_on_grid.mu.size == base.ns - 1
+    nodes = base.dt * np.array([0.0, 1.0, 2.0, 4.0, 8.0])
+    grid = replace(base, s_nodes=nodes, s_weights=quadrature_weights(nodes))
+    np.testing.assert_array_equal(grid.kernel_on_grid.mu, KERNEL.value(nodes[1:]))
+    np.testing.assert_array_equal(base.kernel_on_grid.mu, KERNEL.value(base.s_nodes[1:]))
+    assert grid.node_steps[0].tolist() == [1, 2, 4, 8]
 
 
 @pytest.mark.parametrize("history", ["frozen", "modulated"])
