@@ -12,24 +12,27 @@ discretization's own quadrature weights, with the kernel values on the
 s-grid the grid keeps (``Discretization.kernel_on_grid``).
 
 ``sample_state`` forms the samples of a ``solver.Span``, the states a run
-kept over up to S sample intervals, in one stacked pass; a call without
-one samples the state itself as a span of one at lag 0.  Every term is a
-per-row reduction over the stacked rows, each the pairwise sum or BLAS dot
-a single sample makes, so each state's terms have the bits of sampling it
-when it was reached.  A pass forms only the eta rows that
-``solver._distinct_eta_rows`` says can differ at the current state (with
-a frozen past, every row from the first whose s-node reaches back past
-t = 0 is u - phi; a state kept earlier has no more) and copies the last
-one's int |grad eta|^2 to the rest; how eta's rows are laid out in the
-displacement history is the solver's alone.  The delay integral is a
-trapezoid over the squared norms the velocity ring buffer keeps per slot
-(``RingBuffer.slot_norms``, which norms the slots pushed since the last
-sample when it is read), S rows of n_delay + 1 scalars, each a state's lag
-further back, instead of reducing the whole delay line again.  The
-gradients of u and eta are formed in scratch memory the span reuses
-(``Span.scratch``), from rows nx + 2 wide whose end columns are the
-Dirichlet +0.0, each by one flat subtract and one flat divide over the
-whole buffer (``_grad_into``).
+kept over up to S sample intervals: eta and its gradient a tile of up to T
+states at a time (``Span.tiles``), so their passes stay within
+``solver.SPAN_BYTES`` however deep the span is, and every other term in one
+stacked pass over all S states; a call without one samples the state itself
+as a span of one at lag 0.  Every term is a per-row reduction over the
+stacked rows, each the pairwise sum or BLAS dot a single sample makes, so
+each state's terms have the bits of sampling it when it was reached.  A
+tile forms only the eta rows that ``solver._distinct_eta_rows`` says can
+differ at the current state (with a frozen past, every row from the first
+whose s-node reaches back past t = 0 is u - phi; a state kept earlier has
+no more) and copies the last one's int |grad eta|^2 to the rest; with
+snapshot moments asked for, it forms every row.  How eta's rows are laid
+out in the displacement history is the solver's alone.  The delay
+integral is a trapezoid over the squared norms the velocity ring buffer
+keeps per slot (``RingBuffer.slot_norms``, which norms the slots pushed
+since the last sample when it is read), S rows of n_delay + 1 scalars,
+each a state's lag further back, instead of reducing the whole delay line
+again.  The gradients of u and eta are formed in scratch memory the span
+and its tiles reuse (``Span.scratch``), from rows nx + 2 wide whose end
+columns are the Dirichlet +0.0, each by one flat subtract and one flat
+divide over the whole buffer (``_grad_into``).
 """
 
 from __future__ import annotations
@@ -123,39 +126,42 @@ def _delay_integral(state: SimState, disc: Discretization,
     offsets, w, decay = disc.delay_weights
     if lags is not None:
         offsets = offsets + lags[:, None]
-    norms = disc.dx * state.v_hist.slot_norms(offsets)
-    integral = np.vecdot(decay * norms, w)
+    # dx * norms and decay * norms, in place: IEEE products commute
+    norms = state.v_hist.slot_norms(offsets)
+    np.multiply(norms, disc.dx, out=norms)
+    integral = np.vecdot(np.multiply(norms, decay, out=norms), w)
     # the slot norms come batch axis first
     return integral if lags is None else integral.T
 
 
 def sample_state(state: SimState, params: ModelParams, disc: Discretization,
-                 eta: np.ndarray | None = None,
+                 moments: list | None = None,
                  span: solver_mod.Span | None = None) -> SampleRow:
-    """One energy row; ``eta`` is the padded rows ``eta_field(state, ...)``
-    filled, nx + 2 wide, when the caller has them.
+    """One energy row.
 
     A solo state is sampled as a batch of one, and its terms are returned
     as floats; a batched state gets arrays over the batch axis, every
     row's terms formed in one pass.  Given ``span``, every term is an
-    array (S,) + batch over the span's states, all formed in one stacked
-    pass (``eta`` then stacked likewise); a call without one samples the
-    state as a span of one at lag 0.
+    array (S,) + batch over the span's states: eta is formed a tile of
+    states at a time (``Span.tiles``), every other term in one stacked
+    pass; a call without one samples the state as a span of one at lag 0.
+    Given ``moments``, a list, every row of eta is formed and each state's
+    two s-quadrature moments ``w_mu @ eta`` and ``(w mu') @ eta`` are
+    appended to it as a pair, oldest state first.
     """
     one = span is None
     if one:
         span = solver_mod.Span.of(state)
-        eta = None if eta is None else eta[None]
     # near-blow-up states report inf/nan energy instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = _sample_terms(state, params, disc, span, eta)
+        terms = _sample_terms(state, params, disc, span, moments)
     if one:
         terms = [term[0] if state.ks is not None else float(term[0]) for term in terms]
     return SampleRow(*terms)
 
 
 def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
-                  span: solver_mod.Span, eta: np.ndarray | None) -> list[np.ndarray]:
+                  span: solver_mod.Span, moments: list | None) -> list[np.ndarray]:
     # np.vecdot reduces each row by the one BLAS dot a 1-D ``a @ b`` makes,
     # and each sum is one row's pairwise sum, so a state of a span and a
     # batch row have the bits of a solo state sampled alone
@@ -170,27 +176,33 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
 
     if params.kernel.is_empty:
         memory = mu_prime_eta = np.zeros(stack)
+        if moments is not None:
+            moments.extend((np.zeros(u.shape[1:]), np.zeros(u.shape[1:])) for _ in lags)
     else:
         m = disc.ns - 1
+        on_grid = disc.kernel_on_grid
         # only the leading rows of eta that differ are formed, and the last
         # one's grad_sq stands for the rest; a state kept earlier has no more
         # distinct rows than the current one, and its rows past its own count
-        # are bitwise its last distinct one
-        n = m if eta is not None else solver_mod._distinct_eta_rows(state, params, disc)
-        # eta and its gradient on padded rows in scratch memory; the gradient
-        # takes the memory eta_field gathered into, which it no longer reads
-        shape = (lags.size, n) + state.u.shape[:-1] + (disc.nx + 2,)
-        if eta is None:
-            eta = span.scratch(shape, "eta")
-            solver_mod.eta_field(state, params, disc, eta, n, span)
-        ge = _grad_into(eta, span.scratch(shape, "work"), dx)
-        formed = integral_x(np.multiply(ge, ge, out=ge), dx)
+        # are bitwise its last distinct one.  A snapshot's moments read them all
+        n = m if moments is not None else solver_mod._distinct_eta_rows(state, params, disc)
         # per s-node, batch axes first, so each row's s-sum is over contiguous values
         grad_sq = np.empty(stack + (m,))
-        grad_sq[..., :n] = formed.swapaxes(1, -1)
-        grad_sq[..., n:] = formed[:, -1, ..., None]
+        for start, tile in span.tiles():
+            # eta and its gradient on padded rows in scratch memory sized for a
+            # tile; the gradient takes the memory eta_field gathered into,
+            # which it no longer reads
+            shape = (len(tile.steps), n) + state.u.shape[:-1] + (disc.nx + 2,)
+            eta = tile.scratch(shape, "eta")
+            inner = solver_mod.eta_field(state, params, disc, eta, n, tile)
+            ge = _grad_into(eta, tile.scratch(shape, "work"), dx)
+            formed = integral_x(np.multiply(ge, ge, out=ge), dx)
+            rows = grad_sq[start:start + len(tile.steps)]
+            rows[..., :n] = formed.swapaxes(1, -1)
+            rows[..., n:] = formed[:, -1, ..., None]
+            if moments is not None:
+                moments.extend((on_grid.w_mu @ e, on_grid.w_mu_prime @ e) for e in inner)
         # w @ (mu * grad_sq), not (w * mu) @ grad_sq: keeps the reported bits
-        on_grid = disc.kernel_on_grid
         w_inner = disc.s_weights[1:]
         memory = 0.5 * np.vecdot(on_grid.mu * grad_sq, w_inner)
         mu_prime_eta = 0.5 * np.vecdot(on_grid.mu_prime * grad_sq, w_inner)

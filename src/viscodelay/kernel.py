@@ -154,6 +154,10 @@ def _tail_cut(kernel: MemoryKernel, target: float) -> float:
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # no double lies between lo and hi: tail(lo) > target >= tail(hi)
+        # keeps both ends where they are from here on
+        if mid == lo or mid == hi:
+            break
         if kernel.tail_mass(mid) > target:
             lo = mid
         else:

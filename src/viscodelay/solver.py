@@ -61,10 +61,10 @@ derived from: the grid keeps its own (kernel values, eta's node steps,
 delay weights), and nothing is kept at module level between runs.
 ``run`` makes one call per span of up to S sample intervals
 (``_span_depth``): the call keeps the u and v of the span's sample steps
-in a ``Span`` as it passes them, and
-``energy.sample_state`` forms all their samples in one stacked pass, each
-reading the histories as many slots further back as steps have passed
-since it was kept.  So a span reads no slot that has been overwritten:
+in a ``Span`` as it passes them, and ``energy.sample_state`` forms all
+their samples, eta in tiles of up to T states (``_tile_depth``) and every
+other term in one stacked pass, each state reading the histories as many
+slots further back as steps have passed since it was kept.  So a span reads no slot that has been overwritten:
 where the displacement history is shorter than the run a span is one
 interval, and ``run`` builds the delay line (S - 1) intervals longer.
 The map path (``_step_by_map``) takes a call's steps in chunks of up to
@@ -144,10 +144,13 @@ OMEGA_MAX = math.sqrt(sys.float_info.max)
 # the most bytes of map-step inputs a chunk of steps works in: 32 steps of a solo
 # nx = 200 state with one memory term and a delay line
 CHUNK_BYTES = 2 ** 18
-# the most bytes a span's energy samples are formed in (``_span_depth``): the
-# stacked eta and its gradient, the kept u and v, and the slots the span adds
-# to the delay line; 9 samples of a solo nx = 200 state with ns = 64 and a
-# modulated past
+# the most bytes a span's energy samples are formed in.  A tile of its states
+# (``_tile_depth``) forms eta and its gradient within it, with the tile's kept
+# u and v and the delay-line slots it adds: 9 states of a solo nx = 200 state
+# with ns = 64 and a modulated past.  The arrays the span's samples form once
+# per state outside eta (``_span_depth``) take half of it, and the slots the
+# span adds to the delay line a sixteenth: 21 states there, sampled every 4
+# steps
 SPAN_BYTES = 2 ** 21
 
 T = TypeVar("T")
@@ -760,7 +763,9 @@ class SimState:
 
 class Span:
     """States of one run at its sample steps, kept as ``step`` passes them,
-    so that ``energy.sample_state`` forms their samples in one stacked pass.
+    so that ``energy.sample_state`` forms their samples together: eta a tile
+    of up to ``tile_depth`` states at a time (``tiles``), every other term
+    in one stacked pass.
 
     ``fields`` has room for the u and v of ``depth`` states, shape
     (2, depth) + batch + (nx + 2,): rows whose end columns are the Dirichlet
@@ -774,14 +779,16 @@ class Span:
     current one is read from the histories ``lag`` slots further back
     (``lags``), so ``run`` sizes the delay line for the largest lag.
     ``scratch`` hands out the memory the samples reuse: a run's span owns
-    it, so it is not kept with the state.
+    it, so it is not kept with the state, and its tiles share it.
     """
 
-    __slots__ = ("fields", "every", "steps", "times", "pool")
+    __slots__ = ("fields", "every", "tile_depth", "steps", "times", "pool")
 
-    def __init__(self, depth: int, row_shape: tuple[int, ...], every: int):
+    def __init__(self, depth: int, row_shape: tuple[int, ...], every: int,
+                 tile_depth: int | None = None):
         self.fields = np.zeros((2, depth) + row_shape[:-1] + (row_shape[-1] + 2,))
         self.every = every
+        self.tile_depth = depth if tile_depth is None else tile_depth
         self.steps: list[int] = []
         self.times: list[float] = []
         self.pool: dict[str, np.ndarray] = {}
@@ -839,6 +846,20 @@ class Span:
     def clear(self) -> None:
         self.steps.clear()
         self.times.clear()
+
+    def tiles(self):
+        """The kept states in runs of up to ``tile_depth``, oldest first, as
+        (index of the run's first state, a span of those states alone): its
+        fields are views of this span's, and it shares this span's scratch."""
+        count = len(self.steps)
+        for start in range(0, count, self.tile_depth):
+            stop = min(start + self.tile_depth, count)
+            tile = Span.__new__(Span)
+            tile.fields, tile.every, tile.tile_depth = (self.fields[:, start:stop], self.every,
+                                                        stop - start)
+            tile.steps, tile.times = self.steps[start:stop], self.times[start:stop]
+            tile.pool = self.pool
+            yield start, tile
 
     def scratch(self, shape: tuple[int, ...], use: str) -> np.ndarray:
         """A float array of ``shape`` on memory reused for ``use``.
@@ -1435,26 +1456,57 @@ def _span_rows(params: ModelParams, init: InitialData, disc: Discretization,
     return disc.ns - 1
 
 
+def _span_intervals(params: ModelParams, disc: Discretization, n_steps: int,
+                    every: int) -> int:
+    """The most sample intervals a span of a run of ``n_steps`` holds: one on
+    the grid realizations, whose evolved fields exist at the current step
+    only, and where the displacement history is shorter than the run, whose
+    slots a lagged read could find overwritten; else all the run has."""
+    if not _steps_by_map(params, disc) or (
+            not params.kernel.is_empty and disc.n_hist < n_steps):
+        return 1
+    return -(-n_steps // every)
+
+
+def _tile_depth(params: ModelParams, init: InitialData, disc: Discretization,
+                batch: tuple[int, ...], n_steps: int, every: int,
+                snapshots: bool = False) -> int:
+    """How many of a span's states one pass of eta takes, its tile's depth T.
+
+    As many as the span holds and SPAN_BYTES holds: per state its u and v,
+    the ``_span_rows`` of eta and their gradient, and every T - 1 states the
+    ``every`` delay-line slots the largest lag adds.
+    """
+    row = 8 * math.prod(batch) * (disc.nx + 2)
+    eta_rows = _span_rows(params, init, disc, n_steps, snapshots)
+    lagged = every if disc.n_delay > 0 else 0
+    depth = (SPAN_BYTES // row + lagged) // (2 * eta_rows + 2 + lagged)
+    return max(1, min(depth, _span_intervals(params, disc, n_steps, every)))
+
+
 def _span_depth(params: ModelParams, init: InitialData, disc: Discretization,
                 batch: tuple[int, ...], n_steps: int, every: int,
                 snapshots: bool = False) -> int:
     """How many sample intervals ``run`` steps per call, its span's depth S.
 
-    One on the grid realizations, whose evolved fields exist at the current
-    step only, and where the displacement history is shorter than the run,
-    whose slots a lagged read could find overwritten.  Otherwise as many as
-    the run has intervals and SPAN_BYTES holds: per state its u and v, the
-    ``_span_rows`` of eta and their gradient, and every S - 1 states the
-    ``every`` delay-line slots the largest lag adds.
+    As many as ``_span_intervals`` allows and SPAN_BYTES / 2 holds of what
+    the span's samples form once per state outside eta: its kept u and v,
+    the gradient of u, the delayed velocity and the n_delay + 1 slot norms
+    of the delay integral per batch row, and every S - 1 states the
+    ``every`` delay-line slots the largest lag adds.  Those slots outlive
+    the run in a solo trace's ``final_state``, so they also get no more than
+    SPAN_BYTES / 16.  At least the ``_tile_depth`` T: a span is one or more
+    tiles.
     """
-    if not _steps_by_map(params, disc) or (
-            not params.kernel.is_empty and disc.n_hist < n_steps):
-        return 1
-    row = 8 * math.prod(batch) * (disc.nx + 2)
-    eta_rows = _span_rows(params, init, disc, n_steps, snapshots)
-    lagged = every if disc.n_delay > 0 else 0
-    depth = (SPAN_BYTES // row + lagged) // (2 * eta_rows + 2 + lagged)
-    return max(1, min(depth, -(-n_steps // every)))
+    rows = math.prod(batch)
+    row = 8 * rows * (disc.nx + 2)
+    lagged = every * row if disc.n_delay > 0 else 0
+    window = 8 * rows * (disc.n_delay + 1) if disc.n_delay > 0 else 0
+    depth = (SPAN_BYTES // 2 + lagged) // (4 * row + lagged + window)
+    if lagged:
+        depth = min(depth, SPAN_BYTES // 16 // lagged + 1)
+    return max(_tile_depth(params, init, disc, batch, n_steps, every, snapshots),
+               min(depth, _span_intervals(params, disc, n_steps, every)))
 
 
 def run(params: ModelParams, init: InitialData, disc: Discretization,
@@ -1468,7 +1520,8 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
 
     The run goes in spans of S sample intervals (``_span_depth``), one
     ``step`` call each: the call keeps the span's sample states in a
-    ``Span``, and one ``sample_state`` call forms all their samples.
+    ``Span``, and one ``sample_state`` call forms all their samples, eta in
+    tiles of T states (``_tile_depth``) and every other term once per span.
 
     With ``ks`` the rows k = ks[r] run as one batch and the result is one
     Trace per row, in order, each the trace its solo run gives, since a
@@ -1495,14 +1548,15 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
 
     batch = () if ks is None else (len(ks),)
     depth = _span_depth(params, init, disc, batch, n_steps, sample_every, snapshots)
+    tile = _tile_depth(params, init, disc, batch, n_steps, sample_every, snapshots)
     # a span's first state is read (depth - 1) intervals after it was kept
     state = build(params, init, disc, ks=ks, steps=n_steps, lags=(depth - 1) * sample_every)
-    span = Span(depth, state.u.shape, sample_every)
-    # the memory of a full span's largest samples from the start, so it never grows
+    span = Span(depth, state.u.shape, sample_every, tile)
+    # the memory of a full tile's largest eta from the start, so it never grows
     eta_rows = _span_rows(params, init, disc, n_steps, snapshots)
     wide = batch + (disc.nx + 2,)
-    span.scratch((depth, eta_rows) + wide, "eta")
-    span.scratch((depth, eta_rows) + wide, "work")
+    span.scratch((tile, eta_rows) + wide, "eta")
+    span.scratch((tile, eta_rows) + wide, "work")
     times = []
     # per sample the SAMPLE_TERMS, then the batch axis
     shape = (2 + n_steps // sample_every, len(SAMPLE_TERMS)) + batch
@@ -1515,20 +1569,18 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
         count = len(span.steps)
         if not count:
             return
-        # a snapshot shares its sample's eta, reconstructed once on padded rows
-        padded = span.scratch((count, eta_rows) + wide, "eta") if snapshots else None
-        eta = eta_field(state, params, disc, padded, span=span) if snapshots else None
-        r = sample_state(state, params, disc, eta=padded, span=span)
+        # a snapshot's two moments come from its sample's eta, formed once
+        moments = [] if snapshots else None
+        r = sample_state(state, params, disc, moments, span=span)
         for i, name in enumerate(SAMPLE_TERMS):
             cols[len(times):len(times) + count, i] = getattr(r, name)
         times.extend(span.times)
         if snapshots:
-            on_grid = disc.kernel_on_grid
             v_delayed = delayed_velocity(state, params, disc, span)
-            for i, t in enumerate(span.times):
+            for i, (t, (mu_eta, mu_prime_eta)) in enumerate(zip(span.times, moments)):
                 snaps.append(Snapshot(
                     t=t, u=span.u[i].copy(), v=span.v[i].copy(), v_delayed=v_delayed[i].copy(),
-                    int_mu_eta=on_grid.w_mu @ eta[i], int_mu_prime_eta=on_grid.w_mu_prime @ eta[i],
+                    int_mu_eta=mu_eta, int_mu_prime_eta=mu_prime_eta,
                 ))
         span.clear()
 

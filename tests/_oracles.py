@@ -9,7 +9,7 @@ row, reducing every stored field again on each call; the vectorized
 sampling must reproduce them bit for bit.  ``materialized_history`` stores
 the whole prescribed past in the displacement ring buffer, as ``build``
 did before the past was evaluated on demand.  ``eager_map_step`` is the
-map step that formed its buffers afresh at every step and normed each
+map step that formed its step buffers afresh at every step and normed each
 delay-line slot as it was pushed; ``solver.step`` must keep its bits.
 """
 
@@ -183,11 +183,17 @@ def eager_slot_norms(buf: RingBuffer, offsets: np.ndarray) -> np.ndarray:
 
 
 def eager_map_step(state, params, disc) -> None:
-    """One map step with every buffer formed afresh, the delay inputs read
-    through ``back`` and both fields checked for finiteness on their own."""
+    """One map step with every step buffer formed afresh, the delay inputs
+    read through ``back`` and both fields checked for finiteness on their
+    own.  The map is kept in ``state.work`` and formed again when ``params``,
+    ``disc`` or the state's ``ks`` is another object."""
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = (solver._step_map(params, disc) if state.ks is None
-                  else solver._stacked_maps(params, disc, state.ks))
+        kept = state.work.get("eager_map")
+        if kept is None or any(a is not b for a, b in zip(kept, (params, disc, state.ks))):
+            coeffs = (solver._step_map(params, disc) if state.ks is None
+                      else solver._stacked_maps(params, disc, state.ks))
+            kept = state.work["eager_map"] = (params, disc, state.ks, coeffs)
+        coeffs = kept[3]
         n_out, n_in = coeffs.shape[-2:]
         nw = n_out // 3
         x = state.work.get("map_rows")

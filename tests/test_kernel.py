@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from viscodelay.kernel import (
     KernelInvalid,
     MemoryKernel,
+    _tail_cut,
     quadrature_weights,
     validate_kernel,
 )
@@ -120,3 +122,32 @@ def test_derivative_value_consistency():
     d = TWO_TERM.derivative(s)
     expected = -0.3 * np.exp(-s) - 0.8 * np.exp(-4.0 * s)
     np.testing.assert_allclose(d, expected, rtol=1e-14)
+
+
+def tail_cut_200(kernel: MemoryKernel, target: float) -> float:
+    """``_tail_cut`` by 200 bisections, with no stop when the bracket stops moving."""
+    if kernel.tail_mass(0.0) <= target:
+        return 0.0
+    hi = 1.0
+    while kernel.tail_mass(hi) > target:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if kernel.tail_mass(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(terms=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+                      min_size=1, max_size=4),
+       share=st.floats(1e-15, 1.0))
+def test_tail_cut_stops_where_the_bracket_stops_moving(terms, share):
+    # once the midpoint is an end of the bracket, bisection is at a fixed
+    # point, so stopping there returns the bits of all 200 halvings
+    kernel = MemoryKernel.from_terms(terms)
+    target = share * kernel.tail_mass(0.0)
+    assert _tail_cut(kernel, target) == tail_cut_200(kernel, target)

@@ -313,7 +313,7 @@ def test_lags_reach_the_deepest_delay_line_slot_a_span_reads(monkeypatch):
     # spans of 5 intervals of 3 steps: a span's first state is sampled 12
     # steps after it was kept, so the run's delay line has 12 more slots, and
     # that state's delay integral reads back to slot n_delay + 12
-    monkeypatch.setattr(solver, "SPAN_BYTES", 2 ** 15)
+    monkeypatch.setattr(solver, "SPAN_BYTES", 17 * 2 ** 11)
     params = ModelParams(tau=0.05, k=0.4, kernel=SLOW, mode="auxiliary")
     disc = discretize(params, nx=20, ns=16)
     n_steps = round(3.0 / disc.dt)
@@ -378,6 +378,120 @@ def test_a_last_interval_shorter_than_sample_every_ends_the_last_span(monkeypatc
     calls = counted_calls(monkeypatch)
     assert_run_is_hand_run(params, init, disc, 100 * disc.dt, 7, ks)
     assert calls == span_calls(100, 21) == [21] * 4 + [16]
+
+
+SLOW_SOLO = ModelParams(tau=0.05, k=0.4, kernel=SLOW, mode="auxiliary")
+SLOW_BATCH, SLOW_KS = replace(SLOW_SOLO, k=0.0), [0.4, 0.0, -0.3]  # a batch reads ks, not k
+# A span of S states forms eta in tiles of T: (params, init, ks, (nx, ns),
+# SPAN_BYTES, sample_every, horizon, S, T)
+TILED = {
+    # tiles of 5, 5 and 2 states
+    "solo-modulated": (SLOW_SOLO, MODULATED, None, (20, 16), 2 ** 15, 1, 3.0, 12, 5),
+    # tiles of 7, 7 and 2 states
+    "batch-modulated": (SLOW_BATCH, MODULATED, SLOW_KS, (20, 16), 2 ** 17, 1, 3.0, 16, 7),
+    "solo-tiles-of-one": (SLOW_SOLO, MODULATED, None, (20, 16), 2 ** 13, 1, 3.0, 3, 1),
+    "batch-tiles-of-one": (SLOW_BATCH, MODULATED, SLOW_KS, (20, 16), 2 ** 15, 1, 3.0, 4, 1),
+    # the k = -330 row of ABORTING goes non-finite in a span's second tile,
+    # after its 6th state (tiles of 4) or its 4th (tiles of 3)
+    "abort-solo": (ModelParams(tau=0.02, k=-330.0, kernel=SLOW), FROZEN, None, (40, 64),
+                   2 ** 17, 4, 9.6, 7, 4),
+    "abort-batch": (ModelParams(tau=0.02, kernel=SLOW), FROZEN, ABORTING[2], (40, 64),
+                    5 * 2 ** 16, 4, 9.6, 6, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TILED))
+def test_tiles_of_a_span_keep_the_bits_of_single_steps(monkeypatch, case):
+    params, init, ks, (nx, ns), span_bytes, every, horizon, depth, tile = TILED[case]
+    monkeypatch.setattr(solver, "SPAN_BYTES", span_bytes)
+    disc = discretize(params, nx=nx, ns=ns)
+    n_steps = round(horizon / disc.dt)
+    batch = () if ks is None else (len(ks),)
+    assert solver._span_depth(params, init, disc, batch, n_steps, every) == depth
+    assert solver._tile_depth(params, init, disc, batch, n_steps, every) == tile
+    traces, kept = assert_run_is_hand_run(params, init, disc, horizon, every, ks)
+    if case.startswith("abort"):
+        abort = ABORTING[3]
+        assert abort % every != 0 and abort % (every * depth) // every > tile
+        assert kept[0 if ks is None else 1] == abort // every + 1
+
+
+@pytest.mark.parametrize("init", [FROZEN, MODULATED], ids=["frozen", "modulated"])
+def test_tiled_snapshots_keep_the_moments_of_each_states_eta(monkeypatch, init):
+    # spans of 12 states in tiles of 5, 5 and 2, against single steps, each
+    # sampled and its eta formed alone when it is reached
+    monkeypatch.setattr(solver, "SPAN_BYTES", 2 ** 15)
+    disc = discretize(SLOW_SOLO, nx=20, ns=16)
+    n_steps = round(3.0 / disc.dt)
+    assert solver._span_depth(SLOW_SOLO, init, disc, (), n_steps, 1, snapshots=True) == 12
+    assert solver._tile_depth(SLOW_SOLO, init, disc, (), n_steps, 1, snapshots=True) == 5
+    trace = run(SLOW_SOLO, init, disc, 3.0, sample_every=1, snapshots=True)
+    times, samples, _, _ = hand_run(SLOW_SOLO, init, disc, 3.0, 1)
+    for i, name in enumerate(SAMPLE_TERMS):
+        assert getattr(trace, name).tobytes() == samples[:, i].tobytes(), name
+    on_grid = disc.kernel_on_grid
+    state = build(SLOW_SOLO, init, disc, steps=n_steps)
+    snaps = iter(trace.snapshots)
+    for n in range(n_steps + 1):
+        if n:
+            step(state, SLOW_SOLO, disc, 1)
+        snap, eta = next(snaps), solver.eta_field(state, SLOW_SOLO, disc)
+        assert snap.t == state.t
+        for got, want in ((snap.u, state.u), (snap.v, state.v),
+                          (snap.v_delayed, solver.delayed_velocity(state, SLOW_SOLO, disc)),
+                          (snap.int_mu_eta, on_grid.w_mu @ eta),
+                          (snap.int_mu_prime_eta, on_grid.w_mu_prime @ eta)):
+            assert got.tobytes() == want.tobytes(), n
+    assert next(snaps, None) is None and len(trace.snapshots) == times.size
+
+
+# (params, init, ks, nx, horizon, sample_every, snapshots, S, T): a sweep_k
+# batch and the long_memory config of the benchmark, at ns = 64
+BUDGETED = {
+    "sweep-batch": (ModelParams(tau=1.0, kernel=ONE_TERM),
+                    InitialData(shape="sine"), [0.001 * r for r in range(8)], 100, 1.0, 1,
+                    False, 18, 4),
+    "long-memory": (ModelParams(tau=0.5, k=0.05, mode="auxiliary",
+                                kernel=MemoryKernel.from_terms([(2.0, 8.0), (0.02, 0.05)])),
+                    InitialData(shape="gaussian", width=0.1, history="modulated"), None, 200,
+                    2.0, 4, True, 21, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGETED))
+def test_a_span_and_its_tiles_fit_their_bytes(monkeypatch, case):
+    params, init, ks, nx, horizon, every, snapshots, depth, tile = BUDGETED[case]
+    disc = discretize(params, nx=nx, ns=64)
+    kept = []
+    original = energy.sample_state
+
+    def sampled(state, params, disc, moments=None, span=None):
+        kept.append((state, span))
+        return original(state, params, disc, moments, span)
+
+    monkeypatch.setattr(energy, "sample_state", sampled)
+    run(params, init, disc, horizon, sample_every=every, snapshots=snapshots, ks=ks)
+    state, span = kept[-1]
+    assert all(s is state and sp is span for s, sp in kept)
+    assert (span.fields.shape[1], span.tile_depth) == (depth, tile)
+    rows = 1 if ks is None else len(ks)
+    row = 8 * rows * (nx + 2)
+    added = (state.v_hist.capacity - disc.n_delay - 2) * row
+    assert added == (depth - 1) * every * row
+    # a tile: eta and its gradient, its states' u and v and the slots its lags add
+    eta = span.pool["eta"].nbytes + span.pool["work"].nbytes
+    tile_bytes = eta + 2 * tile * row + (tile - 1) * every * row
+    assert tile_bytes <= solver.SPAN_BYTES < tile_bytes + eta // tile + (2 + every) * row
+    # the span outside eta: its states' u and v, the gradient of u, the
+    # delayed velocity, the delay integral's slot norms and the added slots,
+    # which have a sixteenth of their own; one more state breaks one bound
+    window = 8 * rows * (disc.n_delay + 1)
+    kept_bytes = span.fields.nbytes + span.pool["grad_u"].nbytes
+    assert kept_bytes == 3 * depth * row
+    span_bytes = kept_bytes + depth * (row + window) + added
+    assert span_bytes <= solver.SPAN_BYTES // 2 and added <= solver.SPAN_BYTES // 16
+    assert (span_bytes + (4 + every) * row + window > solver.SPAN_BYTES // 2
+            or added + every * row > solver.SPAN_BYTES // 16)
 
 
 # A call makes its steps in chunks of at most ``solver._chunk_bound`` steps:
