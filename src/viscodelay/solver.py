@@ -511,21 +511,23 @@ class RingBuffer:
     shaped to broadcast against a row; ``factor`` maps the ages of past
     rows to their time factors, None for a frozen past) the buffer stores
     only the rows pushed since t = 0: a read ``p >= pushed`` steps back
-    returns ``factor(p - pushed) * phi``, evaluated on demand, so a buffer
-    that will see ``steps`` pushes needs no more than ``steps`` slots.
-    ``back_interp_rows`` is the one gather of such reads, stored slots up
-    to the first read past the pushes and the past from there on, and
-    interpolates between two, at neighbour offsets its caller fixes.  On
-    such a buffer a read ``capacity <= p < pushed`` raises ``SolverError``:
-    its slot has been overwritten.  A buffer with no past reads by
+    returns ``factor(p - pushed) * phi``, so a buffer that will see
+    ``steps`` pushes needs no more than ``steps`` slots.  phi is kept in
+    one more slot after the ``capacity`` ring slots, broadcast over the
+    batch rows, so every read beyond the pushes is a read of that slot.
+    ``back_interp_rows`` is the one gather of such reads, and interpolates
+    between two, at neighbour offsets its caller fixes.  On such a buffer a
+    read ``capacity <= p < pushed`` raises ``SolverError``: its slot has
+    been overwritten.  A buffer with no past has no such slot and reads by
     wrap-around (the delay line reads slots ``n_delay`` and ``n_delay - 1``).
 
     The slots live in ``padded``, rows nx + 2 wide whose end columns are
-    the Dirichlet zeros; ``data`` is its interior, (capacity,) + a slot's
-    shape, which every push and read of one slot uses, so the end columns
-    are never written.  The buffer keeps phi padded alike, formed once.
-    The gathers (``back_rows``, ``back_interp_rows``) take whole padded
-    rows, so eta and its gradient are formed on flat contiguous rows.
+    the Dirichlet zeros; ``data`` is the interior of the ring slots,
+    (capacity,) + a slot's shape, which every push and read of one slot
+    uses, so the end columns are never written, nor is phi's slot
+    (``past``) after it is formed.  The gathers (``back_rows``,
+    ``back_interp_rows``) take whole padded rows, so eta and its gradient
+    are formed on flat contiguous rows.
 
     After ``keep_norms()`` the buffer also holds each slot's squared norm
     per batch row in ``norms`` (shape (capacity,) + batch, indexed like
@@ -534,10 +536,10 @@ class RingBuffer:
     few hundred steps norms a slot once per sample at most, not per push.
     ``push_rows`` and ``copy_rows`` write and read a run of consecutive
     slots by one slice copy, or two where the run wraps; ``back_rows``
-    gathers any stored slots.  The ``Span`` of a run reads both buffers at
-    offsets a state's lag further back: ``back_interp_rows`` takes the
-    lags of all its states at once, and ``slot_norms`` any shape of
-    offsets.
+    gathers any slots of a buffer with no past.  The ``Span`` of a run
+    reads both buffers at offsets a state's lag further back:
+    ``back_interp_rows`` takes the lags of all its states at once, and
+    ``slot_norms`` any shape of offsets.
     """
 
     __slots__ = ("padded", "data", "capacity", "head", "norms", "normed", "pushed", "past",
@@ -548,23 +550,24 @@ class RingBuffer:
                  factor: Callable[[np.ndarray], np.ndarray] | None = None):
         if isinstance(row_shape, int):
             row_shape = (row_shape,)
-        self.padded = np.zeros((capacity, *row_shape[:-1], row_shape[-1] + 2))
-        self.data = self.padded[..., 1:-1]
+        slots = capacity + (past is not None)
+        self.padded = np.zeros((slots, *row_shape[:-1], row_shape[-1] + 2))
+        self.data = self.padded[:capacity, ..., 1:-1]
         self.capacity = capacity
         self.head = 0
         self.norms = None
         self.normed = 0  # ``pushed`` when ``norms`` was last brought up to date
         self.pushed = 0
-        self.past = None  # phi padded like a slot, formed once
+        self.past = None  # phi's padded slot
         if past is not None:
-            self.past = np.zeros(past.shape[:-1] + (past.shape[-1] + 2,))
+            self.past = self.padded[capacity]
             self.past[..., 1:-1] = past
             self.past.flags.writeable = False
         self.factor = factor
 
     @property
     def nbytes(self) -> int:
-        """Allocated bytes: the padded slots and their norms."""
+        """Allocated bytes: the padded slots, phi's too, and their norms."""
         return self.padded.nbytes + (0 if self.norms is None else self.norms.nbytes)
 
     def keep_norms(self) -> None:
@@ -612,11 +615,10 @@ class RingBuffer:
     def back(self, steps: int) -> np.ndarray:
         if self.past is not None:
             if steps >= self.pushed:
-                # one IEEE multiply per entry, as a stored factor * phi row had
                 phi = self.past[..., 1:-1]
-                row = phi if self.factor is None else (
+                # one IEEE multiply per entry, as a stored factor * phi row had
+                return phi if self.factor is None else (
                     self.factor(np.array([steps - self.pushed]))[0] * phi)
-                return np.broadcast_to(row, self.data.shape[1:])
             if steps >= self.capacity:
                 self._refuse_overwritten(steps)
         return self.data[(self.head + steps) % self.capacity]
@@ -649,8 +651,8 @@ class RingBuffer:
         return np.take(self.norms.T, (self.head + offsets) % self.capacity, axis=-1)
 
     def back_rows(self, offsets: np.ndarray) -> np.ndarray:
-        """``back(p)`` for every p in ``offsets``, stored slots only, by one
-        gather of padded rows; returns their interior."""
+        """``back(p)`` for every p in ``offsets`` of a buffer with no past (the
+        delay line), by one gather of padded rows; returns their interior."""
         return self.padded.take(self.head + offsets, axis=0, mode="wrap")[..., 1:-1]
 
     def back_interp_rows(self, newer: np.ndarray, older: np.ndarray, frac: np.ndarray,
@@ -661,43 +663,32 @@ class RingBuffer:
         + ``padded``'s slot shape); ``work``, shaped like ``out``, takes the
         gathered newer rows.  The end columns come out +0.0 or -0.0.
 
-        Each neighbour is one gather of padded slots; then in each of the S
-        rows the reads from the first that reaches back past the pushes get
-        the past, its factors at every such age of both neighbours from one
-        ``factor`` call.  Where ``older`` is ``newer`` (frac 0) the
-        difference is exactly 0.
+        Each neighbour is one gather of padded slots, phi's slot at every
+        read past the pushes; a modulated past then scales the gathered rows
+        in place, those reads by their factors from one ``factor`` call per
+        neighbour and the stored reads by 1.0.  Where ``older`` is ``newer``
+        (frac 0) the difference is exactly 0.
         """
-        both = ((newer, work), (older, out))
-        for j, rows in both:
-            # mode "wrap" writes into ``rows`` directly; "raise" would buffer
-            self.padded.take((self.head + j + lags[:, None]).reshape(-1), axis=0, mode="wrap",
-                             out=rows.reshape((lags.size * j.size,) + self.padded.shape[1:]))
-        if self.past is None:
-            stored = None
-        else:
-            # per neighbour, how many leading reads of each row are stored slots
-            stored = [np.searchsorted(j, self.pushed - lags).tolist() for j, _ in both]
-            deepest = max((int(j[c - 1]) + lag for (j, _), counts in zip(both, stored)
-                           for c, lag in zip(counts, lags.tolist()) if c), default=-1)
-            if deepest >= self.capacity:
-                self._refuse_overwritten(deepest)
-        if stored is not None and self.factor is not None:
-            ages = np.concatenate([j[c:] + (lag - self.pushed) for (j, _), counts in zip(both, stored)
-                                   for c, lag in zip(counts, lags.tolist())])
-            factors = self.factor(ages)
-        used = 0
-        for (j, rows), counts in zip(both, stored or ()):
-            for s, c in enumerate(counts):
-                k = j.size - c
-                if not k:
-                    continue
-                if self.factor is None:
-                    rows[s, c:] = self.past
-                else:
-                    # one IEEE multiply per entry, as a stored factor * phi row had
-                    np.multiply(factors[used:used + k].reshape((k,) + (1,) * self.past.ndim),
-                                self.past, out=rows[s, c:])
-                    used += k
+        for j, rows in ((newer, work), (older, out)):
+            offsets = j + lags[:, None]
+            slots = (self.head + offsets) % self.capacity
+            if self.past is not None:
+                past = offsets >= self.pushed
+                deepest = offsets[~past].max(initial=-1)
+                if deepest >= self.capacity:
+                    self._refuse_overwritten(deepest)
+                slots[past] = self.capacity
+            # the slots are in range, so mode "clip" writes into ``rows``
+            # directly; "raise" would buffer
+            self.padded.take(slots.reshape(-1), axis=0, mode="clip",
+                             out=rows.reshape((slots.size,) + self.padded.shape[1:]))
+            if self.factor is None or not past.any():
+                continue
+            # x * 1.0 is x, so the stored reads keep their bits; past reads
+            # are one IEEE multiply per entry, as a stored factor * phi row had
+            scale = np.ones(offsets.shape)
+            scale[past] = self.factor(offsets[past] - self.pushed)
+            np.multiply(rows, scale.reshape(scale.shape + (1,) * (rows.ndim - 2)), out=rows)
         np.subtract(out, work, out=out)
         # frac spread over a slot, so each state's multiply is one flat pass:
         # broadcast along a slot, the multiply took about twice as long
@@ -889,10 +880,11 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
     """State at t = 0 with its history structures set from the prescribed past.
 
     The delay line and the evolved fields are filled; the displacement
-    history stores nothing and evaluates the past when it is read.  Given
-    ``steps``, the number of steps the state will take, the displacement
-    history has min(n_hist, steps) slots (at least 1), as a read from
-    further back than the pushes is the past; without it, n_hist.  With
+    history stores phi alone, in one slot after its ring slots, and
+    evaluates the past from it when it is read.  Given ``steps``, the
+    number of steps the state will take, the displacement history has
+    min(n_hist, steps) ring slots (at least 1), as a read from further
+    back than the pushes is the past; without it, n_hist.  With
     ``ks`` the state is a batch of len(ks) copies, row r stepped with
     k = ks[r] (``params.k`` is not read).  Without it the fields are
     (nx,), and ``step`` and ``sample_state`` treat the state as a batch of
@@ -927,8 +919,8 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
             state.u_hist = _reserve(
                 lambda: RingBuffer(capacity, batch + (disc.nx,),
                                    past=phi if ks is None else phi[None], factor=factor),
-                (capacity,) + batch + (disc.nx + 2,), batch, "the displacement history",
-                f"{'n_hist' if capacity == disc.n_hist else 'steps'}={capacity} rows "
+                (capacity + 1,) + batch + (disc.nx + 2,), batch, "the displacement history",
+                f"1 + {'n_hist' if capacity == disc.n_hist else 'steps'}={capacity} rows "
                 f"x nx={disc.nx}", "raise the kernel rates, shorten T or coarsen the grid",
                 HistoryTooLarge)
         else:
@@ -1154,12 +1146,12 @@ def _map_plan(params: ModelParams, state: SimState, disc: Discretization, n: int
     first row and their interior views; per chunk length k, its first
     k - 1 steps (X as the matmul reads it and the next row's [u; v; q]
     flat, and shifted by one entry either way), X of its last step, the
-    ``copy_rows`` offsets and rows of its delay inputs, and its k - 1 output
-    rows flat and their u and v rows newest first (None for k = 1); the
-    products as the matmul writes them, the 2 w of a second difference, the
-    three products flat, C1 X and C2 X shifted either way, the end columns
-    of C1 X, the shape of a step's output [u; v; q], and the interior u and
-    v of every row of the block, where a ``Span`` finds a chunk's states.
+    ``copy_rows`` offsets and rows of its delay inputs, and the u and v of
+    its k - 1 output rows newest first (None for k = 1); the products as
+    the matmul writes them, the 2 w of a second difference, the three
+    products flat, C1 X and C2 X shifted either way, the end columns of
+    C1 X, the shape of a step's output [u; v; q], and the interior u and v
+    of every row of the block, where a ``Span`` finds a chunk's states.
     """
     coeffs = (_step_map(params, disc) if state.ks is None
               else _stacked_maps(params, disc, state.ks))
@@ -1183,8 +1175,7 @@ def _map_plan(params: ModelParams, state: SimState, disc: Discretization, n: int
                (disc.n_delay - k, inner[k - 1::-1, nw + 1]))
               for k in range(1, rows + 1)]
     chunks = [(steps[:k - 1], xs[k - 1], delays[k - 1],
-               *((None,) * 3 if k == 1 else
-                 (block[1:k].reshape(-1), inner[k - 1:0:-1, 0], inner[k - 1:0:-1, 1])))
+               *((None,) * 2 if k == 1 else (inner[k - 1:0:-1, 0], inner[k - 1:0:-1, 1])))
               for k in range(1, rows + 1)]
     products = np.full((3, nw) + batch + (width,), -0.0)
     c0, c1, c2 = (level.reshape(-1) for level in products)
@@ -1204,12 +1195,12 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
     another object or a call needs longer chunks); a chunk's last step
     writes a fresh block [u; v; q], of which the state's fields become
     interior views.  Per chunk, the delay inputs are copied in, one sum of
-    squares screens the outputs and their u and v are pushed; after a sum
-    that is not finite the call goes on from the chunk's start one step at
-    a time, where ``_non_finite_rows`` decides.  Once a chunk is kept, the
-    ``span``'s states among its steps are copied out of the block.  It
-    takes the arguments of ``_step_by_stages``, so ``step`` calls either
-    alike.
+    squares of the last step's outputs screens the chunk and the outputs'
+    u and v are pushed; after a sum that is not finite the call goes on
+    from the chunk's start one step at a time, where ``_non_finite_rows``
+    decides.  Once a chunk is kept, the ``span``'s states among its steps
+    are copied out of the block.  It takes the arguments of
+    ``_step_by_stages``, so ``step`` calls either alike.
     """
     if n < 1:
         return
@@ -1230,7 +1221,7 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
     left = n
     while True:
         k = min(left, size)
-        chunk_steps, x_last, delays, done, u_rows, v_rows = chunks[k - 1]
+        chunk_steps, x_last, delays, u_rows, v_rows = chunks[k - 1]
         for offset, rows in delays:
             v_hist.copy_rows(offset, rows)
         fields = np.empty(shape)
@@ -1253,11 +1244,12 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
             add(out_hi, c1_lo, out_hi)
             add(out_lo, c1_hi, out_lo)
         u, v = fields[0, ..., 1:-1], fields[1, ..., 1:-1]
-        # the sum of squares of the outputs is finite when every entry is,
-        # unless huge finite entries overflow it
+        # a non-finite entry of any step's [u; v; q] leaves its entry of every
+        # later step non-finite (the map's diagonal is 1 on u and RK4's
+        # stability polynomial, which has no real root, on v and q), so the
+        # last step's outputs screen the chunk: their sum of squares is
+        # finite when every entry is, unless huge finite entries overflow it
         total = np.vdot(last, last)
-        if k > 1:
-            total += np.vdot(done, done)
         bad = []
         if not math.isfinite(total):
             if k > 1:
@@ -1299,8 +1291,10 @@ def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1,
     A state with no evolved eta or z fields advances by ``_step_map``, kept
     in the state's plan, in chunks of up to ``_chunk_bound`` steps
     (``_step_by_map``): the delay inputs, the history pushes and the
-    finiteness screen are done once per chunk, and the exact per-row check
-    runs only where the screen's sum of squares is not finite.  The
+    finiteness screen are done once per chunk, the screen on the chunk's
+    last outputs alone, as a non-finite entry stays so through every later
+    step; the exact per-row check runs only where the screen's sum of
+    squares is not finite.  The
     ``eta_grid`` and ``rho_grid`` realizations run the four ``_rhs`` stages
     and the exact check step by step.  Each step does the same arithmetic
     whatever ``n`` is, so a call leaves the bits of ``n`` calls of one step.
@@ -1365,9 +1359,10 @@ def eta_field(state: SimState, params: ModelParams, disc: Discretization,
 
     For the prony_modes realization this is the exact characteristics
     solution eta(s) = u(t) - u(t - s) read off the u ring buffer, by one
-    gather of the two padded neighbour rows of every s-node at every state
-    (``back_interp_rows`` at the grid's ``node_steps``, each state's
-    lag further back), then one subtraction from the span's padded u rows;
+    gather per neighbour of the padded rows of every s-node at every state,
+    a read from before t = 0 reading phi's slot (``back_interp_rows`` at
+    the grid's ``node_steps``, each state's lag further back), then one
+    subtraction from the span's padded u rows;
     for eta_grid it is the evolved array itself, copied in, at the state's
     own step only.  Which rows read stored slots and which the past is
     known to this module alone: ``_distinct_eta_rows`` tells a caller how

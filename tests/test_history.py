@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 import viscodelay
-from _oracles import eta_field_rows, materialized_history
-from viscodelay.energy import sample_state
+from _oracles import eta_field_rows, materialized_history, sample_state_rows
+from viscodelay.energy import SampleRow, sample_state
 from viscodelay.kernel import MemoryKernel, quadrature_weights
 from viscodelay.solver import (
     InitialData,
     ModelParams,
     SolverError,
+    Span,
     build,
     discretize,
     eta_field,
@@ -132,6 +133,51 @@ def test_whole_step_node_ignores_inf_in_pushed_next_slot():
     assert np.array_equal(eta, eta_field_rows(state, params, disc))
 
 
+@pytest.mark.parametrize("ks", [None, [-0.3, 0.0, 0.4]], ids=["solo", "batch"])
+@pytest.mark.parametrize("grid", ["default", "whole-step"])
+@pytest.mark.parametrize("history", sorted(HISTORIES))
+def test_span_reads_of_the_past_touch_no_unpushed_slot(history, grid, ks):
+    # a span of six states five steps apart, read as the ring is still
+    # filling: a node reads a stored slot at the newest state and the past
+    # at older ones, so a read that reached a NaN slot would show
+    disc = discretize(PARAMS, nx=20) if grid == "default" else whole_step_disc(PARAMS)
+    init = HISTORIES[history]
+    every, depth = 5, 6
+    state = build(PARAMS, init, disc, ks=ks, lags=(depth - 1) * every)
+    # each row alone, stepped one step at a time, with its references at every kept step
+    solos = [(replace(PARAMS, k=k), build(replace(PARAMS, k=k), init, disc))
+             for k in ks or [PARAMS.k]]
+    for each in (state, *(solo for _, solo in solos)):
+        each.u_hist.data[:] = np.nan  # no slot has been pushed yet
+    span = Span(depth, state.u.shape, every)
+    span.keep(state)
+    step(state, PARAMS, disc, (depth - 1) * every, span=span)
+    etas, samples = [], []
+    for n in range((depth - 1) * every + 1):
+        if n % every == 0:
+            etas.append([eta_field_rows(solo, params, disc) for params, solo in solos])
+            samples.append([sample_state_rows(solo, params, disc) for params, solo in solos])
+        for params, solo in solos:
+            step(solo, params, disc)
+
+    hist = state.u_hist
+    assert span.steps == list(range(0, depth * every, every)) and hist.pushed < hist.capacity
+    past = disc.node_steps[0] + span.lags(state)[:, None] >= hist.pushed
+    assert (past.any(axis=0) & ~past.all(axis=0)).any()
+    if grid == "whole-step":
+        assert (past & (disc.node_steps[2] == 0.0)).any()
+    eta = eta_field(state, PARAMS, disc, span=span)
+    rows = sample_state(state, PARAMS, disc, span=span)
+    assert np.isfinite(eta).all()
+    assert np.isnan(hist.data).any()
+    for i in range(depth):
+        for r, (expected_eta, expected) in enumerate(zip(etas[i], samples[i])):
+            got = eta[i] if ks is None else eta[i][:, r]
+            assert np.array_equal(got, expected_eta)
+            terms = [getattr(rows, name)[i] for name in SampleRow.__dataclass_fields__]
+            assert SampleRow(*(t if ks is None else t[r] for t in terms)) == expected
+
+
 @pytest.mark.parametrize("history", sorted(HISTORIES))
 def test_read_of_an_overwritten_slot_refused(history):
     # a history built for 5 steps and stepped 12 times: eta's second node,
@@ -181,6 +227,6 @@ def test_slow_kernel_history_is_sized_to_the_run():
     n_hist, nx, steps, nbytes = (int(word) for word in out[:4])
     aborted, peak_kib = out[4], int(out[5])
     assert 8 * n_hist * nx >= 400e6  # what a history of n_hist rows would take
-    assert nbytes == 8 * (nx + 2) * steps
+    assert nbytes == 8 * (nx + 2) * (steps + 1)
     assert aborted == "None"
     assert peak_kib < 150 * 1024

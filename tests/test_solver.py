@@ -168,7 +168,7 @@ def test_unmappable_history_is_refused_with_its_size(term):
     assert isinstance(err.value, SolverError)
     message = str(err.value)
     assert f"n_hist={disc.n_hist}" in message and "nx=1000" in message
-    assert f"{8 * disc.n_hist * 1002} bytes" in message
+    assert f"{8 * (disc.n_hist + 1) * 1002} bytes" in message
 
 
 @pytest.mark.parametrize("horizon", [1.0, 10.0])  # 84 and 840 steps; n_hist = 776

@@ -570,3 +570,56 @@ def test_abort_inside_a_chunk_keeps_the_step_rows_and_bytes_of_single_steps(ks):
     assert (by_eager.value.step_index, by_eager.value.rows) == (abort, rows)
     assert_same_bytes(state, ref)
     assert_same_bits(state, ref, read_norms=True)
+
+
+# chunks of 32 steps or more: no delay line (the chunk is bounded by its
+# bytes) or one of 33 slots; the k = -330 and k = -3300 rows go non-finite
+LONG_CHUNKS = {
+    "no-delay-solo": (ModelParams(tau=0.0, k=-330.0, kernel=ONE_TERM), None),
+    "no-delay-batch": (ModelParams(tau=0.0, kernel=ONE_TERM), [0.5, -330.0, 0.2]),
+    "long-delay-solo": (ModelParams(tau=0.2, k=-3300.0, kernel=ONE_TERM), None),
+    "long-delay-batch": (ModelParams(tau=0.2, kernel=ONE_TERM), [0.5, -3300.0, 0.2]),
+}
+
+
+def long_chunk_states(case):
+    params, ks = LONG_CHUNKS[case]
+    disc = discretize(params, nx=40, ns=16)
+    state, ref = (build(params, FROZEN, disc, ks=ks) for _ in range(2))
+    bound, _ = chunk_bound(params, disc, state)
+    assert bound >= 32
+    return params, disc, state, ref, bound, None if ks is None else [1]
+
+
+@pytest.mark.parametrize("case", sorted(LONG_CHUNKS))
+def test_abort_on_the_first_step_of_a_long_chunk_keeps_the_bytes_of_single_steps(case):
+    # the screen reads the chunk's last outputs only: the row that went
+    # non-finite at its first step must still be found, at that step
+    params, disc, state, ref, bound, rows = long_chunk_states(case)
+    with pytest.raises(NonFinite) as by_eager:
+        for _ in range(10_000):
+            eager_map_step(ref, params, disc)
+    abort = by_eager.value.step_index
+    step(state, params, disc, abort - 1)
+    with pytest.raises(NonFinite) as by_call:
+        step(state, params, disc, 2 * bound)
+    assert (by_call.value.step_index, by_call.value.rows) == (abort, rows)
+    assert by_eager.value.rows == rows
+    assert_same_bytes(state, ref)
+    assert_same_bits(state, ref, read_norms=True)
+
+
+@pytest.mark.parametrize("case", sorted(LONG_CHUNKS))
+def test_a_non_finite_q_alone_aborts_a_long_chunk_as_single_steps(case):
+    params, disc, state, ref, bound, rows = long_chunk_states(case)
+    for each in (state, ref):
+        q = each.q if rows is None else each.q[:, 1]  # a view of row 1's modes
+        q[:, 7] = np.inf if rows is None else np.nan
+    with pytest.raises(NonFinite) as by_eager:
+        for _ in range(2 * bound):
+            eager_map_step(ref, params, disc)
+    with pytest.raises(NonFinite) as by_call:
+        step(state, params, disc, 2 * bound)
+    assert by_call.value.step_index == by_eager.value.step_index < bound
+    assert by_call.value.rows == by_eager.value.rows == rows
+    assert_same_bytes(state, ref)
