@@ -25,11 +25,10 @@ whose s-node reaches back past t = 0 is u - phi; a state kept earlier has
 no more) and copies the last one's int |grad eta|^2 to the rest; with
 snapshot moments asked for, it forms every row.  How eta's rows are laid
 out in the displacement history is the solver's alone.  The delay
-integral is a trapezoid over the squared norms the velocity ring buffer
-keeps per slot (``RingBuffer.slot_norms``, which norms the slots pushed
-since the last sample when it is read), S rows of n_delay + 1 scalars,
-each a state's lag further back, instead of reducing the whole delay line
-again.  The gradients of u and eta are formed in scratch memory the span
+integral and the delayed velocity are read from the span, which kept each
+state's as the step passed it: the delay line carries the integral by its
+one-step recursion (``solver.DelayLine``), so a sample reduces nothing of
+the delay line.  The gradients of u and eta are formed in scratch memory the span
 and its tiles reuse (``Span.scratch``), from rows nx + 2 wide whose end
 columns are the Dirichlet +0.0, each by one flat subtract and one flat
 divide over the whole buffer (``_grad_into``).
@@ -115,25 +114,6 @@ def integral_x(values_full: np.ndarray, dx: float) -> np.ndarray:
     )
 
 
-def _delay_integral(state: SimState, disc: Discretization,
-                    lags: np.ndarray | None = None) -> np.ndarray:
-    """int_{t-tau}^t e^{-(t-s)} ||u_t(s)||^2 ds from the delay line's slot norms,
-    one value per batch row; given ``lags``, (S,) + batch, at each state
-    kept that many steps back."""
-    shape = state.u.shape[:-1] if lags is None else lags.shape + state.u.shape[:-1]
-    if disc.n_delay == 0 or state.v_hist is None:
-        return np.zeros(shape)
-    offsets, w, decay = disc.delay_weights
-    if lags is not None:
-        offsets = offsets + lags[:, None]
-    # dx * norms and decay * norms, in place: IEEE products commute
-    norms = state.v_hist.slot_norms(offsets)
-    np.multiply(norms, disc.dx, out=norms)
-    integral = np.vecdot(np.multiply(norms, decay, out=norms), w)
-    # the slot norms come batch axis first
-    return integral if lags is None else integral.T
-
-
 def sample_state(state: SimState, params: ModelParams, disc: Discretization,
                  moments: list | None = None,
                  span: solver_mod.Span | None = None) -> SampleRow:
@@ -166,7 +146,7 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
     # and each sum is one row's pairwise sum, so a state of a span and a
     # batch row have the bits of a solo state sampled alone
     dx = disc.dx
-    u, v, lags = span.u, span.v, span.lags(state)
+    u, v = span.u, span.v
     stack = u.shape[:-1]
     ut_sq = dx * np.vecdot(v, v)
     mu_tilde = params.kernel.mu_tilde
@@ -177,7 +157,7 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
     if params.kernel.is_empty:
         memory = mu_prime_eta = np.zeros(stack)
         if moments is not None:
-            moments.extend((np.zeros(u.shape[1:]), np.zeros(u.shape[1:])) for _ in lags)
+            moments.extend((np.zeros(u.shape[1:]), np.zeros(u.shape[1:])) for _ in u)
     else:
         m = disc.ns - 1
         on_grid = disc.kernel_on_grid
@@ -207,7 +187,8 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
         memory = 0.5 * np.vecdot(on_grid.mu * grad_sq, w_inner)
         mu_prime_eta = 0.5 * np.vecdot(on_grid.mu_prime * grad_sq, w_inner)
 
-    delay_raw = _delay_integral(state, disc, lags)
+    # each state's delay integral, as its span kept it from the delay line
+    delay_raw = span.integral[:len(u)].reshape(stack).copy()
     # per batch row, the delay term's factor 0.5 theta |k| e^tau; a row without
     # a delay term (k = 0 or tau = 0) reads 0 even where its integral is not finite
     k_abs = np.abs(params.k if state.ks is None else state.ks)
@@ -216,8 +197,7 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
     if not live.all():
         delay = np.where(live, delay, 0.0)
 
-    v_tau = solver_mod.delayed_velocity(state, params, disc, span)
-    ut_tau_sq = dx * np.vecdot(v_tau, v_tau)
+    ut_tau_sq = dx * np.vecdot(span.delayed, span.delayed)
     return [0.5 * ut_sq, elastic, memory, delay, ut_sq, ut_tau_sq, delay_raw, mu_prime_eta]
 
 

@@ -57,16 +57,17 @@ coefficient matrices by running ``_rk4`` on unit rows that are polynomials
 in L.  A call of ``step`` makes any number of steps: the state keeps the
 map with the plan of buffers it steps by (``_map_plan``), formed again
 only for another params or grid object.  No table outlives what it is
-derived from: the grid keeps its own (kernel values, eta's node steps,
-delay weights), and nothing is kept at module level between runs.
+derived from: the grid keeps its own (kernel values, eta's node steps),
+and nothing is kept at module level between runs.
 ``run`` makes one call per span of up to S sample intervals
-(``_span_depth``): the call keeps the u and v of the span's sample steps
-in a ``Span`` as it passes them, and ``energy.sample_state`` forms all
-their samples, eta in tiles of up to T states (``_tile_depth``) and every
-other term in one stacked pass, each state reading the histories as many
-slots further back as steps have passed since it was kept.  So a span reads no slot that has been overwritten:
-where the displacement history is shorter than the run a span is one
-interval, and ``run`` builds the delay line (S - 1) intervals longer.
+(``_span_depth``): the call keeps the u, v, delayed velocity and delay
+integral of the span's sample steps in a ``Span`` as it passes them, and
+``energy.sample_state`` forms all their samples, eta in tiles of up to T
+states (``_tile_depth``) and every other term in one stacked pass, each
+state reading the displacement history as many slots further back as
+steps have passed since it was kept.  So a span reads no slot that has
+been overwritten: where the displacement history is shorter than the run
+a span is one interval, and no sample reads the delay line at all.
 The map path (``_step_by_map``) takes a call's steps in chunks of up to
 ``_chunk_bound`` steps, chained through one block of the plan: step j
 reads X from row j and writes its output into row j + 1, so no field is
@@ -76,17 +77,18 @@ one matmul on interior columns and a Horner second difference per level, on
 rows nx + 2 wide whose end columns are the Dirichlet zeros, so each
 neighbour comes in by one flat add over a contiguous block; every interior
 entry gets the additions of the unpadded form, in its order.  Once per
-chunk, not per step, the delay inputs of its steps are copied in, its u and
-v rows are pushed into the histories, one sum of squares over its
-outputs screens them for finiteness, and its kept states are copied into
-the call's ``Span``, if any, by one slice copy of the block.  Only when that sum is not finite, by
-a non-finite entry or by overflow, is the chunk stepped again one step at a
-time, each step checked row by row, and that check decides.  A call copies
+chunk, not per step, the delay inputs of its steps are copied in, one sum
+of squares over its outputs screens them for finiteness, the delay line
+norms its v rows and carries its delay integral over them
+(``DelayLine``), its kept states are copied into the call's ``Span``, if
+any, and its u and v rows are pushed into the histories.  Only when that
+sum is not finite, by a non-finite entry or by overflow, is the chunk
+stepped again one step at a time, each step checked row by row, and that
+check decides.  A call copies
 the state's fields in once; the last step of a chunk writes a fresh block
 [u; v; q], and ``state.u``, ``state.v`` and ``state.q`` are left interior
 views of the call's last one, so fields handed out earlier stay as they
-were.  The velocity ring buffer norms its slots when the energy reads them,
-not on push.  The ``eta_grid`` and ``rho_grid`` realizations carry (ns - 1)
+were.  The ``eta_grid`` and ``rho_grid`` realizations carry (ns - 1)
 or n_delay extra field rows and run ``_rk4`` on the fields themselves, step
 by step (``_step_by_stages``); that path is also the reference the map is
 tested against.
@@ -146,11 +148,10 @@ OMEGA_MAX = math.sqrt(sys.float_info.max)
 CHUNK_BYTES = 2 ** 18
 # the most bytes a span's energy samples are formed in.  A tile of its states
 # (``_tile_depth``) forms eta and its gradient within it, with the tile's kept
-# u and v and the delay-line slots it adds: 9 states of a solo nx = 200 state
-# with ns = 64 and a modulated past.  The arrays the span's samples form once
-# per state outside eta (``_span_depth``) take half of it, and the slots the
-# span adds to the delay line a sixteenth: 21 states there, sampled every 4
-# steps
+# u and v: 10 states of a solo nx = 200 state with ns = 64 and a modulated
+# past.  What the span keeps per state outside eta (``_span_depth``), its u,
+# v and delayed velocity and the gradient of u, takes half of it: 162 states
+# there
 SPAN_BYTES = 2 ** 21
 
 T = TypeVar("T")
@@ -320,15 +321,6 @@ class Discretization:
         newer = np.floor(steps).astype(np.intp)
         frac = steps - newer
         return _read_only(newer, newer + (frac > 0.0), frac)
-
-    @cached_property
-    def delay_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Delay-line slot offsets 0..n_delay, their trapezoid weights and
-        e^{-s} at s = offset * dt."""
-        offsets = np.arange(self.n_delay + 1)
-        w = np.full(self.n_delay + 1, self.dt)
-        w[0] = w[-1] = 0.5 * self.dt
-        return _read_only(offsets, w, np.exp(-self.dt * offsets))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -525,25 +517,16 @@ class RingBuffer:
     the Dirichlet zeros; ``data`` is the interior of the ring slots,
     (capacity,) + a slot's shape, which every push and read of one slot
     uses, so the end columns are never written, nor is phi's slot
-    (``past``) after it is formed.  The gathers (``back_rows``,
-    ``back_interp_rows``) take whole padded rows, so eta and its gradient
-    are formed on flat contiguous rows.
-
-    After ``keep_norms()`` the buffer also holds each slot's squared norm
-    per batch row in ``norms`` (shape (capacity,) + batch, indexed like
-    ``data``).  A push only stores its row: ``slot_norms`` norms the slots
-    pushed since the last read before it reads, so a run that samples every
-    few hundred steps norms a slot once per sample at most, not per push.
-    ``push_rows`` and ``copy_rows`` write and read a run of consecutive
-    slots by one slice copy, or two where the run wraps; ``back_rows``
-    gathers any slots of a buffer with no past.  The ``Span`` of a run
-    reads both buffers at offsets a state's lag further back:
-    ``back_interp_rows`` takes the lags of all its states at once, and
-    ``slot_norms`` any shape of offsets.
+    (``past``) after it is formed.  ``back_interp_rows`` gathers whole
+    padded rows, so eta and its gradient are formed on flat contiguous
+    rows.  ``push_rows`` and ``copy_rows`` write and read a run of
+    consecutive slots by one slice copy, or two where the run wraps.  The
+    ``Span`` of a run reads the displacement history at offsets a state's
+    lag further back: ``back_interp_rows`` takes the lags of all its states
+    at once.
     """
 
-    __slots__ = ("padded", "data", "capacity", "head", "norms", "normed", "pushed", "past",
-                 "factor")
+    __slots__ = ("padded", "data", "capacity", "head", "pushed", "past", "factor")
 
     def __init__(self, capacity: int, row_shape: int | tuple[int, ...],
                  past: np.ndarray | None = None,
@@ -555,8 +538,6 @@ class RingBuffer:
         self.data = self.padded[:capacity, ..., 1:-1]
         self.capacity = capacity
         self.head = 0
-        self.norms = None
-        self.normed = 0  # ``pushed`` when ``norms`` was last brought up to date
         self.pushed = 0
         self.past = None  # phi's padded slot
         if past is not None:
@@ -567,14 +548,8 @@ class RingBuffer:
 
     @property
     def nbytes(self) -> int:
-        """Allocated bytes: the padded slots, phi's too, and their norms."""
-        return self.padded.nbytes + (0 if self.norms is None else self.norms.nbytes)
-
-    def keep_norms(self) -> None:
-        # every einsum here reduces a row in the same order, so a slot's norm
-        # is the same bits whichever call wrote it, batched or not
-        self.norms = np.einsum("i...j,i...j->i...", self.data, self.data)
-        self.normed = self.pushed
+        """Allocated bytes: the padded slots, phi's too."""
+        return self.padded.nbytes
 
     def push(self, row: np.ndarray) -> None:
         self.head = (self.head - 1) % self.capacity
@@ -586,26 +561,14 @@ class RingBuffer:
         the call ``back(j)`` is ``newest_first[j]``.  One slice copy, or two
         where the slots wrap."""
         count = len(newest_first)
-        head = self.head = (self.head - count) % self.capacity
+        self.head = (self.head - count) % self.capacity
         self.pushed += count
-        wrap = head + count - self.capacity
-        if wrap <= 0:
-            self.data[head:head + count] = newest_first
-        else:
-            self.data[head:] = newest_first[:-wrap]
-            self.data[:wrap] = newest_first[-wrap:]
+        _store_run(self.data, self.head, newest_first)
 
     def copy_rows(self, first: int, out: np.ndarray) -> None:
         """out[j] = back(first + j) for each row j of ``out``, from stored slots
         only.  One slice copy, or two where the slots wrap."""
-        count = len(out)
-        start = (self.head + first) % self.capacity
-        wrap = start + count - self.capacity
-        if wrap <= 0:
-            out[...] = self.data[start:start + count]
-        else:
-            out[:-wrap] = self.data[start:]
-            out[-wrap:] = self.data[:wrap]
+        _load_run(self.data, (self.head + first) % self.capacity, out)
 
     def _refuse_overwritten(self, steps: int) -> None:
         raise SolverError(f"history offset {steps} is past the {self.capacity} slots of a "
@@ -632,28 +595,6 @@ class RingBuffer:
         newer = self.back(j)
         # written so equal neighbours interpolate bitwise-exactly
         return newer + frac * (self.back(j + 1) - newer)
-
-    def slot_norms(self, offsets: np.ndarray) -> np.ndarray:
-        """The squared norms of ``back(p)`` for p in ``offsets``, batch axes
-        first, so each batch row's norms are contiguous (needs ``keep_norms``).
-
-        The slots pushed since the last read are normed first: the newest
-        ones, from ``head`` on, one run of slots or two where they wrap.
-        """
-        stale = min(self.pushed - self.normed, self.capacity)
-        if stale:
-            self.normed = self.pushed
-            stop = self.head + stale
-            for lo, hi in ((self.head, min(stop, self.capacity)), (0, stop - self.capacity)):
-                if hi > lo:
-                    rows = self.data[lo:hi]
-                    self.norms[lo:hi] = np.einsum("i...j,i...j->i...", rows, rows)
-        return np.take(self.norms.T, (self.head + offsets) % self.capacity, axis=-1)
-
-    def back_rows(self, offsets: np.ndarray) -> np.ndarray:
-        """``back(p)`` for every p in ``offsets`` of a buffer with no past (the
-        delay line), by one gather of padded rows; returns their interior."""
-        return self.padded.take(self.head + offsets, axis=0, mode="wrap")[..., 1:-1]
 
     def back_interp_rows(self, newer: np.ndarray, older: np.ndarray, frac: np.ndarray,
                          lags: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -698,6 +639,105 @@ class RingBuffer:
         return np.add(work, out, out=out)
 
 
+def _store_run(ring: np.ndarray, start: int, rows: np.ndarray) -> None:
+    """ring[(start + j) % len(ring)] = rows[j] for each row j: one slice copy,
+    or two where the run wraps."""
+    wrap = start + len(rows) - len(ring)
+    if wrap <= 0:
+        ring[start:start + len(rows)] = rows
+    else:
+        ring[start:] = rows[:-wrap]
+        ring[:wrap] = rows[-wrap:]
+
+
+def _load_run(ring: np.ndarray, start: int, out: np.ndarray) -> None:
+    """out[j] = ring[(start + j) % len(ring)] for each row j of ``out``: one
+    slice copy, or two where the run wraps."""
+    wrap = start + len(out) - len(ring)
+    if wrap <= 0:
+        out[...] = ring[start:start + len(out)]
+    else:
+        out[:-wrap] = ring[start:]
+        out[-wrap:] = ring[:wrap]
+
+
+class DelayLine(RingBuffer):
+    """The delay line: a ``RingBuffer`` of the velocity's past, n_delay + 2
+    slots and no prescribed past, which norms each row as it comes in and
+    carries the delay integral of the energy
+
+        R(t) = int_{t-tau}^t e^{-(t-s)} ||u_t(s)||^2 ds,
+
+    one value per batch row (``integral``; one for a solo state).
+    ``norms`` holds each slot's squared norm per batch row, indexed like
+    ``data``.  Built, back(j) holds the past's velocity rate(-j dt) * u,
+    and R is the trapezoid over slots 0..n_delay.  ``advance`` carries R
+    over the next k <= n_delay steps by the one-step recursion that
+    trapezoid obeys,
+
+        R_{j+1} = e^{-dt} R_j + (dt dx / 2) (y_{j+1} + e^{-dt} y_j
+                  - e^{-N dt} y_{j+1-N} - e^{-(N+1) dt} y_{j-N}),
+
+    N = n_delay and y_j the squared norm of the velocity at step j.  The
+    increments are formed for the k steps at once, then R takes them one
+    step at a time per row, so R at a step has the same bits however its
+    steps were grouped into calls and chunks, batched or not.
+    """
+
+    __slots__ = ("n_delay", "coeffs", "norms", "integral")
+
+    def __init__(self, disc: Discretization, rate: Callable[[float], float], u: np.ndarray):
+        self.n_delay = n = disc.n_delay
+        dt = disc.dt
+        super().__init__(n + 2, u.shape)
+        rates = np.fromiter((rate(-j * dt) for j in range(n + 2)), float, n + 2)
+        np.multiply.outer(rates, u, out=self.data)
+        # dt dx / 2, e^{-dt}, e^{-N dt} and e^{-(N+1) dt}
+        self.coeffs = (0.5 * dt * disc.dx, math.exp(-dt), math.exp(-n * dt),
+                       math.exp(-(n + 1) * dt))
+        # every einsum here reduces a row in the same order, so a slot's norm
+        # is the same bits whichever call formed it, batched or not
+        self.norms = np.einsum("i...j,i...j->i...", self.data, self.data)
+        offsets = np.arange(n + 1)
+        w = np.full(n + 1, dt)
+        w[0] = w[-1] = 0.5 * dt
+        # batch axes first, so each row's norms are contiguous; IEEE products commute
+        y = np.take(self.norms.T, offsets, axis=-1) * disc.dx * np.exp(-dt * offsets)
+        self.integral = np.vecdot(y, w).reshape(-1)
+
+    @property
+    def nbytes(self) -> int:
+        """Allocated bytes: the padded slots and their norms."""
+        return self.padded.nbytes + self.norms.nbytes
+
+    def advance(self, newest_first: np.ndarray) -> list[list[float]]:
+        """Norm the rows of the next k <= n_delay steps before they are pushed
+        (``newest_first``, as ``push_rows`` takes them), store their norms
+        in the slots the pushes will fill and carry R over the k steps.
+        Returns, per batch row, R after each of the steps, oldest first.
+
+        The norms y_{n-N} .. y_{n+k-N} and y_n the recursion reads are all
+        stored (k <= N); they are read first, as the new norms overwrite
+        k - 1 of them.
+        """
+        k, head = len(newest_first), self.head
+        # y_{j-N} and y_j at the k + 1 steps j = n .. n + k, oldest first
+        old, new = np.empty((2, k + 1) + self.norms.shape[1:])
+        _load_run(self.norms, (head + self.n_delay - k) % self.capacity, old[::-1])
+        new[0] = self.norms[head]
+        np.einsum("i...j,i...j->i...", newest_first, newest_first, out=new[:0:-1])
+        _store_run(self.norms, (head - k) % self.capacity, new[:0:-1])
+        c, e, e_n, e_n1 = self.coeffs
+        steps = c * (((new[1:] + e * new[:-1]) - e_n * old[1:]) - e_n1 * old[:-1])
+        steps = steps.reshape(k, -1).T.tolist()
+        for r, row in enumerate(steps):
+            x = float(self.integral[r])
+            for j, increment in enumerate(row):
+                x = row[j] = e * x + increment
+            self.integral[r] = x
+        return steps
+
+
 @dataclass
 class SimState:
     """One snapshot of the discrete system; owned by a single integrator.
@@ -713,7 +753,7 @@ class SimState:
     q: np.ndarray | None = None        # (n_terms, nx) exponential memory modes; (n_terms, R, nx)
     eta: np.ndarray | None = None      # (ns-1, nx) evolved history field
     u_hist: RingBuffer | None = None   # past u fields, for eta reconstruction
-    v_hist: RingBuffer | None = None   # past u_t fields, the delay line, with norms
+    v_hist: DelayLine | None = None    # past u_t fields, with their norms and integral
     z_rho: np.ndarray | None = None    # (n_delay, nx) transported delay field
     ks: tuple[float, ...] | None = None  # each batch row's k; None for one row
     # the map step's plan of buffers (``_map_plan``)
@@ -738,11 +778,9 @@ class SimState:
         return total
 
     def retire(self, rows: list[int]) -> None:
-        """Zero batch ``rows`` and their delay line: a row that left the finite
-        range goes on as the zero solution, which the other rows never read.
-
-        Slots the delay line has not normed yet stay unnormed: the next read
-        norms the live rows' values there, and the zeros of these rows."""
+        """Zero batch ``rows``, their delay-line slots, norms and delay
+        integral: a row that left the finite range goes on as the zero
+        solution, which the other rows never read."""
         self.u[rows] = 0.0
         self.v[rows] = 0.0
         if self.q is not None:
@@ -750,6 +788,7 @@ class SimState:
         if self.v_hist is not None:
             self.v_hist.data[:, rows] = 0.0
             self.v_hist.norms[:, rows] = 0.0
+            self.v_hist.integral[rows] = 0.0
 
 
 class Span:
@@ -758,26 +797,29 @@ class Span:
     of up to ``tile_depth`` states at a time (``tiles``), every other term
     in one stacked pass.
 
-    ``fields`` has room for the u and v of ``depth`` states, shape
-    (2, depth) + batch + (nx + 2,): rows whose end columns are the Dirichlet
-    zeros, the u rows of the kept states contiguous, so their gradient is
-    one flat pass.  Only the interior is ever written.  ``steps`` and
-    ``times`` hold the step index and time of each state kept since the
-    last ``clear``, oldest first.  A call of ``step`` given a span keeps the
-    state after each of its steps whose index is a multiple of ``every``,
-    and after its last; the map path copies a chunk's kept states out of
-    its block by one slice copy.  A state kept ``lag`` steps before the
-    current one is read from the histories ``lag`` slots further back
-    (``lags``), so ``run`` sizes the delay line for the largest lag.
-    ``scratch`` hands out the memory the samples reuse: a run's span owns
-    it, so it is not kept with the state, and its tiles share it.
+    ``fields`` has room for the u, v and delayed velocity of ``depth``
+    states, shape (3, depth) + batch + (nx + 2,): rows whose end columns are
+    the Dirichlet zeros, the u rows of the kept states contiguous, so their
+    gradient is one flat pass.  Only the interior is ever written.
+    ``integral`` holds each kept state's delay integral per batch row
+    (``DelayLine.integral``; 0 without a delay line), shape (depth, rows).
+    ``steps`` and ``times`` hold the step index and time of each state kept
+    since the last ``clear``, oldest first.  A call of ``step`` given a span
+    keeps the state after each of its steps whose index is a multiple of
+    ``every``, and after its last; the map path copies a chunk's kept
+    states out of its block by one gather, their delayed velocities out
+    of the delay line before the chunk's pushes.  So no sample reads the
+    delay line: only the displacement history is read at a kept state's
+    ``lags``.  ``scratch`` hands out the memory the samples reuse: a run's
+    span owns it, so it is not kept with the state, and its tiles share it.
     """
 
-    __slots__ = ("fields", "every", "tile_depth", "steps", "times", "pool")
+    __slots__ = ("fields", "integral", "every", "tile_depth", "steps", "times", "pool")
 
     def __init__(self, depth: int, row_shape: tuple[int, ...], every: int,
                  tile_depth: int | None = None):
-        self.fields = np.zeros((2, depth) + row_shape[:-1] + (row_shape[-1] + 2,))
+        self.fields = np.zeros((3, depth) + row_shape[:-1] + (row_shape[-1] + 2,))
+        self.integral = np.zeros((depth, math.prod(row_shape[:-1])))
         self.every = every
         self.tile_depth = depth if tile_depth is None else tile_depth
         self.steps: list[int] = []
@@ -803,35 +845,52 @@ class Span:
     def v(self) -> np.ndarray:
         return self.fields[1, :len(self.steps), ..., 1:-1]
 
+    @property
+    def delayed(self) -> np.ndarray:
+        return self.fields[2, :len(self.steps), ..., 1:-1]
+
     def lags(self, state: SimState) -> np.ndarray:
         """How many steps before ``state`` each kept state was taken."""
         return state.step_index - np.array(self.steps, dtype=np.intp)
 
     def keep(self, state: SimState) -> None:
         """Keep the state as it is now."""
-        uv = self.fields[:, len(self.steps), ..., 1:-1]
-        uv[0] = state.u
-        uv[1] = state.v
+        i = len(self.steps)
+        uvd = self.fields[:, i, ..., 1:-1]
+        uvd[0] = state.u
+        uvd[1] = state.v
+        uvd[2] = _delayed_row(state)
+        self.integral[i] = 0.0 if state.v_hist is None else state.v_hist.integral
         self.steps.append(state.step_index)
         self.times.append(state.t)
 
-    def capture(self, block: np.ndarray, last: np.ndarray, start: int, t: float,
-                k: int, dt: float, end: int) -> float:
+    def capture(self, block: np.ndarray, start: int, t: float, k: int, dt: float, end: int,
+                line: DelayLine | None, integrals: list[list[float]] | None) -> float:
         """Keep the sample states among the k steps after step ``start``, at
-        time ``t``, of a call that ends at step ``end``: ``block[j]`` is (u, v)
-        after step start + j for 0 < j < k, and ``last`` after start + k,
-        interior columns both.  Returns the time after the k steps, each dt
-        added as a step adds it."""
+        time ``t``, of a call that ends at step ``end``: ``block[p]`` is (u, v)
+        after step start + p, interior columns.  The delayed velocity of the
+        state p steps in is the delay ``line``'s back(n_delay - p) before the
+        chunk's pushes (v itself without a line), and its delay integral is
+        ``integrals[r][p - 1]`` per batch row r (``DelayLine.advance``).
+        Returns the time after the k steps, each dt added as a step adds it."""
         kept = len(self.steps)
         for j in range(start + 1, start + k + 1):
             t += dt
             if j % self.every == 0 or j == end:
                 self.steps.append(j)
                 self.times.append(t)
-        inside = block[self.every - start % self.every:k:self.every]
-        self.fields[:, kept:kept + len(inside), ..., 1:-1] = inside.swapaxes(0, 1)
-        if len(self.steps) > kept + len(inside):
-            self.fields[:, len(self.steps) - 1, ..., 1:-1] = last
+        if len(self.steps) == kept:
+            return t
+        p = np.array(self.steps[kept:]) - start
+        fields = self.fields[:, kept:len(self.steps)]
+        fields[:2, ..., 1:-1] = block[p].swapaxes(0, 1)
+        if line is None:
+            fields[2] = fields[1]
+        else:
+            # the slots are in range, so mode "clip" writes into the span directly
+            line.padded.take((line.head + line.n_delay - p) % line.capacity, axis=0,
+                             mode="clip", out=fields[2])
+            self.integral[kept:len(self.steps)] = np.array(integrals)[:, p - 1].T
         return t
 
     def clear(self) -> None:
@@ -848,6 +907,7 @@ class Span:
             tile = Span.__new__(Span)
             tile.fields, tile.every, tile.tile_depth = (self.fields[:, start:stop], self.every,
                                                         stop - start)
+            tile.integral = self.integral[start:stop]
             tile.steps, tile.times = self.steps[start:stop], self.times[start:stop]
             tile.pool = self.pool
             yield start, tile
@@ -875,8 +935,7 @@ def _steps_by_map(params: ModelParams, disc: Discretization) -> bool:
 
 
 def build(params: ModelParams, init: InitialData, disc: Discretization,
-          ks: list[float] | None = None, steps: int | None = None,
-          lags: int = 0) -> SimState:
+          ks: list[float] | None = None, steps: int | None = None) -> SimState:
     """State at t = 0 with its history structures set from the prescribed past.
 
     The delay line and the evolved fields are filled; the displacement
@@ -888,10 +947,11 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
     ``ks`` the state is a batch of len(ks) copies, row r stepped with
     k = ks[r] (``params.k`` is not read).  Without it the fields are
     (nx,), and ``step`` and ``sample_state`` treat the state as a batch of
-    one.  The delay line has n_delay + 2 slots, and ``lags`` more so that
-    a ``Span`` of states kept up to ``lags`` steps back reads theirs.  Both
-    histories store rows nx + 2 wide (``RingBuffer.padded``), and a refusal
-    to allocate one counts those bytes.
+    one.  The delay line (``DelayLine``) has n_delay + 2 slots, filled from
+    the past's velocity and normed, and its delay integral is the
+    trapezoid over them.  Both histories store rows nx + 2 wide
+    (``RingBuffer.padded``), and a refusal to allocate one counts those
+    bytes.
     """
     if disc.tau > 0.0 and params.tau <= 0.0:
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
@@ -929,17 +989,11 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
             )
 
     if disc.n_delay > 0:
-        capacity = disc.n_delay + 2 + lags
-        vbuf = _reserve(lambda: RingBuffer(capacity, batch + (disc.nx,)),
-                        (capacity,) + batch + (disc.nx + 2,), batch, "the delay line",
-                        f"{f'lags={lags} + ' if lags else ''}n_delay+2={disc.n_delay + 2} "
-                        f"rows x nx={disc.nx}",
-                        "shorten the delay, raise cfl or coarsen the grid", HistoryTooLarge)
-        rates = np.fromiter((init.history_rate(-j * disc.dt)
-                             for j in range(vbuf.capacity)), float, vbuf.capacity)
-        np.multiply.outer(rates, u, out=vbuf.data)
-        vbuf.keep_norms()
-        state.v_hist = vbuf
+        state.v_hist = vbuf = _reserve(
+            lambda: DelayLine(disc, init.history_rate, u),
+            (disc.n_delay + 2,) + batch + (disc.nx + 2,), batch, "the delay line",
+            f"n_delay+2={disc.n_delay + 2} rows x nx={disc.nx}",
+            "shorten the delay, raise cfl or coarsen the grid", HistoryTooLarge)
         if params.delay_realization == "rho_grid":
             # z(x, rho_l, 0) = u_t history at -tau*rho_l; rho_l = l/n_delay, l >= 1
             state.z_rho = vbuf.data[1:disc.n_delay + 1].copy()
@@ -1058,6 +1112,7 @@ def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
         if state.u_hist is not None:
             state.u_hist.push(state.u)
         if state.v_hist is not None:
+            state.v_hist.advance(state.v[None])
             state.v_hist.push(state.v)
         bad = _non_finite_rows(state.u, state.v)
         if bad:
@@ -1116,13 +1171,15 @@ def _stacked_maps(params: ModelParams, disc: Discretization,
 
 def _chunk_bound(coeffs: np.ndarray, state: SimState, disc: Discretization) -> int:
     """The most steps one chunk of map steps takes: as many as the block of
-    their inputs X fits in CHUNK_BYTES; with delay inputs, at most n_delay,
-    so no step of a chunk reads a delay-line slot that the chunk pushes; and
-    at most each history's capacity, so a chunk's pushes fill distinct slots."""
-    n_out, n_in = coeffs.shape[-2:]
+    their inputs X fits in CHUNK_BYTES; with a delay line, at most n_delay,
+    so no step of a chunk reads a delay-line slot that the chunk pushes and
+    every norm the advance of its delay integral reads is stored; and at
+    most the displacement history's capacity, so a chunk's pushes fill
+    distinct slots."""
+    n_in = coeffs.shape[-1]
     bounds = [CHUNK_BYTES // (8 * n_in * math.prod(state.u.shape[:-1]) * (disc.nx + 2))]
-    bounds += [disc.n_delay] if n_in > n_out // 3 else []
-    bounds += [hist.capacity for hist in (state.u_hist, state.v_hist) if hist is not None]
+    bounds += [disc.n_delay] if state.v_hist is not None else []
+    bounds += [state.u_hist.capacity] if state.u_hist is not None else []
     return max(1, min(bounds))
 
 
@@ -1133,9 +1190,10 @@ def _map_plan(params: ModelParams, state: SimState, disc: Discretization, n: int
 
     Every row is nx + 2 wide, its end columns the Dirichlet zeros, so a
     second difference adds each neighbour by one flat add over a whole
-    contiguous block.  The block, (K, n_in) + batch + (nx + 2,), holds
+    contiguous block.  The block, (K + 1, n_in) + batch + (nx + 2,), holds
     step j's X in row j: the output [u; v; q] of step j - 1, then step j's
-    delay inputs.  The matmul forms only the interior of the products
+    delay inputs; a chunk of k steps copies its last output into row k, so
+    its k outputs are rows 1..k.  The matmul forms only the interior of the products
     C0 X, C1 X, C2 X, so the end columns of C0 X and C2 X stay -0.0.  It
     reads X as (n_in, nx) and writes the products as (3 (2 + m), nx) for a
     solo state, whose map is 2-D; a batch of R rows, its maps stacked,
@@ -1146,8 +1204,8 @@ def _map_plan(params: ModelParams, state: SimState, disc: Discretization, n: int
     first row and their interior views; per chunk length k, its first
     k - 1 steps (X as the matmul reads it and the next row's [u; v; q]
     flat, and shifted by one entry either way), X of its last step, the
-    ``copy_rows`` offsets and rows of its delay inputs, and the u and v of
-    its k - 1 output rows newest first (None for k = 1); the products as
+    ``copy_rows`` offsets and rows of its delay inputs, the [u; v; q] of
+    row k, and the u and v of its k output rows newest first; the products as
     the matmul writes them, the 2 w of a second difference, the three
     products flat, C1 X and C2 X shifted either way, the end columns of
     C1 X, the shape of a step's output [u; v; q], and the interior u and v
@@ -1161,10 +1219,10 @@ def _map_plan(params: ModelParams, state: SimState, disc: Discretization, n: int
     batch = state.u.shape[:-1]
     bound = _chunk_bound(coeffs, state, disc)
     rows = min(n, bound)
-    block = np.full((rows, n_in) + batch + (width,), -0.0)
+    block = np.full((rows + 1, n_in) + batch + (width,), -0.0)
     inner = block[..., 1:-1]
-    xs = [np.moveaxis(x, 0, -2)[..., 1:-1] for x in block]
-    outs = [y[:nw].reshape(-1) for y in block[1:]]
+    xs = [np.moveaxis(x, 0, -2)[..., 1:-1] for x in block[:rows]]
+    outs = [y[:nw].reshape(-1) for y in block[1:rows]]
     steps = [(x, out, out[1:], out[:-1]) for x, out in zip(xs, outs)]
     # step j's delay inputs v(t - tau), v(t - tau + dt) are back(n_delay - j)
     # and back(n_delay - 1 - j) as its chunk begins; one step's are two
@@ -1174,9 +1232,8 @@ def _map_plan(params: ModelParams, state: SimState, disc: Discretization, n: int
               ((disc.n_delay + 1 - k, inner[k - 1::-1, nw]),
                (disc.n_delay - k, inner[k - 1::-1, nw + 1]))
               for k in range(1, rows + 1)]
-    chunks = [(steps[:k - 1], xs[k - 1], delays[k - 1],
-               *((None,) * 2 if k == 1 else (inner[k - 1:0:-1, 0], inner[k - 1:0:-1, 1])))
-              for k in range(1, rows + 1)]
+    chunks = [(steps[:k - 1], xs[k - 1], delays[k - 1], block[k, :nw], inner[k:0:-1, 0],
+               inner[k:0:-1, 1]) for k in range(1, rows + 1)]
     products = np.full((3, nw) + batch + (width,), -0.0)
     c0, c1, c2 = (level.reshape(-1) for level in products)
     return (params, disc, coeffs, bound, rows, block[0, :nw], inner[0, 0], inner[0, 1],
@@ -1195,11 +1252,12 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
     another object or a call needs longer chunks); a chunk's last step
     writes a fresh block [u; v; q], of which the state's fields become
     interior views.  Per chunk, the delay inputs are copied in, one sum of
-    squares of the last step's outputs screens the chunk and the outputs'
-    u and v are pushed; after a sum that is not finite the call goes on
-    from the chunk's start one step at a time, where ``_non_finite_rows``
-    decides.  Once a chunk is kept, the ``span``'s states among its steps
-    are copied out of the block.  It takes the arguments of
+    squares of the last step's outputs screens the chunk, the delay line's
+    integral is carried over the chunk's velocities and the outputs' u and
+    v are pushed; after a sum that is not finite the call goes on from the
+    chunk's start one step at a time, where ``_non_finite_rows`` decides.
+    Once a chunk is kept, the ``span``'s states among its steps are copied
+    out of the block, before the pushes.  It takes the arguments of
     ``_step_by_stages``, so ``step`` calls either alike.
     """
     if n < 1:
@@ -1221,7 +1279,7 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
     left = n
     while True:
         k = min(left, size)
-        chunk_steps, x_last, delays, u_rows, v_rows = chunks[k - 1]
+        chunk_steps, x_last, delays, tail, u_rows, v_rows = chunks[k - 1]
         for offset, rows in delays:
             v_hist.copy_rows(offset, rows)
         fields = np.empty(shape)
@@ -1258,25 +1316,23 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
                 size = 1
                 continue
             bad = _non_finite_rows(u, v)
-        if u_hist is not None:
-            if k > 1:
-                u_hist.push_rows(u_rows)
-            u_hist.push(u)
-        if v_hist is not None:
-            if k > 1:
-                v_hist.push_rows(v_rows)
-            v_hist.push(v)
+        tail[...] = fields
+        integrals = None if v_hist is None else v_hist.advance(v_rows)
         if span is None or bad:
             for _ in range(k):
                 state.t += disc.dt
         else:
-            state.t = span.capture(states, fields[:2, ..., 1:-1], state.step_index, state.t,
-                                   k, disc.dt, end)
+            state.t = span.capture(states, state.step_index, state.t, k, disc.dt, end, v_hist,
+                                   integrals)
+        if u_hist is not None:
+            u_hist.push_rows(u_rows)
+        if v_hist is not None:
+            v_hist.push_rows(v_rows)
         state.step_index += k
         left -= k
         if bad or not left:
             break
-        first[...] = fields
+        first[...] = tail
     state.u, state.v = u, v
     if x_q is not None:
         state.q = fields[2:, ..., 1:-1]
@@ -1290,8 +1346,9 @@ def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1,
 
     A state with no evolved eta or z fields advances by ``_step_map``, kept
     in the state's plan, in chunks of up to ``_chunk_bound`` steps
-    (``_step_by_map``): the delay inputs, the history pushes and the
-    finiteness screen are done once per chunk, the screen on the chunk's
+    (``_step_by_map``): the delay inputs, the history pushes, the delay
+    integral's advance and the finiteness screen are done once per chunk,
+    the screen on the chunk's
     last outputs alone, as a non-finite entry stays so through every later
     step; the exact per-row check runs only where the screen's sum of
     squares is not finite.  The
@@ -1304,7 +1361,7 @@ def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1,
     the rows that went non-finite, and the others have advanced.  Given a
     ``Span``, the call keeps the state after each of its steps whose index
     is a multiple of ``span.every`` and after its last (not after a step
-    that raises): on the map path by one slice copy per chunk out of the
+    that raises): on the map path by one gather per chunk out of the
     chunk's block.
     """
     advance = _step_by_map if _steps_by_map(params, disc) else _step_by_stages
@@ -1312,18 +1369,17 @@ def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1,
     return state
 
 
-def delayed_velocity(state: SimState, params: ModelParams, disc: Discretization,
-                     span: Span | None = None) -> np.ndarray:
-    """z(., 1, t) at a whole-step time: delay-line slot n_delay, or v, or z[-1].
-    Given ``span``, at each of its states, stacked, by one gather."""
-    ring = params.delay_realization == "ring_buffer" and disc.n_delay > 0
-    if span is None:
-        if ring:
-            return state.v_hist.back(disc.n_delay)
-        return state.v if state.z_rho is None else state.z_rho[-1]
-    if ring:
-        return state.v_hist.back_rows(disc.n_delay + span.lags(state))
-    return span.v if state.z_rho is None else state.z_rho[None, -1]
+def delayed_velocity(state: SimState, params: ModelParams, disc: Discretization) -> np.ndarray:
+    """z(., 1, t) at a whole-step time: z[-1] (``rho_grid``), delay-line slot
+    n_delay, or v (tau = 0).  A ``Span`` keeps it for each of its states."""
+    return _delayed_row(state)
+
+
+def _delayed_row(state: SimState) -> np.ndarray:
+    """``delayed_velocity``: the state's fields tell its realization."""
+    if state.z_rho is not None:
+        return state.z_rho[-1]
+    return state.v if state.v_hist is None else state.v_hist.back(state.v_hist.n_delay)
 
 
 def _distinct_eta_rows(state: SimState, params: ModelParams, disc: Discretization) -> int:
@@ -1468,14 +1524,12 @@ def _tile_depth(params: ModelParams, init: InitialData, disc: Discretization,
                 snapshots: bool = False) -> int:
     """How many of a span's states one pass of eta takes, its tile's depth T.
 
-    As many as the span holds and SPAN_BYTES holds: per state its u and v,
-    the ``_span_rows`` of eta and their gradient, and every T - 1 states the
-    ``every`` delay-line slots the largest lag adds.
+    As many as the span holds and SPAN_BYTES holds: per state its u and v
+    and the ``_span_rows`` of eta and their gradient.
     """
     row = 8 * math.prod(batch) * (disc.nx + 2)
     eta_rows = _span_rows(params, init, disc, n_steps, snapshots)
-    lagged = every if disc.n_delay > 0 else 0
-    depth = (SPAN_BYTES // row + lagged) // (2 * eta_rows + 2 + lagged)
+    depth = SPAN_BYTES // row // (2 * eta_rows + 2)
     return max(1, min(depth, _span_intervals(params, disc, n_steps, every)))
 
 
@@ -1485,21 +1539,12 @@ def _span_depth(params: ModelParams, init: InitialData, disc: Discretization,
     """How many sample intervals ``run`` steps per call, its span's depth S.
 
     As many as ``_span_intervals`` allows and SPAN_BYTES / 2 holds of what
-    the span's samples form once per state outside eta: its kept u and v,
-    the gradient of u, the delayed velocity and the n_delay + 1 slot norms
-    of the delay integral per batch row, and every S - 1 states the
-    ``every`` delay-line slots the largest lag adds.  Those slots outlive
-    the run in a solo trace's ``final_state``, so they also get no more than
-    SPAN_BYTES / 16.  At least the ``_tile_depth`` T: a span is one or more
-    tiles.
+    a span keeps per state outside eta: its u, v and delayed velocity and
+    the gradient of u.  At least the ``_tile_depth`` T: a span is one or
+    more tiles.
     """
-    rows = math.prod(batch)
-    row = 8 * rows * (disc.nx + 2)
-    lagged = every * row if disc.n_delay > 0 else 0
-    window = 8 * rows * (disc.n_delay + 1) if disc.n_delay > 0 else 0
-    depth = (SPAN_BYTES // 2 + lagged) // (4 * row + lagged + window)
-    if lagged:
-        depth = min(depth, SPAN_BYTES // 16 // lagged + 1)
+    row = 8 * math.prod(batch) * (disc.nx + 2)
+    depth = SPAN_BYTES // 2 // (4 * row)
     return max(_tile_depth(params, init, disc, batch, n_steps, every, snapshots),
                min(depth, _span_intervals(params, disc, n_steps, every)))
 
@@ -1544,8 +1589,7 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
     batch = () if ks is None else (len(ks),)
     depth = _span_depth(params, init, disc, batch, n_steps, sample_every, snapshots)
     tile = _tile_depth(params, init, disc, batch, n_steps, sample_every, snapshots)
-    # a span's first state is read (depth - 1) intervals after it was kept
-    state = build(params, init, disc, ks=ks, steps=n_steps, lags=(depth - 1) * sample_every)
+    state = build(params, init, disc, ks=ks, steps=n_steps)
     span = Span(depth, state.u.shape, sample_every, tile)
     # the memory of a full tile's largest eta from the start, so it never grows
     eta_rows = _span_rows(params, init, disc, n_steps, snapshots)
@@ -1571,10 +1615,10 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
             cols[len(times):len(times) + count, i] = getattr(r, name)
         times.extend(span.times)
         if snapshots:
-            v_delayed = delayed_velocity(state, params, disc, span)
             for i, (t, (mu_eta, mu_prime_eta)) in enumerate(zip(span.times, moments)):
                 snaps.append(Snapshot(
-                    t=t, u=span.u[i].copy(), v=span.v[i].copy(), v_delayed=v_delayed[i].copy(),
+                    t=t, u=span.u[i].copy(), v=span.v[i].copy(),
+                    v_delayed=span.delayed[i].copy(),
                     int_mu_eta=mu_eta, int_mu_prime_eta=mu_prime_eta,
                 ))
         span.clear()

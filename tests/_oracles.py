@@ -6,11 +6,15 @@ trapezoid convolution over the stored past (no exponential auxiliary
 variables), and the Poincare oracle diagonalizes the finite-difference
 Laplacian.  The ``*_rows`` references evaluate an energy sample row by
 row, reducing every stored field again on each call; the vectorized
-sampling must reproduce them bit for bit.  ``materialized_history`` stores
-the whole prescribed past in the displacement ring buffer, as ``build``
-did before the past was evaluated on demand.  ``eager_map_step`` is the
-map step that formed its step buffers afresh at every step and normed each
-delay-line slot as it was pushed; ``solver.step`` must keep its bits.
+sampling must reproduce them bit for bit, except the delay integral, which
+the run carries by its one-step recursion and ``delay_integral_rows`` forms
+by the trapezoid over the delay line (``assert_sample_matches``).
+``materialized_history`` stores the whole prescribed past in the
+displacement ring buffer, as ``build`` did before the past was evaluated on
+demand.  ``eager_map_step`` is the map step that formed its step buffers
+afresh at every step, normed each delay-line slot as it was pushed and
+advanced the delay integral one step per push in plain floats
+(``eager_push``); ``solver.step`` must keep its bits.
 """
 
 from __future__ import annotations
@@ -130,6 +134,24 @@ def delay_integral_rows(state, disc) -> float:
     return float(w @ (np.exp(-dt * np.arange(nd + 1)) * norms))
 
 
+# how far a run's delay integral, carried by its recursion, may stray from the
+# trapezoid over the delay line, relative
+DELAY_RTOL = 1e-13
+
+
+def assert_sample_matches(row, expected, rtol: float = DELAY_RTOL) -> None:
+    """``row`` has the bits of ``expected`` (``sample_state_rows``) in every
+    field but ``delay_raw``, ``delay`` and ``total``, and those agree within
+    ``rtol`` relative; scalars or arrays over a batch alike."""
+    loose = ("delay_raw", "delay")
+    for name in SampleRow.__dataclass_fields__:
+        if name not in loose:
+            assert np.array_equal(getattr(row, name), getattr(expected, name)), name
+    for name in (*loose, "total"):
+        np.testing.assert_allclose(getattr(row, name), getattr(expected, name),
+                                   rtol=rtol, atol=0.0, err_msg=name)
+
+
 def sample_state_rows(state, params, disc) -> SampleRow:
     """An energy sample from the two references above, with the kernel
     evaluated on the s-grid afresh."""
@@ -167,19 +189,30 @@ def materialized_history(params, init, disc) -> RingBuffer:
     return hist
 
 
-def eager_push(buf: RingBuffer, row: np.ndarray) -> None:
-    """Push ``row`` and, when the buffer keeps norms, norm its slot at once."""
+def eager_push(buf: RingBuffer, row: np.ndarray, disc) -> None:
+    """Push ``row``; on the delay line, norm its slot at once and advance the
+    delay integral R one step, per batch row in plain floats:
+
+        R <- e^{-dt} R + (dt dx / 2) (y + e^{-dt} y_0 - e^{-N dt} y_{N-1}
+             - e^{-(N+1) dt} y_N),
+
+    y the new slot's norm and y_p the norm p slots back before the push."""
+    norms = getattr(buf, "norms", None)
+    if norms is not None:
+        n, dt = disc.n_delay, disc.dt
+        y_0, y_hi, y_lo = (np.atleast_1d(norms[(buf.head + p) % buf.capacity]).tolist()
+                           for p in (0, n - 1, n))
     buf.head = (buf.head - 1) % buf.capacity
     buf.pushed += 1
     buf.data[buf.head] = row
-    if buf.norms is not None:
+    if norms is not None:
         slot = buf.data[buf.head]
-        buf.norms[buf.head] = np.einsum("...i,...i->...", slot, slot)
-
-
-def eager_slot_norms(buf: RingBuffer, offsets: np.ndarray) -> np.ndarray:
-    """The norms ``eager_push`` kept for ``back(p)``, p in ``offsets``, batch axes first."""
-    return np.take(buf.norms.T, (buf.head + offsets) % buf.capacity, axis=-1)
+        norms[buf.head] = np.einsum("...i,...i->...", slot, slot)
+        y = np.atleast_1d(norms[buf.head]).tolist()
+        c, e = 0.5 * dt * disc.dx, math.exp(-dt)
+        e_n, e_n1 = math.exp(-n * dt), math.exp(-(n + 1) * dt)
+        buf.integral = [e * r + c * (((a + e * b) - e_n * hi) - e_n1 * lo)
+                        for r, a, b, hi, lo in zip(buf.integral, y, y_0, y_hi, y_lo)]
 
 
 def eager_map_step(state, params, disc) -> None:
@@ -219,9 +252,9 @@ def eager_map_step(state, params, disc) -> None:
     state.t += disc.dt
     state.step_index += 1
     if state.u_hist is not None:
-        eager_push(state.u_hist, state.u)
+        eager_push(state.u_hist, state.u, disc)
     if state.v_hist is not None:
-        eager_push(state.v_hist, state.v)
+        eager_push(state.v_hist, state.v, disc)
     if not (np.isfinite(state.u).all() and np.isfinite(state.v).all()):
         finite = np.isfinite(state.u).all(axis=-1) & np.isfinite(state.v).all(axis=-1)
         rows = np.flatnonzero(~finite).tolist()

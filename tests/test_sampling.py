@@ -5,13 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import delay_integral_rows, eta_field_rows, sample_state_rows
+from _oracles import (assert_sample_matches, delay_integral_rows, eta_field_rows,
+                      sample_state_rows)
 from viscodelay import energy, solver
 from viscodelay.analysis import check_memory_identity
 from viscodelay.kernel import MemoryKernel, quadrature_weights
 from viscodelay.solver import (
     InitialData,
     ModelParams,
+    NonFinite,
     build,
     discretize,
     dissipativity_spot_check,
@@ -31,8 +33,8 @@ BATCH_KS = [-0.3, 0.0, 0.4]
 def assert_matches_reference(state, params, disc):
     assert np.array_equal(eta_field(state, params, disc),
                           eta_field_rows(state, params, disc))
-    assert energy._delay_integral(state, disc) == delay_integral_rows(state, disc)
-    assert energy.sample_state(state, params, disc) == sample_state_rows(state, params, disc)
+    assert_sample_matches(energy.sample_state(state, params, disc),
+                          sample_state_rows(state, params, disc))
     if state.v_hist is not None:
         data = state.v_hist.data
         assert np.array_equal(state.v_hist.norms, np.einsum("ij,ij->i", data, data))
@@ -169,7 +171,7 @@ def test_row_without_delay_term_reads_zero_past_a_non_finite_integral(ks):
     params = ModelParams(tau=0.2, k=0.0, kernel=KERNEL)
     disc = discretize(params, nx=20)
     state = build(params, FROZEN, disc, ks=ks)
-    state.v_hist.norms[:] = np.inf
+    state.v_hist.integral[:] = [np.inf] * len(state.v_hist.integral)
     row = energy.sample_state(state, params, disc)
     assert np.all(np.isposinf(row.delay_raw))
     assert np.array_equal(row.delay, 0.0 if ks is None else [0.0, np.inf])
@@ -259,7 +261,7 @@ def test_padded_rows_keep_positive_zero_ends(ks):
     params = ModelParams(tau=0.2, k=-0.3, kernel=KERNEL, mode="auxiliary")
     disc = discretize(params, nx=20)
     every, depth = 5, 4
-    state = build(params, MODULATED, disc, ks=ks, lags=(depth - 1) * every)
+    state = build(params, MODULATED, disc, ks=ks)
     coeffs = (solver._step_map(params, disc) if ks is None
               else solver._stacked_maps(params, disc, tuple(ks)))
     assert solver._chunk_bound(coeffs, state, disc) > 1
@@ -281,3 +283,58 @@ def test_padded_rows_keep_positive_zero_ends(ks):
         trace = run(params, MODULATED, disc, 1.0, sample_every=every)
         assert positive_zero_ends(trace.final_state.u_hist.padded)
         assert positive_zero_ends(trace.final_state.v_hist.padded)
+
+
+# a modulated past, so the delay line starts with nonzero norms, and no
+# memory kernel, so one span holds a whole run sampled every step and a call
+# steps in chunks of n_delay steps
+LONG_PAST = InitialData(shape="gaussian", width=0.08, history="modulated", omega=3.0)
+LONG_STEPS = 5040
+
+
+def trapezoid_at_every_step(params, disc, steps):
+    """``delay_integral_rows`` at each state of a solo run stepped one step at a time."""
+    state = build(params, LONG_PAST, disc)
+    integrals = [delay_integral_rows(state, disc)]
+    for _ in range(steps):
+        step(state, params, disc)
+        integrals.append(delay_integral_rows(state, disc))
+    return np.array(integrals)
+
+
+@pytest.mark.parametrize("n_delay", [1, 2, 8])
+def test_delay_integral_recursion_keeps_to_the_trapezoid_over_long_runs(n_delay):
+    # the recursion carried over 5040 steps must stay within 1e-13 of the
+    # trapezoid, relative to the run's largest integral (measured: at most
+    # 2.5e-15); the k = -100 row goes non-finite, its norms overflowing first,
+    # on its own and inside a chunk of its batch, and the batch must carry
+    # each row's bits
+    dt = discretize(ModelParams(), nx=20).dt
+    params = ModelParams(tau=n_delay * dt)
+    disc = discretize(params, nx=20)
+    assert disc.n_delay == n_delay
+    ks = [0.4, -100.0, -0.3]
+    horizon = LONG_STEPS * disc.dt
+    solos = [run(replace(params, k=k), LONG_PAST, disc, horizon, sample_every=1) for k in ks]
+    for k, solo in zip(ks[::2], solos[::2]):
+        reference = trapezoid_at_every_step(replace(params, k=k), disc, LONG_STEPS)
+        assert solo.delay_raw.shape == reference.shape
+        gap = np.abs(solo.delay_raw - reference).max()
+        assert gap <= 1e-13 * solo.delay_raw.max(), k
+    abort = solos[1].aborted_step
+    assert solos[0].aborted_step is None and solos[2].aborted_step is None
+    batch = run(params, LONG_PAST, disc, horizon, sample_every=1, ks=ks)
+    for solo, trace in zip(solos, batch):
+        assert trace.aborted_step == solo.aborted_step
+        assert trace.delay_raw.tobytes() == solo.delay_raw.tobytes()
+    # one call from step 0 takes chunks of n_delay steps; the abort is inside one
+    state = build(params, LONG_PAST, disc, ks=ks, steps=LONG_STEPS)
+    with pytest.raises(NonFinite) as err:
+        step(state, params, disc, LONG_STEPS)
+    assert err.value.step_index == abort and err.value.rows == [1]
+    assert n_delay == 1 or abort % n_delay != 0
+    state.retire([1])
+    assert state.v_hist.integral[1] == 0.0
+    step(state, params, disc, LONG_STEPS - abort)
+    live = [solo.final_state.v_hist.integral[0] for solo in solos[::2]]
+    assert np.array(state.v_hist.integral).tobytes() == np.array([live[0], 0.0, live[1]]).tobytes()

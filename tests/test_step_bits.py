@@ -1,10 +1,12 @@
 """The map step against the eager step it replaced, bit for bit.
 
-``solver.step`` keeps its map step's buffers per state and norms the delay
-line's slots when they are read.  ``_oracles.eager_map_step`` is the step
-that formed every buffer afresh and normed each slot as it was pushed.
-Both step the same states through runs that wrap both ring buffers, and
-every field, stored slot and slot norm must be the same bits.  A call of
+``solver.step`` keeps its map step's buffers per state, and norms the delay
+line's slots and carries its delay integral once per chunk of steps.
+``_oracles.eager_map_step`` is the step that formed every buffer afresh,
+normed each slot as it was pushed and advanced the integral one step at a
+time in plain floats.  Both step the same states through runs that wrap
+both ring buffers, and every field, stored slot, slot norm and delay
+integral must be the same bits.  A call of
 ``step`` may make several steps, and ``run`` makes one call per span of
 sample intervals and samples the span's states together: both keep the
 bits of single steps, each sampled as it is reached (``hand_run``).
@@ -22,7 +24,7 @@ from viscodelay.kernel import MemoryKernel
 from viscodelay.solver import (SAMPLE_TERMS, InitialData, ModelParams, NonFinite, build,
                                discretize, run, step)
 
-from _oracles import eager_map_step, eager_slot_norms
+from _oracles import eager_map_step
 
 ONE_TERM = MemoryKernel.from_terms([(1.0, 2.0)])
 # s_max ~ 36: a displacement history longer than the runs below
@@ -54,7 +56,12 @@ CASES = {
 }
 
 
-def assert_same_bits(state, ref, read_norms):
+def same_integrals(buf, ref_buf) -> bool:
+    """Whether two delay lines carry the same bits of the delay integral."""
+    return np.array(buf.integral).tobytes() == np.array(ref_buf.integral).tobytes()
+
+
+def assert_same_bits(state, ref):
     for name in ("u", "v", "q"):
         a, b = getattr(state, name), getattr(ref, name)
         assert (a is None) == (b is None), name
@@ -66,11 +73,9 @@ def assert_same_bits(state, ref, read_norms):
         if buf is not None:
             assert buf.head == ref_buf.head and buf.pushed == ref_buf.pushed, name
             assert np.array_equal(buf.data, ref_buf.data), name
-    if read_norms and state.v_hist is not None:
-        offsets = np.arange(state.v_hist.capacity)
-        assert np.array_equal(state.v_hist.slot_norms(offsets),
-                              eager_slot_norms(ref.v_hist, offsets))
-        assert np.array_equal(state.v_hist.norms, ref.v_hist.norms)
+    if state.v_hist is not None:
+        assert state.v_hist.norms.tobytes() == ref.v_hist.norms.tobytes()
+        assert same_integrals(state.v_hist, ref.v_hist)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -84,31 +89,14 @@ def test_step_keeps_the_bits_of_the_eager_step(case):
             params = replace(params, k=k_stretches[n * len(k_stretches) // STEPS])
         step(state, params, disc)
         eager_map_step(ref, params, disc)
-        # norms are read at uneven gaps, some longer than the delay line
-        assert_same_bits(state, ref, read_norms=n % 7 in (0, 3) or n == STEPS - 1)
+        assert_same_bits(state, ref)
 
 
-@pytest.mark.parametrize("ks", [None, [0.4, 0.0, -0.3]])
-def test_slot_norms_are_formed_on_read(ks):
-    params = ModelParams(tau=0.05, k=0.4, kernel=ONE_TERM, mode="auxiliary")
-    disc = discretize(params, nx=20, ns=16)
-    state = build(params, MODULATED, disc, ks=ks)
-    buf = state.v_hist
-    offsets = np.arange(buf.capacity)
-    # gaps of one to past the capacity, so the unread slots come as one run,
-    # as two where they wrap the end of the array, and as every slot
-    for gap in list(range(1, buf.capacity + 3)) * 2:
-        for _ in range(gap):
-            step(state, params, disc)
-        rows = buf.data[(buf.head + offsets) % buf.capacity]
-        by_slot = np.stack([np.einsum("...i,...i->...", row, row) for row in rows], axis=-1)
-        assert np.array_equal(buf.slot_norms(offsets), by_slot), gap
-
-
-def test_retired_row_keeps_the_live_rows_unread_norms():
-    # the k = -330 row goes non-finite between two samples, while the live
-    # rows' slots pushed since the last sample are still to be normed; the
-    # next sample comes within n_delay steps, so it reads one of those slots
+def test_retired_row_keeps_the_live_rows_delay_integrals():
+    # the k = -330 row goes non-finite between two samples; retiring it
+    # zeroes its slots, norms and delay integral, and the live rows' integrals
+    # go on from their own; the next sample comes within n_delay steps, so
+    # the recursion reads norms of slots the retired row shares with them
     params = ModelParams(tau=0.02, kernel=ONE_TERM)
     disc = discretize(params, nx=40, ns=16)
     ks = [0.5, -330.0, 0.2]
@@ -136,6 +124,8 @@ def assert_same_bytes(state, ref):
         if buf is not None:
             assert (buf.head, buf.pushed) == (ref_buf.head, ref_buf.pushed), name
             assert buf.data.tobytes() == ref_buf.data.tobytes(), name
+    if state.v_hist is not None:
+        assert same_integrals(state.v_hist, ref.v_hist)
 
 
 @pytest.mark.parametrize("n", [1, 7, STEPS])
@@ -155,7 +145,7 @@ def test_a_call_of_n_steps_keeps_the_bits_of_n_eager_steps(case, n):
         for _ in range(count):
             eager_map_step(ref, params, disc)
         assert_same_bytes(state, ref)
-        assert_same_bits(state, ref, read_norms=True)
+        assert_same_bits(state, ref)
 
 
 # the k = -330 row of this batch goes non-finite at step 1482
@@ -261,7 +251,7 @@ def test_solo_run_steps_a_span_per_call_with_the_bits_of_single_steps(monkeypatc
 
 
 def test_batch_run_finishes_the_interval_of_an_abort_with_the_bits_of_single_steps(monkeypatch):
-    # the batch of test_retired_row_keeps_the_live_rows_unread_norms; its
+    # the batch of test_retired_row_keeps_the_live_rows_delay_integrals; its
     # displacement history is shorter than the run, so a span is one interval
     params, init, ks, abort = ABORTING
     disc = discretize(params, nx=40, ns=16)
@@ -309,27 +299,20 @@ def test_a_history_shorter_than_the_run_takes_spans_of_one(monkeypatch):
     assert trace.final_state.v_hist.capacity == disc.n_delay + 2
 
 
-def test_lags_reach_the_deepest_delay_line_slot_a_span_reads(monkeypatch):
-    # spans of 5 intervals of 3 steps: a span's first state is sampled 12
-    # steps after it was kept, so the run's delay line has 12 more slots, and
-    # that state's delay integral reads back to slot n_delay + 12
-    monkeypatch.setattr(solver, "SPAN_BYTES", 17 * 2 ** 11)
+@pytest.mark.parametrize("span_bytes, depth", [(2 ** 10, 1), (2 ** 13, 5), (2 ** 21, 84)])
+def test_the_delay_line_has_n_delay_plus_2_slots_at_every_span_depth(monkeypatch, span_bytes,
+                                                                     depth):
+    # spans of one interval of 3 steps, of 5 and of the whole run's 84: a
+    # span keeps each state's delayed velocity and delay integral as it
+    # passes it, so a span's first state, sampled up to 249 steps after it
+    # was kept, reads nothing of the delay line's n_delay + 2 = 6 slots
+    monkeypatch.setattr(solver, "SPAN_BYTES", span_bytes)
     params = ModelParams(tau=0.05, k=0.4, kernel=SLOW, mode="auxiliary")
     disc = discretize(params, nx=20, ns=16)
     n_steps = round(3.0 / disc.dt)
-    assert solver._span_depth(params, MODULATED, disc, (), n_steps, 3) == 5
-    lags = []
-    original = energy.sample_state
-
-    def sampled(state, params, disc, eta=None, span=None):
-        lags.extend(span.lags(state).tolist())
-        return original(state, params, disc, eta, span)
-
-    monkeypatch.setattr(energy, "sample_state", sampled)
+    assert solver._span_depth(params, MODULATED, disc, (), n_steps, 3) == depth
     trace, _ = assert_run_is_hand_run(params, MODULATED, disc, 3.0, 3)
-    assert max(lags) == 12 and lags.count(12) == n_steps // 15
-    capacity = trace.final_state.v_hist.capacity
-    assert capacity == disc.n_delay + 2 + 12 and n_steps > 10 * capacity
+    assert trace.final_state.v_hist.capacity == disc.n_delay + 2 == 6
 
 
 @pytest.mark.parametrize("ks", [None, ABORTING[2]], ids=["solo", "batch"])
@@ -371,7 +354,7 @@ def test_spans_without_a_kernel_or_a_delay_keep_the_bits_of_single_steps(case):
 def test_a_last_interval_shorter_than_sample_every_ends_the_last_span(monkeypatch):
     # 100 steps sampled every 7 in spans of 3 intervals: the last span holds
     # the samples at steps 91 and 98, then the last step's
-    monkeypatch.setattr(solver, "SPAN_BYTES", 2 ** 16)
+    monkeypatch.setattr(solver, "SPAN_BYTES", 2 ** 14)
     params, init, ks, _ = CASES["three-terms-batch"]
     disc = discretize(params, nx=20, ns=16)
     assert solver._span_depth(params, init, disc, (3,), 100, 7) == 3
@@ -385,18 +368,18 @@ SLOW_BATCH, SLOW_KS = replace(SLOW_SOLO, k=0.0), [0.4, 0.0, -0.3]  # a batch rea
 # A span of S states forms eta in tiles of T: (params, init, ks, (nx, ns),
 # SPAN_BYTES, sample_every, horizon, S, T)
 TILED = {
-    # tiles of 5, 5 and 2 states
-    "solo-modulated": (SLOW_SOLO, MODULATED, None, (20, 16), 2 ** 15, 1, 3.0, 12, 5),
-    # tiles of 7, 7 and 2 states
-    "batch-modulated": (SLOW_BATCH, MODULATED, SLOW_KS, (20, 16), 2 ** 17, 1, 3.0, 16, 7),
-    "solo-tiles-of-one": (SLOW_SOLO, MODULATED, None, (20, 16), 2 ** 13, 1, 3.0, 3, 1),
-    "batch-tiles-of-one": (SLOW_BATCH, MODULATED, SLOW_KS, (20, 16), 2 ** 15, 1, 3.0, 4, 1),
-    # the k = -330 row of ABORTING goes non-finite in a span's second tile,
-    # after its 6th state (tiles of 4) or its 4th (tiles of 3)
+    # tiles of 5, four times, and 3 states
+    "solo-modulated": (SLOW_SOLO, MODULATED, None, (20, 16), 2 ** 15, 1, 3.0, 23, 5),
+    # tiles of 7, four times, and 3 states
+    "batch-modulated": (SLOW_BATCH, MODULATED, SLOW_KS, (20, 16), 2 ** 17, 1, 3.0, 31, 7),
+    "solo-tiles-of-one": (SLOW_SOLO, MODULATED, None, (20, 16), 2 ** 13, 1, 3.0, 5, 1),
+    "batch-tiles-of-one": (SLOW_BATCH, MODULATED, SLOW_KS, (20, 16), 2 ** 15, 1, 3.0, 7, 1),
+    # the k = -330 row of ABORTING goes non-finite past a span's first tile,
+    # after its 34th state (tiles of 4) or its 10th (tiles of 3)
     "abort-solo": (ModelParams(tau=0.02, k=-330.0, kernel=SLOW), FROZEN, None, (40, 64),
-                   2 ** 17, 4, 9.6, 7, 4),
+                   2 ** 17, 4, 9.6, 48, 4),
     "abort-batch": (ModelParams(tau=0.02, kernel=SLOW), FROZEN, ABORTING[2], (40, 64),
-                    5 * 2 ** 16, 4, 9.6, 6, 3),
+                    5 * 2 ** 16, 4, 9.6, 40, 3),
 }
 
 
@@ -418,12 +401,12 @@ def test_tiles_of_a_span_keep_the_bits_of_single_steps(monkeypatch, case):
 
 @pytest.mark.parametrize("init", [FROZEN, MODULATED], ids=["frozen", "modulated"])
 def test_tiled_snapshots_keep_the_moments_of_each_states_eta(monkeypatch, init):
-    # spans of 12 states in tiles of 5, 5 and 2, against single steps, each
-    # sampled and its eta formed alone when it is reached
+    # spans of 23 states in tiles of 5, four times, and 3, against single
+    # steps, each sampled and its eta formed alone when it is reached
     monkeypatch.setattr(solver, "SPAN_BYTES", 2 ** 15)
     disc = discretize(SLOW_SOLO, nx=20, ns=16)
     n_steps = round(3.0 / disc.dt)
-    assert solver._span_depth(SLOW_SOLO, init, disc, (), n_steps, 1, snapshots=True) == 12
+    assert solver._span_depth(SLOW_SOLO, init, disc, (), n_steps, 1, snapshots=True) == 23
     assert solver._tile_depth(SLOW_SOLO, init, disc, (), n_steps, 1, snapshots=True) == 5
     trace = run(SLOW_SOLO, init, disc, 3.0, sample_every=1, snapshots=True)
     times, samples, _, _ = hand_run(SLOW_SOLO, init, disc, 3.0, 1)
@@ -450,11 +433,11 @@ def test_tiled_snapshots_keep_the_moments_of_each_states_eta(monkeypatch, init):
 BUDGETED = {
     "sweep-batch": (ModelParams(tau=1.0, kernel=ONE_TERM),
                     InitialData(shape="sine"), [0.001 * r for r in range(8)], 100, 1.0, 1,
-                    False, 18, 4),
+                    False, 40, 4),
     "long-memory": (ModelParams(tau=0.5, k=0.05, mode="auxiliary",
                                 kernel=MemoryKernel.from_terms([(2.0, 8.0), (0.02, 0.05)])),
                     InitialData(shape="gaussian", width=0.1, history="modulated"), None, 200,
-                    2.0, 4, True, 21, 9),
+                    2.0, 4, True, 162, 10),
 }
 
 
@@ -476,22 +459,16 @@ def test_a_span_and_its_tiles_fit_their_bytes(monkeypatch, case):
     assert (span.fields.shape[1], span.tile_depth) == (depth, tile)
     rows = 1 if ks is None else len(ks)
     row = 8 * rows * (nx + 2)
-    added = (state.v_hist.capacity - disc.n_delay - 2) * row
-    assert added == (depth - 1) * every * row
-    # a tile: eta and its gradient, its states' u and v and the slots its lags add
+    # the delay line adds no slot for the span, however deep
+    assert state.v_hist.capacity == disc.n_delay + 2
+    # a tile: eta and its gradient and its states' u and v
     eta = span.pool["eta"].nbytes + span.pool["work"].nbytes
-    tile_bytes = eta + 2 * tile * row + (tile - 1) * every * row
-    assert tile_bytes <= solver.SPAN_BYTES < tile_bytes + eta // tile + (2 + every) * row
-    # the span outside eta: its states' u and v, the gradient of u, the
-    # delayed velocity, the delay integral's slot norms and the added slots,
-    # which have a sixteenth of their own; one more state breaks one bound
-    window = 8 * rows * (disc.n_delay + 1)
+    tile_bytes = eta + 2 * tile * row
+    assert tile_bytes <= solver.SPAN_BYTES < tile_bytes + eta // tile + 2 * row
+    # the span outside eta: its states' u, v and delayed velocity and the
+    # gradient of u; one more state breaks the bound
     kept_bytes = span.fields.nbytes + span.pool["grad_u"].nbytes
-    assert kept_bytes == 3 * depth * row
-    span_bytes = kept_bytes + depth * (row + window) + added
-    assert span_bytes <= solver.SPAN_BYTES // 2 and added <= solver.SPAN_BYTES // 16
-    assert (span_bytes + (4 + every) * row + window > solver.SPAN_BYTES // 2
-            or added + every * row > solver.SPAN_BYTES // 16)
+    assert kept_bytes == 4 * depth * row <= solver.SPAN_BYTES // 2 < 4 * (depth + 1) * row
 
 
 # A call makes its steps in chunks of at most ``solver._chunk_bound`` steps:
@@ -502,9 +479,11 @@ CHUNKED = {
     "n_delay-solo": ("solo", 20, 25, "n_delay"),
     "n_delay-batch": ("batch-with-k0-row", 20, 25, "n_delay"),
     "n_delay-three-terms-batch": ("three-terms-batch", 20, 25, "n_delay"),
-    # no delay inputs: the displacement history's 25 slots, or the delay line's 6
+    # no delay line: the displacement history's 25 slots
     "capacity-tau0": ("tau0", 20, 25, "u_hist"),
-    "capacity-delay-line": ("k0-delay-line", 20, 25, "v_hist"),
+    # a delay line but no delay inputs (k = 0): n_delay, two fewer than the
+    # line's 6 slots, so the norms its integral's advance reads are stored
+    "capacity-delay-line": ("k0-delay-line", 20, 25, "n_delay"),
     # tau = 0.1 is 80 steps at nx = 200: the block of a chunk's inputs
     "bytes-solo": ("tau-large", 200, 100, "bytes"),
     "bytes-batch": ("tau-large-batch", 200, 100, "bytes"),
@@ -520,11 +499,10 @@ CHUNK_CASES = {**CASES,
 def chunk_bound(params, disc, state):
     coeffs = (solver._step_map(params, disc) if state.ks is None
               else solver._stacked_maps(params, disc, state.ks))
-    n_out, n_in = coeffs.shape[-2:]
+    n_in = coeffs.shape[-1]
     rows = 1 if state.ks is None else len(state.ks)
-    limits = {"n_delay": disc.n_delay if n_in > n_out // 3 else math.inf,
+    limits = {"n_delay": disc.n_delay if state.v_hist is not None else math.inf,
               "u_hist": state.u_hist.capacity,
-              "v_hist": state.v_hist.capacity if state.v_hist is not None else math.inf,
               "bytes": solver.CHUNK_BYTES // (8 * n_in * rows * (disc.nx + 2))}
     return solver._chunk_bound(coeffs, state, disc), limits
 
@@ -543,7 +521,7 @@ def test_a_call_across_chunk_bounds_keeps_the_bytes_of_eager_steps(chunked):
         for _ in range(n):
             eager_map_step(ref, params, disc)
         assert_same_bytes(state, ref)
-        assert_same_bits(state, ref, read_norms=True)
+        assert_same_bits(state, ref)
         assert state.t == ref.t, n
 
 
@@ -569,7 +547,7 @@ def test_abort_inside_a_chunk_keeps_the_step_rows_and_bytes_of_single_steps(ks):
     assert (by_call.value.step_index, by_call.value.rows) == (abort, rows)
     assert (by_eager.value.step_index, by_eager.value.rows) == (abort, rows)
     assert_same_bytes(state, ref)
-    assert_same_bits(state, ref, read_norms=True)
+    assert_same_bits(state, ref)
 
 
 # chunks of 32 steps or more: no delay line (the chunk is bounded by its
@@ -606,7 +584,7 @@ def test_abort_on_the_first_step_of_a_long_chunk_keeps_the_bytes_of_single_steps
     assert (by_call.value.step_index, by_call.value.rows) == (abort, rows)
     assert by_eager.value.rows == rows
     assert_same_bytes(state, ref)
-    assert_same_bits(state, ref, read_norms=True)
+    assert_same_bits(state, ref)
 
 
 @pytest.mark.parametrize("case", sorted(LONG_CHUNKS))
