@@ -189,13 +189,11 @@ def _sample_terms(state: SimState, params: ModelParams, disc: Discretization,
 
     # each state's delay integral, as its span kept it from the delay line
     delay_raw = span.integral[:len(u)].reshape(stack).copy()
-    # per batch row, the delay term's factor 0.5 theta |k| e^tau; a row without
-    # a delay term (k = 0 or tau = 0) reads 0 even where its integral is not finite
-    k_abs = np.abs(params.k if state.ks is None else state.ks)
-    delay = 0.5 * (params.theta * k_abs * math.exp(disc.tau)) * delay_raw
-    live = (k_abs != 0.0) & (disc.tau > 0.0)
-    if not live.all():
-        delay = np.where(live, delay, 0.0)
+    # per batch row, the delay term's factor, as ``solver.build`` formed it; a
+    # row without a delay term reads 0 even where its integral is not finite
+    delay = state.delay_factor * delay_raw
+    if state.delay_live is not None:
+        delay = np.where(state.delay_live, delay, 0.0)
 
     ut_tau_sq = dx * np.vecdot(span.delayed, span.delayed)
     return [0.5 * ut_sq, elastic, memory, delay, ut_sq, ut_tau_sq, delay_raw, mu_prime_eta]

@@ -78,10 +78,13 @@ rows nx + 2 wide whose end columns are the Dirichlet zeros, so each
 neighbour comes in by one flat add over a contiguous block; every interior
 entry gets the additions of the unpadded form, in its order.  Once per
 chunk, not per step, the delay inputs of its steps are copied in, one sum
-of squares over its outputs screens them for finiteness, the delay line
-norms its v rows and carries its delay integral over them
-(``DelayLine``), its kept states are copied into the call's ``Span``, if
-any, and its u and v rows are pushed into the histories.  Only when that
+of squares over its outputs screens them for finiteness, its kept states
+are copied into the call's ``Span``, if any, and its u and v rows are
+pushed into the histories.  The delay line norms its pushed v rows and
+carries its delay integral over them (``DelayLine.advance``) at the end
+of the call, before it raises, and before a chunk that would take the
+rows pushed since the last advance past n_delay, whose old norms the
+advance reads.  Only when that
 sum is not finite, by a non-finite entry or by overflow, is the chunk
 stepped again one step at a time, each step checked row by row, and that
 check decides.  A call copies
@@ -96,6 +99,7 @@ tested against.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from collections.abc import Callable
@@ -605,10 +609,10 @@ class RingBuffer:
         gathered newer rows.  The end columns come out +0.0 or -0.0.
 
         Each neighbour is one gather of padded slots, phi's slot at every
-        read past the pushes; a modulated past then scales the gathered rows
-        in place, those reads by their factors from one ``factor`` call per
-        neighbour and the stored reads by 1.0.  Where ``older`` is ``newer``
-        (frac 0) the difference is exactly 0.
+        read past the pushes; a modulated past then scales those reads in
+        place by their factors, from one ``factor`` call per neighbour, one
+        multiply per state over the suffix of its nodes that reads the past.
+        Where ``older`` is ``newer`` (frac 0) the difference is exactly 0.
         """
         for j, rows in ((newer, work), (older, out)):
             offsets = j + lags[:, None]
@@ -625,11 +629,17 @@ class RingBuffer:
                              out=rows.reshape((slots.size,) + self.padded.shape[1:]))
             if self.factor is None or not past.any():
                 continue
-            # x * 1.0 is x, so the stored reads keep their bits; past reads
-            # are one IEEE multiply per entry, as a stored factor * phi row had
-            scale = np.ones(offsets.shape)
-            scale[past] = self.factor(offsets[past] - self.pushed)
-            np.multiply(rows, scale.reshape(scale.shape + (1,) * (rows.ndim - 2)), out=rows)
+            # each state's offsets do not decrease, so its past reads are a
+            # suffix of its nodes: that suffix alone is scaled, one IEEE
+            # multiply per entry, as a stored factor * phi row had
+            scale = self.factor(offsets[past] - self.pushed)
+            scale = scale.reshape(scale.shape + (1,) * (rows.ndim - 2))
+            start = 0
+            for state_rows, count in zip(rows, past.sum(axis=1).tolist()):
+                if count:
+                    suffix = state_rows[len(state_rows) - count:]
+                    np.multiply(suffix, scale[start:start + count], out=suffix)
+                    start += count
         np.subtract(out, work, out=out)
         # frac spread over a slot, so each state's multiply is one flat pass:
         # broadcast along a slot, the multiply took about twice as long
@@ -663,17 +673,17 @@ def _load_run(ring: np.ndarray, start: int, out: np.ndarray) -> None:
 
 class DelayLine(RingBuffer):
     """The delay line: a ``RingBuffer`` of the velocity's past, n_delay + 2
-    slots and no prescribed past, which norms each row as it comes in and
-    carries the delay integral of the energy
+    slots and no prescribed past, which norms its rows and carries the
+    delay integral of the energy
 
         R(t) = int_{t-tau}^t e^{-(t-s)} ||u_t(s)||^2 ds,
 
     one value per batch row (``integral``; one for a solo state).
     ``norms`` holds each slot's squared norm per batch row, indexed like
     ``data``.  Built, back(j) holds the past's velocity rate(-j dt) * u,
-    and R is the trapezoid over slots 0..n_delay.  ``advance`` carries R
-    over the next k <= n_delay steps by the one-step recursion that
-    trapezoid obeys,
+    and R is the trapezoid over slots 0..n_delay.  ``advance`` norms the
+    rows pushed since its last call, at most n_delay of them, and carries
+    R over their steps by the one-step recursion that trapezoid obeys,
 
         R_{j+1} = e^{-dt} R_j + (dt dx / 2) (y_{j+1} + e^{-dt} y_j
                   - e^{-N dt} y_{j+1-N} - e^{-(N+1) dt} y_{j-N}),
@@ -681,7 +691,7 @@ class DelayLine(RingBuffer):
     N = n_delay and y_j the squared norm of the velocity at step j.  The
     increments are formed for the k steps at once, then R takes them one
     step at a time per row, so R at a step has the same bits however its
-    steps were grouped into calls and chunks, batched or not.
+    steps were grouped into calls, chunks and advances, batched or not.
     """
 
     __slots__ = ("n_delay", "coeffs", "norms", "integral")
@@ -710,30 +720,33 @@ class DelayLine(RingBuffer):
         """Allocated bytes: the padded slots and their norms."""
         return self.padded.nbytes + self.norms.nbytes
 
-    def advance(self, newest_first: np.ndarray) -> list[list[float]]:
-        """Norm the rows of the next k <= n_delay steps before they are pushed
-        (``newest_first``, as ``push_rows`` takes them), store their norms
-        in the slots the pushes will fill and carry R over the k steps.
-        Returns, per batch row, R after each of the steps, oldest first.
+    def advance(self, k: int) -> list[list[float]]:
+        """Norm the newest k <= n_delay rows, the pushes since the last
+        advance, and carry R over their k steps.  Returns, per batch row, R
+        after each of the steps, oldest first.
 
-        The norms y_{n-N} .. y_{n+k-N} and y_n the recursion reads are all
-        stored (k <= N); they are read first, as the new norms overwrite
-        k - 1 of them.
+        With n the step of the last advance, the recursion reads y_n (slot
+        k) and y_{n-N} .. y_{n+k-N} (slots N .. N + k, where k - 1 of them
+        wrap onto the k new rows' slots).  Those slots' norms are not
+        written until the new rows are normed, so they still hold the norms
+        of the rows N + 2 steps older: k <= N keeps every one of them.
         """
-        k, head = len(newest_first), self.head
-        # y_{j-N} and y_j at the k + 1 steps j = n .. n + k, oldest first
-        old, new = np.empty((2, k + 1) + self.norms.shape[1:])
-        _load_run(self.norms, (head + self.n_delay - k) % self.capacity, old[::-1])
-        new[0] = self.norms[head]
-        np.einsum("i...j,i...j->i...", newest_first, newest_first, out=new[:0:-1])
-        _store_run(self.norms, (head - k) % self.capacity, new[:0:-1])
+        head, cap, norms = self.head, self.capacity, self.norms
+        # y_{j-N} at the k + 1 steps j = n .. n + k, oldest first
+        old, new = np.empty((2, k + 1) + norms.shape[1:])
+        _load_run(norms, (head + self.n_delay) % cap, old[::-1])
+        # the new rows' slots, one einsum, or two where they wrap
+        for a, b in ((head, min(head + k, cap)), (0, head + k - cap)):
+            if a < b:
+                np.einsum("i...j,i...j->i...", self.data[a:b], self.data[a:b], out=norms[a:b])
+        # y_n .. y_{n+k}, oldest first
+        _load_run(norms, head, new[::-1])
         c, e, e_n, e_n1 = self.coeffs
         steps = c * (((new[1:] + e * new[:-1]) - e_n * old[1:]) - e_n1 * old[:-1])
         steps = steps.reshape(k, -1).T.tolist()
         for r, row in enumerate(steps):
             x = float(self.integral[r])
-            for j, increment in enumerate(row):
-                x = row[j] = e * x + increment
+            steps[r] = [x := e * x + increment for increment in row]
             self.integral[r] = x
         return steps
 
@@ -756,6 +769,11 @@ class SimState:
     v_hist: DelayLine | None = None    # past u_t fields, with their norms and integral
     z_rho: np.ndarray | None = None    # (n_delay, nx) transported delay field
     ks: tuple[float, ...] | None = None  # each batch row's k; None for one row
+    # per batch row (one for a solo state), the energy's delay factor
+    # 0.5 theta |k| e^tau at the k it was built with, and which rows have a
+    # delay term (k != 0 and tau > 0), None where all do; ``build`` forms both
+    delay_factor: np.ndarray | float = 0.0
+    delay_live: np.ndarray | None = None
     # the map step's plan of buffers (``_map_plan``)
     work: dict[str, np.ndarray | tuple] = field(default_factory=dict, repr=False,
                                                 compare=False)
@@ -808,10 +826,12 @@ class Span:
     keeps the state after each of its steps whose index is a multiple of
     ``every``, and after its last; the map path copies a chunk's kept
     states out of its block by one gather, their delayed velocities out
-    of the delay line before the chunk's pushes.  So no sample reads the
-    delay line: only the displacement history is read at a kept state's
-    ``lags``.  ``scratch`` hands out the memory the samples reuse: a run's
-    span owns it, so it is not kept with the state, and its tiles share it.
+    of the delay line before the chunk's pushes, and sets their delay
+    integrals when the line next advances (``settle``).  So no sample
+    reads the delay line: only the displacement history is read at a kept
+    state's ``lags``.  ``scratch`` hands out the memory the samples reuse:
+    a run's span owns it, so it is not kept with the state, and its tiles
+    share it.
     """
 
     __slots__ = ("fields", "integral", "every", "tile_depth", "steps", "times", "pool")
@@ -864,24 +884,25 @@ class Span:
         self.steps.append(state.step_index)
         self.times.append(state.t)
 
-    def capture(self, block: np.ndarray, start: int, t: float, k: int, dt: float, end: int,
-                line: DelayLine | None, integrals: list[list[float]] | None) -> float:
-        """Keep the sample states among the k steps after step ``start``, at
-        time ``t``, of a call that ends at step ``end``: ``block[p]`` is (u, v)
-        after step start + p, interior columns.  The delayed velocity of the
-        state p steps in is the delay ``line``'s back(n_delay - p) before the
-        chunk's pushes (v itself without a line), and its delay integral is
-        ``integrals[r][p - 1]`` per batch row r (``DelayLine.advance``).
-        Returns the time after the k steps, each dt added as a step adds it."""
+    def capture(self, block: np.ndarray, start: int, k: int, end: int, times: np.ndarray,
+                line: DelayLine | None) -> None:
+        """Keep the sample states among the k steps after step ``start`` of a
+        call that ends at step ``end``: ``block[p]`` is (u, v) after step
+        start + p, interior columns, and ``times[p]`` its time.  The delayed
+        velocity of the state p steps in is the delay ``line``'s
+        back(n_delay - p) before the chunk's pushes (v itself without a
+        line); its delay integral is set by ``settle`` once the line has
+        advanced over it."""
+        first = (start // self.every + 1) * self.every
+        p = list(range(first - start, k + 1, self.every))
+        if start + k == end and end % self.every:
+            p.append(k)
+        if not p:
+            return
         kept = len(self.steps)
-        for j in range(start + 1, start + k + 1):
-            t += dt
-            if j % self.every == 0 or j == end:
-                self.steps.append(j)
-                self.times.append(t)
-        if len(self.steps) == kept:
-            return t
-        p = np.array(self.steps[kept:]) - start
+        self.steps.extend(start + j for j in p)
+        self.times.extend(times[p].tolist())
+        p = np.array(p)
         fields = self.fields[:, kept:len(self.steps)]
         fields[:2, ..., 1:-1] = block[p].swapaxes(0, 1)
         if line is None:
@@ -890,8 +911,15 @@ class Span:
             # the slots are in range, so mode "clip" writes into the span directly
             line.padded.take((line.head + line.n_delay - p) % line.capacity, axis=0,
                              mode="clip", out=fields[2])
-            self.integral[kept:len(self.steps)] = np.array(integrals)[:, p - 1].T
-        return t
+
+    def settle(self, start: int, integrals: list[list[float]]) -> None:
+        """Set the delay integral of each state kept after step ``start``:
+        ``integrals[r][j]`` is batch row r's after step start + 1 + j
+        (``DelayLine.advance``)."""
+        since = bisect.bisect_right(self.steps, start)
+        if since < len(self.steps):
+            cols = np.array(self.steps[since:]) - (start + 1)
+            self.integral[since:len(self.steps)] = np.array(integrals)[:, cols].T
 
     def clear(self) -> None:
         self.steps.clear()
@@ -949,9 +977,10 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
     (nx,), and ``step`` and ``sample_state`` treat the state as a batch of
     one.  The delay line (``DelayLine``) has n_delay + 2 slots, filled from
     the past's velocity and normed, and its delay integral is the
-    trapezoid over them.  Both histories store rows nx + 2 wide
-    (``RingBuffer.padded``), and a refusal to allocate one counts those
-    bytes.
+    trapezoid over them.  Each row's delay factor of the energy is formed
+    here, from ``params.theta``, its k and tau, for every sample to read.
+    Both histories store rows nx + 2 wide (``RingBuffer.padded``), and a
+    refusal to allocate one counts those bytes.
     """
     if disc.tau > 0.0 and params.tau <= 0.0:
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
@@ -965,6 +994,11 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
     u = np.broadcast_to(phi, batch + phi.shape).copy()
     v = u * init.history_rate(0.0)
     state = SimState(t=0.0, step_index=0, u=u, v=v, ks=None if ks is None else tuple(ks))
+    k_abs = np.abs(params.k if ks is None else state.ks)
+    with np.errstate(over="ignore"):  # an infinite factor is the sampler's to report
+        state.delay_factor = 0.5 * (params.theta * k_abs * math.exp(disc.tau))
+    live = (k_abs != 0.0) & (disc.tau > 0.0)
+    state.delay_live = None if live.all() else live
 
     kernel = params.kernel
     if not kernel.is_empty:
@@ -1112,8 +1146,8 @@ def _step_by_stages(state: SimState, params: ModelParams, disc: Discretization,
         if state.u_hist is not None:
             state.u_hist.push(state.u)
         if state.v_hist is not None:
-            state.v_hist.advance(state.v[None])
             state.v_hist.push(state.v)
+            state.v_hist.advance(1)
         bad = _non_finite_rows(state.u, state.v)
         if bad:
             raise NonFinite(state.step_index, None if state.ks is None else bad)
@@ -1173,9 +1207,10 @@ def _chunk_bound(coeffs: np.ndarray, state: SimState, disc: Discretization) -> i
     """The most steps one chunk of map steps takes: as many as the block of
     their inputs X fits in CHUNK_BYTES; with a delay line, at most n_delay,
     so no step of a chunk reads a delay-line slot that the chunk pushes and
-    every norm the advance of its delay integral reads is stored; and at
-    most the displacement history's capacity, so a chunk's pushes fill
-    distinct slots."""
+    a chunk fits in one window of the delay integral's advance
+    (``DelayLine.advance`` takes at most n_delay pushed rows); and at most
+    the displacement history's capacity, so a chunk's pushes fill distinct
+    slots."""
     n_in = coeffs.shape[-1]
     bounds = [CHUNK_BYTES // (8 * n_in * math.prod(state.u.shape[:-1]) * (disc.nx + 2))]
     bounds += [disc.n_delay] if state.v_hist is not None else []
@@ -1252,13 +1287,17 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
     another object or a call needs longer chunks); a chunk's last step
     writes a fresh block [u; v; q], of which the state's fields become
     interior views.  Per chunk, the delay inputs are copied in, one sum of
-    squares of the last step's outputs screens the chunk, the delay line's
-    integral is carried over the chunk's velocities and the outputs' u and
-    v are pushed; after a sum that is not finite the call goes on from the
-    chunk's start one step at a time, where ``_non_finite_rows`` decides.
-    Once a chunk is kept, the ``span``'s states among its steps are copied
-    out of the block, before the pushes.  It takes the arguments of
-    ``_step_by_stages``, so ``step`` calls either alike.
+    squares of the last step's outputs screens the chunk and the outputs'
+    u and v are pushed; after a sum that is not finite the call goes on
+    from the chunk's start one step at a time, where ``_non_finite_rows``
+    decides.  Once a chunk is kept, the ``span``'s states among its steps
+    are copied out of the block, before the pushes.  The delay line's
+    integral is carried over the pushed steps (``_carry``) at the end of
+    the call, before it raises ``NonFinite``, and before a chunk that
+    would take the steps pushed since the last advance past n_delay.  The
+    call's step times are one running sum of dt from ``state.t``.  It
+    takes the arguments of ``_step_by_stages``, so ``step`` calls either
+    alike.
     """
     if n < 1:
         return
@@ -1267,7 +1306,12 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
         plan = state.work["map_plan"] = _map_plan(params, state, disc, n)
     (_, _, coeffs, _, size, first, x_u, x_v, x_q, chunks, products, twice, c0, c1, c2,
      c1_hi, c1_lo, c2_lo, c2_hi, c1_ends, shape, states) = plan
-    end = state.step_index + n
+    origin = carried = state.step_index
+    end = origin + n
+    # times[j] is the time after step origin + j, each dt added as a step adds it
+    times = np.full(n + 1, disc.dt)
+    times[0] = state.t
+    np.add.accumulate(times, out=times)
     u_hist, v_hist = state.u_hist, state.v_hist
     # a step is ten calls on a few thousand entries, whose cost is the call:
     # bound once, each output passed by position, not as ``out=``
@@ -1280,6 +1324,9 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
     while True:
         k = min(left, size)
         chunk_steps, x_last, delays, tail, u_rows, v_rows = chunks[k - 1]
+        if v_hist is not None and state.step_index + k - carried > v_hist.n_delay:
+            _carry(v_hist, carried, state.step_index, span)
+            carried = state.step_index
         for offset, rows in delays:
             v_hist.copy_rows(offset, rows)
         fields = np.empty(shape)
@@ -1317,13 +1364,9 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
                 continue
             bad = _non_finite_rows(u, v)
         tail[...] = fields
-        integrals = None if v_hist is None else v_hist.advance(v_rows)
-        if span is None or bad:
-            for _ in range(k):
-                state.t += disc.dt
-        else:
-            state.t = span.capture(states, state.step_index, state.t, k, disc.dt, end, v_hist,
-                                   integrals)
+        if span is not None and not bad:
+            span.capture(states, state.step_index, k, end, times[state.step_index - origin:],
+                         v_hist)
         if u_hist is not None:
             u_hist.push_rows(u_rows)
         if v_hist is not None:
@@ -1333,11 +1376,22 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
         if bad or not left:
             break
         first[...] = tail
+    state.t = float(times[state.step_index - origin])
     state.u, state.v = u, v
     if x_q is not None:
         state.q = fields[2:, ..., 1:-1]
+    if v_hist is not None:
+        _carry(v_hist, carried, state.step_index, span)
     if bad:
         raise NonFinite(state.step_index, None if state.ks is None else bad)
+
+
+def _carry(line: DelayLine, start: int, stop: int, span: Span | None) -> None:
+    """Advance the delay ``line`` over the steps after ``start`` up to ``stop``,
+    pushed, and set the delay integral of the ``span``'s states among them."""
+    integrals = line.advance(stop - start)
+    if span is not None:
+        span.settle(start, integrals)
 
 
 def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1,
@@ -1346,15 +1400,16 @@ def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1,
 
     A state with no evolved eta or z fields advances by ``_step_map``, kept
     in the state's plan, in chunks of up to ``_chunk_bound`` steps
-    (``_step_by_map``): the delay inputs, the history pushes, the delay
-    integral's advance and the finiteness screen are done once per chunk,
-    the screen on the chunk's
+    (``_step_by_map``): the delay inputs, the history pushes and the
+    finiteness screen are done once per chunk, the screen on the chunk's
     last outputs alone, as a non-finite entry stays so through every later
     step; the exact per-row check runs only where the screen's sum of
-    squares is not finite.  The
-    ``eta_grid`` and ``rho_grid`` realizations run the four ``_rhs`` stages
-    and the exact check step by step.  Each step does the same arithmetic
-    whatever ``n`` is, so a call leaves the bits of ``n`` calls of one step.
+    squares is not finite.  The delay integral is advanced once per call,
+    and once more for each window of n_delay pushed steps it would
+    outgrow.  The ``eta_grid`` and ``rho_grid`` realizations run the four
+    ``_rhs`` stages and the exact check step by step.  Each step does the
+    same arithmetic whatever ``n`` is, so a call leaves the bits of ``n``
+    calls of one step.
     The fields a call leaves in the state are fresh arrays that later calls
     do not write.  A step whose u or v holds a non-finite entry raises
     ``NonFinite``, the state left at that step, pushed; for a batch it names

@@ -211,8 +211,9 @@ def eager_push(buf: RingBuffer, row: np.ndarray, disc) -> None:
         y = np.atleast_1d(norms[buf.head]).tolist()
         c, e = 0.5 * dt * disc.dx, math.exp(-dt)
         e_n, e_n1 = math.exp(-n * dt), math.exp(-(n + 1) * dt)
-        buf.integral = [e * r + c * (((a + e * b) - e_n * hi) - e_n1 * lo)
-                        for r, a, b, hi, lo in zip(buf.integral, y, y_0, y_hi, y_lo)]
+        buf.integral = np.array([e * r + c * (((a + e * b) - e_n * hi) - e_n1 * lo)
+                                 for r, a, b, hi, lo in zip(buf.integral.tolist(), y, y_0,
+                                                            y_hi, y_lo)])
 
 
 def eager_map_step(state, params, disc) -> None:

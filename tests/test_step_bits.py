@@ -1,7 +1,8 @@
 """The map step against the eager step it replaced, bit for bit.
 
 ``solver.step`` keeps its map step's buffers per state, and norms the delay
-line's slots and carries its delay integral once per chunk of steps.
+line's slots and carries its delay integral once per call, and once more
+for each n_delay steps of a longer call (``DelayLine.advance``).
 ``_oracles.eager_map_step`` is the step that formed every buffer afresh,
 normed each slot as it was pushed and advanced the integral one step at a
 time in plain floats.  Both step the same states through runs that wrap
@@ -601,3 +602,110 @@ def test_a_non_finite_q_alone_aborts_a_long_chunk_as_single_steps(case):
     assert by_call.value.step_index == by_eager.value.step_index < bound
     assert by_call.value.rows == by_eager.value.rows == rows
     assert_same_bytes(state, ref)
+
+
+def counted_advances(monkeypatch):
+    """The k of every ``DelayLine.advance`` call."""
+    counts = []
+    original = solver.DelayLine.advance
+    monkeypatch.setattr(solver.DelayLine, "advance",
+                        lambda line, k: counts.append(k) or original(line, k))
+    return counts
+
+
+# tau = n_delay dt at nx = 20 (dt = 0.25 / 21): delay lines of 5 to 7 steps, so
+# a call of 2 n_delay + 3 steps advances its delay integral twice inside it
+MID_CALL_TAU = {5: 0.06, 6: 0.07, 7: 0.085}
+# (params, init, ks, the steps a run takes); the k = -100 row of the batch
+# goes non-finite at step 2508, 2802 or 3084, and the others go on
+MID_CALL = {
+    "solo": (ModelParams(k=0.4, kernel=ONE_TERM, mode="auxiliary"), MODULATED, None, 200),
+    "batch-abort": (ModelParams(kernel=ONE_TERM), FROZEN, [0.5, -100.0, 0.2], 3200),
+}
+
+
+def eager_call(ref, params, disc, n, every):
+    """``n`` eager steps of ``ref``: the (step, time, delay integral) of each
+    state a span keeps, and the NonFinite raised, if any."""
+    end = ref.step_index + n
+    kept = []
+    for _ in range(n):
+        try:
+            eager_map_step(ref, params, disc)
+        except NonFinite as err:
+            return kept, err
+        if ref.step_index % every == 0 or ref.step_index == end:
+            kept.append((ref.step_index, ref.t, ref.v_hist.integral.tolist()))
+    return kept, None
+
+
+@pytest.mark.parametrize("case", sorted(MID_CALL))
+@pytest.mark.parametrize("n_delay", sorted(MID_CALL_TAU))
+def test_advances_inside_a_call_keep_the_bytes_of_eager_pushes(monkeypatch, n_delay, case):
+    # calls of 2 n_delay + 3 steps in chunks of n_delay: the call advances
+    # before its second chunk, before its third and at its end, and its span
+    # keeps every third state, on both sides of each advance
+    params, init, ks, horizon = MID_CALL[case]
+    params = replace(params, tau=MID_CALL_TAU[n_delay])
+    disc = discretize(params, nx=20, ns=16)
+    assert disc.n_delay == n_delay
+    n, every = 2 * n_delay + 3, 3
+    state, ref = (build(params, init, disc, ks=ks) for _ in range(2))
+    assert chunk_bound(params, disc, state)[0] == n_delay
+    span = solver.Span(n // every + 2, state.u.shape, every)
+    advances = counted_advances(monkeypatch)
+    aborted = None
+    while state.step_index < horizon:
+        start = state.step_index
+        kept, err = eager_call(ref, params, disc, n, every)
+        del advances[:]
+        try:
+            step(state, params, disc, n, span)
+        except NonFinite as raised:
+            assert err is not None and (raised.step_index, raised.rows) == (err.step_index,
+                                                                              err.rows)
+        else:
+            assert err is None
+        assert_same_bytes(state, ref)
+        assert_same_bits(state, ref)
+        assert span.steps == [s for s, _, _ in kept]
+        assert span.times == [t for _, t, _ in kept]
+        expected = np.array([integral for _, _, integral in kept])
+        assert span.integral[:len(kept)].tobytes() == expected.tobytes()
+        span.clear()
+        if err is None:
+            assert advances == [n_delay, n_delay, 3], start
+        else:
+            # inside a window of pushes the next advance would have closed:
+            # the one before the raise takes more than the aborting step
+            assert aborted is None and 1 < advances[-1] and err.step_index - start < n
+            aborted = err.step_index
+            state.retire(err.rows)
+            ref.retire(err.rows)
+    assert (aborted is None) == (ks is None)
+
+
+# the solo aux_long and long_memory benchmark configs (seed 0) at nx = 200,
+# and the step call of one of their spans: (params, init, steps, advances)
+BENCH_SHAPES = {
+    "aux_long": (ModelParams(tau=1.0, k=0.018, theta=2.0, kernel=ONE_TERM, mode="auxiliary"),
+                 InitialData(), 400, [400]),
+    "long_memory": (ModelParams(tau=0.5, k=0.05, theta=2.0, mode="auxiliary",
+                                kernel=MemoryKernel.from_terms([(2.0, 8.0), (0.02, 0.05)])),
+                    InitialData(shape="gaussian", center=0.35, width=0.1, history="modulated"),
+                    648, [378, 270]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCH_SHAPES))
+def test_a_call_advances_the_delay_line_once_per_n_delay_steps_not_per_chunk(monkeypatch,
+                                                                              case):
+    params, init, n, expected = BENCH_SHAPES[case]
+    disc = discretize(params, nx=200, ns=64)
+    state = build(params, init, disc, steps=n)
+    bound, _ = chunk_bound(params, disc, state)
+    # many chunks, and a delay line of 804 or 402 steps
+    assert n // bound >= 12 and disc.n_delay == {"aux_long": 804, "long_memory": 402}[case]
+    advances = counted_advances(monkeypatch)
+    step(state, params, disc, n)
+    assert advances == expected
