@@ -59,15 +59,15 @@ map with the plan of buffers it steps by (``_map_plan``), formed again
 only for another params or grid object.  No table outlives what it is
 derived from: the grid keeps its own (kernel values, eta's node steps),
 and nothing is kept at module level between runs.
-``run`` makes one call per span of up to S sample intervals
-(``_span_depth``): the call keeps the u, v, delayed velocity and delay
+``run`` sizes a run once (``RunPlan``) and makes one call per span of up
+to S sample intervals: the call keeps the u, v, delayed velocity and delay
 integral of the span's sample steps in a ``Span`` as it passes them, and
 ``energy.sample_state`` forms all their samples, eta in tiles of up to T
-states (``_tile_depth``) and every other term in one stacked pass, each
-state reading the displacement history as many slots further back as
-steps have passed since it was kept.  So a span reads no slot that has
-been overwritten: where the displacement history is shorter than the run
-a span is one interval, and no sample reads the delay line at all.
+states and every other term in one stacked pass, each state reading the
+displacement history as many slots further back as steps have passed
+since it was kept.  So a span reads no slot that has been overwritten:
+where the displacement history is shorter than the run a span is one
+interval, and no sample reads the delay line at all.
 The map path (``_step_by_map``) takes a call's steps in chunks of up to
 ``_chunk_bound`` steps, chained through one block of the plan: step j
 reads X from row j and writes its output into row j + 1, so no field is
@@ -150,12 +150,11 @@ OMEGA_MAX = math.sqrt(sys.float_info.max)
 # the most bytes of map-step inputs a chunk of steps works in: 32 steps of a solo
 # nx = 200 state with one memory term and a delay line
 CHUNK_BYTES = 2 ** 18
-# the most bytes a span's energy samples are formed in.  A tile of its states
-# (``_tile_depth``) forms eta and its gradient within it, with the tile's kept
-# u and v: 10 states of a solo nx = 200 state with ns = 64 and a modulated
-# past.  What the span keeps per state outside eta (``_span_depth``), its u,
-# v and delayed velocity and the gradient of u, takes half of it: 162 states
-# there
+# the most bytes a span's energy samples are formed in (``RunPlan``).  A tile
+# of its states forms eta and its gradient within it, with the tile's kept u
+# and v: 10 states of a solo nx = 200 state with ns = 64 and a modulated past.
+# What the span keeps per state outside eta, its u, v and delayed velocity and
+# the gradient of u, takes half of it: 162 states there
 SPAN_BYTES = 2 ** 21
 
 T = TypeVar("T")
@@ -1353,8 +1352,10 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
         # later step non-finite (the map's diagonal is 1 on u and RK4's
         # stability polynomial, which has no real root, on v and q), so the
         # last step's outputs screen the chunk: their sum of squares is
-        # finite when every entry is, unless huge finite entries overflow it
-        total = np.vdot(last, last)
+        # finite when every entry is, unless huge finite entries overflow it.
+        # einsum's own loop, not BLAS: OpenBLAS threads a long ddot, and its
+        # threads would compete with a sweep's worker processes for the cores
+        total = np.einsum("i,i->", last, last)
         bad = []
         if not math.isfinite(total):
             if k > 1:
@@ -1551,57 +1552,54 @@ class Trace:
         return self.params.mode
 
 
-def _span_rows(params: ModelParams, init: InitialData, disc: Discretization,
-               n_steps: int, snapshots: bool = False) -> int:
-    """The most rows of eta a sample of a run of ``n_steps`` forms: the
-    ``_distinct_eta_rows`` of its last step, or all ns - 1 for a snapshot."""
-    if params.kernel.is_empty:
-        return 0
-    if init.history == "frozen" and not snapshots:
-        return _frozen_distinct_rows(disc, n_steps)
-    return disc.ns - 1
+@dataclass(frozen=True)
+class RunPlan:
+    """How ``run`` sizes a run, formed before anything is allocated: its
+    ``n_steps`` steps, sampled every ``every`` into a table of
+    ``sample_rows`` rows, in spans of up to ``span_depth`` sample intervals
+    S, one ``step`` call each, whose samples form eta in tiles of up to
+    ``tile_depth`` states T, of ``eta_rows`` rows each."""
 
+    n_steps: int
+    every: int
+    sample_rows: int
+    span_depth: int
+    tile_depth: int
+    eta_rows: int
 
-def _span_intervals(params: ModelParams, disc: Discretization, n_steps: int,
-                    every: int) -> int:
-    """The most sample intervals a span of a run of ``n_steps`` holds: one on
-    the grid realizations, whose evolved fields exist at the current step
-    only, and where the displacement history is shorter than the run, whose
-    slots a lagged read could find overwritten; else all the run has."""
-    if not _steps_by_map(params, disc) or (
-            not params.kernel.is_empty and disc.n_hist < n_steps):
-        return 1
-    return -(-n_steps // every)
+    @classmethod
+    def of(cls, params: ModelParams, init: InitialData, disc: Discretization,
+           horizon: float, sample_every: int = 0, snapshots: bool = False,
+           batch: tuple[int, ...] = ()) -> "RunPlan":
+        """The plan of ``run`` for these arguments and a batch of ``batch`` rows.
 
-
-def _tile_depth(params: ModelParams, init: InitialData, disc: Discretization,
-                batch: tuple[int, ...], n_steps: int, every: int,
-                snapshots: bool = False) -> int:
-    """How many of a span's states one pass of eta takes, its tile's depth T.
-
-    As many as the span holds and SPAN_BYTES holds: per state its u and v
-    and the ``_span_rows`` of eta and their gradient.
-    """
-    row = 8 * math.prod(batch) * (disc.nx + 2)
-    eta_rows = _span_rows(params, init, disc, n_steps, snapshots)
-    depth = SPAN_BYTES // row // (2 * eta_rows + 2)
-    return max(1, min(depth, _span_intervals(params, disc, n_steps, every)))
-
-
-def _span_depth(params: ModelParams, init: InitialData, disc: Discretization,
-                batch: tuple[int, ...], n_steps: int, every: int,
-                snapshots: bool = False) -> int:
-    """How many sample intervals ``run`` steps per call, its span's depth S.
-
-    As many as ``_span_intervals`` allows and SPAN_BYTES / 2 holds of what
-    a span keeps per state outside eta: its u, v and delayed velocity and
-    the gradient of u.  At least the ``_tile_depth`` T: a span is one or
-    more tiles.
-    """
-    row = 8 * math.prod(batch) * (disc.nx + 2)
-    depth = SPAN_BYTES // 2 // (4 * row)
-    return max(_tile_depth(params, init, disc, batch, n_steps, every, snapshots),
-               min(depth, _span_intervals(params, disc, n_steps, every)))
+        ``sample_every = 0`` picks a cadence of about 1000 samples.  A sample
+        forms the ``_distinct_eta_rows`` of the last step, or all ns - 1 for a
+        snapshot.  A span holds one interval on the grid realizations, whose
+        evolved fields exist at the current step only, and where the
+        displacement history is shorter than the run, whose slots a lagged
+        read could find overwritten.  SPAN_BYTES, read at each call, bounds
+        both depths: T states' u and v and eta rows and their gradient fit in
+        it, and S states' u, v and delayed velocity and the gradient of u in
+        half of it, with S >= T, as a span is one or more tiles.
+        """
+        n_steps = int(round(_steps_in(horizon, disc.dt, "T", "shorten T or raise cfl")))
+        every = sample_every if sample_every > 0 else max(1, n_steps // 1000)
+        if params.kernel.is_empty:
+            eta_rows = 0
+        elif init.history == "frozen" and not snapshots:
+            eta_rows = _frozen_distinct_rows(disc, n_steps)
+        else:
+            eta_rows = disc.ns - 1
+        if not _steps_by_map(params, disc) or (
+                not params.kernel.is_empty and disc.n_hist < n_steps):
+            intervals = 1
+        else:
+            intervals = -(-n_steps // every)
+        row = 8 * math.prod(batch) * (disc.nx + 2)
+        tile = max(1, min(SPAN_BYTES // row // (2 * eta_rows + 2), intervals))
+        depth = max(tile, min(SPAN_BYTES // 2 // (4 * row), intervals))
+        return cls(n_steps, every, 2 + n_steps // every, depth, tile, eta_rows)
 
 
 def run(params: ModelParams, init: InitialData, disc: Discretization,
@@ -1613,10 +1611,10 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
     non-finite state aborts the run; the partial trace is still returned
     with ``aborted_step`` set.
 
-    The run goes in spans of S sample intervals (``_span_depth``), one
+    The run goes in spans of S sample intervals (``RunPlan``), one
     ``step`` call each: the call keeps the span's sample states in a
     ``Span``, and one ``sample_state`` call forms all their samples, eta in
-    tiles of T states (``_tile_depth``) and every other term once per span.
+    tiles of T states and every other term once per span.
 
     With ``ks`` the rows k = ks[r] run as one batch and the result is one
     Trace per row, in order, each the trace its solo run gives, since a
@@ -1637,23 +1635,17 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
         if not _steps_by_map(params, disc):
             # the grid realizations step their fields through _rhs, one k at a time
             return [run(row, init, disc, horizon, sample_every) for row in rows]
-    n_steps = int(round(_steps_in(horizon, disc.dt, "T", "shorten T or raise cfl")))
-    if sample_every <= 0:
-        sample_every = max(1, n_steps // 1000)
-
     batch = () if ks is None else (len(ks),)
-    depth = _span_depth(params, init, disc, batch, n_steps, sample_every, snapshots)
-    tile = _tile_depth(params, init, disc, batch, n_steps, sample_every, snapshots)
-    state = build(params, init, disc, ks=ks, steps=n_steps)
-    span = Span(depth, state.u.shape, sample_every, tile)
+    plan = RunPlan.of(params, init, disc, horizon, sample_every, snapshots, batch)
+    state = build(params, init, disc, ks=ks, steps=plan.n_steps)
+    span = Span(plan.span_depth, state.u.shape, plan.every, plan.tile_depth)
     # the memory of a full tile's largest eta from the start, so it never grows
-    eta_rows = _span_rows(params, init, disc, n_steps, snapshots)
-    wide = batch + (disc.nx + 2,)
-    span.scratch((tile, eta_rows) + wide, "eta")
-    span.scratch((tile, eta_rows) + wide, "work")
+    eta_shape = (plan.tile_depth, plan.eta_rows) + batch + (disc.nx + 2,)
+    span.scratch(eta_shape, "eta")
+    span.scratch(eta_shape, "work")
     times = []
     # per sample the SAMPLE_TERMS, then the batch axis
-    shape = (2 + n_steps // sample_every, len(SAMPLE_TERMS)) + batch
+    shape = (plan.sample_rows, len(SAMPLE_TERMS)) + batch
     cols = _reserve(lambda: np.empty(shape), shape, batch, "the sample table",
                     f"{shape[0]} rows x {shape[1]} terms", "raise sample_every or shorten T",
                     SolverError)
@@ -1685,9 +1677,9 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
     kept = [None] * len(aborted)
     # one step call per span, spans on a grid of depth intervals, and one more
     # call to finish a span where rows went non-finite and others live on
-    span_steps = depth * sample_every
-    while state.step_index < n_steps:
-        end = min((state.step_index // span_steps + 1) * span_steps, n_steps)
+    span_steps = plan.span_depth * plan.every
+    while state.step_index < plan.n_steps:
+        end = min((state.step_index // span_steps + 1) * span_steps, plan.n_steps)
         try:
             step(state, params, disc, end - state.step_index, span=span)
         except NonFinite as err:
@@ -1699,7 +1691,7 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
             if None not in aborted:
                 break
             state.retire(err.rows)
-            if state.step_index % sample_every == 0 or state.step_index == n_steps:
+            if state.step_index % plan.every == 0 or state.step_index == plan.n_steps:
                 span.keep(state)
         take_samples()
 

@@ -355,7 +355,7 @@ def test_snapshots_change_no_energy_term(history):
     params = ModelParams(tau=0.2, k=0.3, kernel=KERNEL, mode="auxiliary")
     init = InitialData(shape="gaussian", history=history, omega=2.0)
     disc = discretize(params, nx=40)
-    assert solver._span_depth(params, init, disc, (), round(1.0 / disc.dt), 3) > 1
+    assert solver.RunPlan.of(params, init, disc, 1.0, 3).span_depth > 1
     with_snapshots = run(params, init, disc, 1.0, sample_every=3, snapshots=True)
     plain = run(params, init, disc, 1.0, sample_every=3)
     assert len(with_snapshots.snapshots) == plain.times.size > 50

@@ -185,6 +185,33 @@ def test_huge_finite_state_steps_on(case):
     assert np.isfinite(state.u).all() and not math.isfinite(np.vdot(state.u, state.u))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200], ids=["finite", "overflowing"])
+def test_the_chunk_screen_calls_no_blas_dot(monkeypatch, scale):
+    # OpenBLAS threads a long dot product, and its threads then compete with
+    # a sweep's worker processes for the cores; the benchmark pins one BLAS
+    # thread, so it cannot see one come back.  A batch steps through chunks
+    # of n_delay = 4 steps, and at |u| ~ 1e200 through the screen's overflow
+    # and the step-by-step check after it
+    params, init, ks, _ = CASES["three-terms-batch"]
+    disc = discretize(params, nx=20, ns=16)
+    state, ref = (build(params, init, disc, ks=ks, steps=25) for _ in range(2))
+    for s in (state, ref):
+        s.u *= scale
+        s.q *= scale
+    for _ in range(STEPS):
+        eager_map_step(ref, params, disc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BLAS dot product in the step")
+
+    for name in ("vdot", "dot", "inner"):
+        monkeypatch.setattr(np, name, refuse)
+    step(state, params, disc, STEPS)
+    monkeypatch.undo()
+    assert_same_bytes(state, ref)
+    assert np.isfinite(state.u).all()
+
+
 def hand_run(params, init, disc, horizon, sample_every, ks=None):
     """``run`` by single steps: (times, samples (sample, term) + batch, aborted, kept)."""
     n_steps = round(horizon / disc.dt)
@@ -242,7 +269,7 @@ def test_solo_run_steps_a_span_per_call_with_the_bits_of_single_steps(monkeypatc
     calls = counted_calls(monkeypatch)
     trace = run(params, init, disc, horizon, sample_every=7)
     # every interval of the run fits in one span
-    depth = solver._span_depth(params, init, disc, (), 60, 7)
+    depth = solver.RunPlan.of(params, init, disc, horizon, 7).span_depth
     assert depth == 9
     assert calls == span_calls(60, 7 * depth) == [60]
     assert trace.aborted_step is None and aborted == [None]
@@ -261,7 +288,8 @@ def test_batch_run_finishes_the_interval_of_an_abort_with_the_bits_of_single_ste
     calls = counted_calls(monkeypatch)
     batch = run(params, init, disc, 9.6, sample_every=7, ks=ks)
     n_steps = round(9.6 / disc.dt)
-    assert disc.n_hist < n_steps and solver._span_depth(params, init, disc, (3,), n_steps, 7) == 1
+    assert disc.n_hist < n_steps and solver.RunPlan.of(params, init, disc, 9.6, 7,
+                                                       batch=(3,)).span_depth == 1
     assert calls == span_calls(n_steps, 7, abort)
     for r, trace in enumerate(batch):
         n = times.size if kept[r] is None else kept[r]
@@ -292,7 +320,7 @@ def test_a_history_shorter_than_the_run_takes_spans_of_one(monkeypatch):
     disc = discretize(params, nx=20)
     n_steps = round(10.0 / disc.dt)
     assert disc.n_hist < n_steps
-    assert solver._span_depth(params, MODULATED, disc, (), n_steps, 5) == 1
+    assert solver.RunPlan.of(params, MODULATED, disc, 10.0, 5).span_depth == 1
     calls = counted_calls(monkeypatch)
     trace, _ = assert_run_is_hand_run(params, MODULATED, disc, 10.0, 5)
     assert calls == span_calls(n_steps, 5)
@@ -311,7 +339,8 @@ def test_the_delay_line_has_n_delay_plus_2_slots_at_every_span_depth(monkeypatch
     params = ModelParams(tau=0.05, k=0.4, kernel=SLOW, mode="auxiliary")
     disc = discretize(params, nx=20, ns=16)
     n_steps = round(3.0 / disc.dt)
-    assert solver._span_depth(params, MODULATED, disc, (), n_steps, 3) == depth
+    plan = solver.RunPlan.of(params, MODULATED, disc, 3.0, 3)
+    assert (plan.n_steps, plan.span_depth) == (n_steps, depth)
     trace, _ = assert_run_is_hand_run(params, MODULATED, disc, 3.0, 3)
     assert trace.final_state.v_hist.capacity == disc.n_delay + 2 == 6
 
@@ -325,7 +354,8 @@ def test_a_mid_span_abort_keeps_the_samples_before_it_and_kept(monkeypatch, ks):
     abort = ABORTING[3]
     disc = discretize(params, nx=40, ns=16)
     n_steps = round(9.6 / disc.dt)
-    depth = solver._span_depth(params, FROZEN, disc, () if ks is None else (3,), n_steps, 7)
+    depth = solver.RunPlan.of(params, FROZEN, disc, 9.6, 7,
+                              batch=() if ks is None else (3,)).span_depth
     assert depth > 1 and disc.n_hist >= n_steps
     # the abort falls between two samples, after the first one of its span
     assert abort % (7 * depth) > 7 and abort % 7 != 0
@@ -348,7 +378,8 @@ def test_spans_without_a_kernel_or_a_delay_keep_the_bits_of_single_steps(case):
     disc = discretize(params, nx=20, ns=16)
     n_steps = round(2.0 / disc.dt)
     batch = () if ks is None else (len(ks),)
-    assert solver._span_depth(params, init, disc, batch, n_steps, 3) > 1
+    plan = solver.RunPlan.of(params, init, disc, 2.0, 3, batch=batch)
+    assert plan.n_steps == n_steps and plan.span_depth > 1
     assert_run_is_hand_run(params, init, disc, 2.0, 3, ks)
 
 
@@ -358,7 +389,7 @@ def test_a_last_interval_shorter_than_sample_every_ends_the_last_span(monkeypatc
     monkeypatch.setattr(solver, "SPAN_BYTES", 2 ** 14)
     params, init, ks, _ = CASES["three-terms-batch"]
     disc = discretize(params, nx=20, ns=16)
-    assert solver._span_depth(params, init, disc, (3,), 100, 7) == 3
+    assert solver.RunPlan.of(params, init, disc, 100 * disc.dt, 7, batch=(3,)).span_depth == 3
     calls = counted_calls(monkeypatch)
     assert_run_is_hand_run(params, init, disc, 100 * disc.dt, 7, ks)
     assert calls == span_calls(100, 21) == [21] * 4 + [16]
@@ -391,8 +422,8 @@ def test_tiles_of_a_span_keep_the_bits_of_single_steps(monkeypatch, case):
     disc = discretize(params, nx=nx, ns=ns)
     n_steps = round(horizon / disc.dt)
     batch = () if ks is None else (len(ks),)
-    assert solver._span_depth(params, init, disc, batch, n_steps, every) == depth
-    assert solver._tile_depth(params, init, disc, batch, n_steps, every) == tile
+    plan = solver.RunPlan.of(params, init, disc, horizon, every, batch=batch)
+    assert (plan.n_steps, plan.span_depth, plan.tile_depth) == (n_steps, depth, tile)
     traces, kept = assert_run_is_hand_run(params, init, disc, horizon, every, ks)
     if case.startswith("abort"):
         abort = ABORTING[3]
@@ -407,8 +438,8 @@ def test_tiled_snapshots_keep_the_moments_of_each_states_eta(monkeypatch, init):
     monkeypatch.setattr(solver, "SPAN_BYTES", 2 ** 15)
     disc = discretize(SLOW_SOLO, nx=20, ns=16)
     n_steps = round(3.0 / disc.dt)
-    assert solver._span_depth(SLOW_SOLO, init, disc, (), n_steps, 1, snapshots=True) == 23
-    assert solver._tile_depth(SLOW_SOLO, init, disc, (), n_steps, 1, snapshots=True) == 5
+    plan = solver.RunPlan.of(SLOW_SOLO, init, disc, 3.0, 1, snapshots=True)
+    assert (plan.n_steps, plan.span_depth, plan.tile_depth) == (n_steps, 23, 5)
     trace = run(SLOW_SOLO, init, disc, 3.0, sample_every=1, snapshots=True)
     times, samples, _, _ = hand_run(SLOW_SOLO, init, disc, 3.0, 1)
     for i, name in enumerate(SAMPLE_TERMS):
