@@ -392,7 +392,8 @@ def _best_certificate(cfg: RunConfig, k: float, tau: float):
 def _preflight(cfg: RunConfig, command: str, ks: list[float]) -> solver.Discretization:
     """The grid ``command`` runs ``ks`` on, after the refusals that need
     neither a step nor an allocation: no horizon, a grid ``discretize``
-    refuses, damping too stiff for any k, a certificate that cannot be formed.
+    refuses, a step count ``RunPlan`` cannot count, damping too stiff for
+    any k, a certificate that cannot be formed.
 
     The certificate is formed at ``ks[0]`` only: its inputs depend on k
     through its finiteness alone, which the parser has checked, so the
@@ -404,6 +405,7 @@ def _preflight(cfg: RunConfig, command: str, ks: list[float]) -> solver.Discreti
     if cfg.horizon is None:
         raise ConfigError("T", f"{command} needs a horizon")
     disc = cfg.discretize()
+    solver.RunPlan.of(cfg.params(), cfg.init, disc, cfg.horizon, cfg.sample_every)
     solver.refuse_stiff_damping(cfg.params(), disc, ks)
     _best_certificate(cfg, ks[0], disc.tau)
     return disc

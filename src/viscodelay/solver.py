@@ -55,10 +55,9 @@ delay (or none) one step is a fixed map C0 + C1 L + C2 L^2 acting on
 [u; v; q; two delay-line rows].  ``_step_map`` obtains its small scalar
 coefficient matrices by running ``_rk4`` on unit rows that are polynomials
 in L.  A call of ``step`` makes any number of steps: the state keeps the
-map with the plan of buffers it steps by (``_map_plan``), formed again
-only for another params or grid object.  No table outlives what it is
-derived from: the grid keeps its own (kernel values, eta's node steps),
-and nothing is kept at module level between runs.
+map with the plan of buffers it steps by (``_map_plan``).  No table
+outlives what it is derived from: the grid keeps its own (kernel values,
+eta's node steps), and nothing is kept at module level between runs.
 ``run`` sizes a run once (``RunPlan``) and makes one call per span of up
 to S sample intervals: the call keeps the u, v, delayed velocity and delay
 integral of the span's sample steps in a ``Span`` as it passes them, and
@@ -68,33 +67,16 @@ displacement history as many slots further back as steps have passed
 since it was kept.  So a span reads no slot that has been overwritten:
 where the displacement history is shorter than the run a span is one
 interval, and no sample reads the delay line at all.
-The map path (``_step_by_map``) takes a call's steps in chunks of up to
-``_chunk_bound`` steps, chained through one block of the plan: step j
-reads X from row j and writes its output into row j + 1, so no field is
-copied from one step to the next.  By the method of steps, a chunk of at
-most n_delay steps reads only delay-line rows already stored.  A map step is
-one matmul on interior columns and a Horner second difference per level, on
-rows nx + 2 wide whose end columns are the Dirichlet zeros, so each
-neighbour comes in by one flat add over a contiguous block; every interior
-entry gets the additions of the unpadded form, in its order.  Once per
-chunk, not per step, the delay inputs of its steps are copied in, one sum
-of squares over its outputs screens them for finiteness, its kept states
-are copied into the call's ``Span``, if any, and its u and v rows are
-pushed into the histories.  The delay line norms its pushed v rows and
-carries its delay integral over them (``DelayLine.advance``) at the end
-of the call, before it raises, and before a chunk that would take the
-rows pushed since the last advance past n_delay, whose old norms the
-advance reads.  Only when that
-sum is not finite, by a non-finite entry or by overflow, is the chunk
-stepped again one step at a time, each step checked row by row, and that
-check decides.  A call copies
-the state's fields in once; the last step of a chunk writes a fresh block
-[u; v; q], and ``state.u``, ``state.v`` and ``state.q`` are left interior
-views of the call's last one, so fields handed out earlier stay as they
-were.  The ``eta_grid`` and ``rho_grid`` realizations carry (ns - 1)
-or n_delay extra field rows and run ``_rk4`` on the fields themselves, step
-by step (``_step_by_stages``); that path is also the reference the map is
-tested against.
+The map path (``_step_by_map``) takes a call's steps in chunks chained
+through one block, so no field is copied from one step to the next, and
+does per chunk, not per step, what reads or writes the ring buffers and
+the finiteness screen.  Every row of it is nx + 2 wide, its end columns
+the Dirichlet zeros, so each neighbour of a second difference comes in by
+one flat add over a contiguous block; every interior entry gets the
+additions of the unpadded form, in its order.  The ``eta_grid`` and
+``rho_grid`` realizations carry (ns - 1) or n_delay extra field rows and
+run ``_rk4`` on the fields themselves, step by step (``_step_by_stages``);
+that path is also the reference the map is tested against.
 """
 
 from __future__ import annotations
@@ -1217,33 +1199,31 @@ def _chunk_bound(coeffs: np.ndarray, state: SimState, disc: Discretization) -> i
     return max(1, min(bounds))
 
 
-def _map_plan(params: ModelParams, state: SimState, disc: Discretization, n: int) -> tuple:
+def _map_plan(params: ModelParams, state: SimState, disc: Discretization) -> tuple:
     """The map of a state's steps under ``params`` on ``disc`` and the memory
-    they reuse, none of it handed out, for chunks of up to
-    K = min(n, ``_chunk_bound``) steps.
+    they reuse, none of it handed out, for chunks of up to K =
+    ``_chunk_bound`` steps.
 
     Every row is nx + 2 wide, its end columns the Dirichlet zeros, so a
     second difference adds each neighbour by one flat add over a whole
     contiguous block.  The block, (K + 1, n_in) + batch + (nx + 2,), holds
     step j's X in row j: the output [u; v; q] of step j - 1, then step j's
-    delay inputs; a chunk of k steps copies its last output into row k, so
-    its k outputs are rows 1..k.  The matmul forms only the interior of the products
-    C0 X, C1 X, C2 X, so the end columns of C0 X and C2 X stay -0.0.  It
-    reads X as (n_in, nx) and writes the products as (3 (2 + m), nx) for a
-    solo state, whose map is 2-D; a batch of R rows, its maps stacked,
-    has them as (R, n_in, nx) and (R, 3 (2 + m), nx).
+    delay inputs, so a chunk's k outputs are rows 1..k.  The matmul forms
+    only the interior of the products C0 X, C1 X, C2 X, so the end columns
+    of C0 X and C2 X stay -0.0.  It reads X as (n_in, nx) and writes the
+    products as (3 (2 + m), nx) for a solo state, whose map is 2-D; a
+    batch of R rows, its maps stacked, has them as (R, n_in, nx) and
+    (R, 3 (2 + m), nx).
 
     The plan holds ``params``, ``disc``, the map (``_stacked_maps`` at the
-    state's ``ks`` for a batch), the bound and K; the fields of the block's
-    first row and their interior views; per chunk length k, its first
-    k - 1 steps (X as the matmul reads it and the next row's [u; v; q]
-    flat, and shifted by one entry either way), X of its last step, the
-    ``copy_rows`` offsets and rows of its delay inputs, the [u; v; q] of
-    row k, and the u and v of its k output rows newest first; the products as
-    the matmul writes them, the 2 w of a second difference, the three
-    products flat, C1 X and C2 X shifted either way, the end columns of
-    C1 X, the shape of a step's output [u; v; q], and the interior u and v
-    of every row of the block, where a ``Span`` finds a chunk's states.
+    state's ``ks`` for a batch) and K; the [u; v; q] of every row of the
+    block, the interior u, v and q of its first row, and the interior
+    delay inputs of every row (None without them); per step j of a chunk,
+    X as the matmul reads it and row j + 1's [u; v; q] flat, and shifted by
+    one entry either way; the products as the matmul writes them, the 2 w
+    of a second difference, the three products flat, C1 X and C2 X shifted
+    either way, the end columns of C1 X, and the interior u and v of every
+    row, where a ``Span`` finds a chunk's states.
     """
     coeffs = (_step_map(params, disc) if state.ks is None
               else _stacked_maps(params, disc, state.ks))
@@ -1252,29 +1232,18 @@ def _map_plan(params: ModelParams, state: SimState, disc: Discretization, n: int
     width = disc.nx + 2
     batch = state.u.shape[:-1]
     bound = _chunk_bound(coeffs, state, disc)
-    rows = min(n, bound)
-    block = np.full((rows + 1, n_in) + batch + (width,), -0.0)
+    block = np.full((bound + 1, n_in) + batch + (width,), -0.0)
     inner = block[..., 1:-1]
-    xs = [np.moveaxis(x, 0, -2)[..., 1:-1] for x in block[:rows]]
-    outs = [y[:nw].reshape(-1) for y in block[1:rows]]
-    steps = [(x, out, out[1:], out[:-1]) for x, out in zip(xs, outs)]
-    # step j's delay inputs v(t - tau), v(t - tau + dt) are back(n_delay - j)
-    # and back(n_delay - 1 - j) as its chunk begins; one step's are two
-    # neighbouring rows of X
-    delays = [() if n_in == nw else
-              ((disc.n_delay - 1, inner[0, nw + 1:nw - 1:-1]),) if k == 1 else
-              ((disc.n_delay + 1 - k, inner[k - 1::-1, nw]),
-               (disc.n_delay - k, inner[k - 1::-1, nw + 1]))
-              for k in range(1, rows + 1)]
-    chunks = [(steps[:k - 1], xs[k - 1], delays[k - 1], block[k, :nw], inner[k:0:-1, 0],
-               inner[k:0:-1, 1]) for k in range(1, rows + 1)]
+    outs = block[:, :nw]
+    steps = [(np.moveaxis(x, 0, -2)[..., 1:-1], out, out[1:], out[:-1])
+             for x, out in zip(block, (y.reshape(-1) for y in outs[1:]))]
     products = np.full((3, nw) + batch + (width,), -0.0)
     c0, c1, c2 = (level.reshape(-1) for level in products)
-    return (params, disc, coeffs, bound, rows, block[0, :nw], inner[0, 0], inner[0, 1],
-            inner[0, 2:nw] if nw > 2 else None, chunks,
+    return (params, disc, coeffs, bound, outs, inner[0, 0], inner[0, 1],
+            inner[0, 2:nw] if nw > 2 else None, inner[:, nw:] if n_in > nw else None, steps,
             np.moveaxis(products.reshape((n_out,) + batch + (width,)), 0, -2)[..., 1:-1],
             np.empty(c1.shape), c0, c1, c2, c1[1:], c1[:-1], c2[:-1], c2[1:],
-            products[1, ..., ::width - 1], products.shape[1:], inner[:, :2])
+            products[1, ..., ::width - 1], inner[:, :2])
 
 
 # as on the stage path, overflow to inf/nan is left to the finiteness screen
@@ -1283,28 +1252,28 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
                  n: int, span: Span | None = None) -> None:
     """``n`` map steps in chunks of up to K, chained through the block of the
     state's plan (``_map_plan``, rebuilt when ``params`` or ``disc`` is
-    another object or a call needs longer chunks); a chunk's last step
-    writes a fresh block [u; v; q], of which the state's fields become
-    interior views.  Per chunk, the delay inputs are copied in, one sum of
-    squares of the last step's outputs screens the chunk and the outputs'
-    u and v are pushed; after a sum that is not finite the call goes on
-    from the chunk's start one step at a time, where ``_non_finite_rows``
-    decides.  Once a chunk is kept, the ``span``'s states among its steps
-    are copied out of the block, before the pushes.  The delay line's
-    integral is carried over the pushed steps (``_carry``) at the end of
-    the call, before it raises ``NonFinite``, and before a chunk that
-    would take the steps pushed since the last advance past n_delay.  The
-    call's step times are one running sum of dt from ``state.t``.  It
-    takes the arguments of ``_step_by_stages``, so ``step`` calls either
-    alike.
+    another object): step j of a chunk writes block row j + 1, and the
+    chunk's last row is copied into row 0 for the next.  Per chunk, the
+    delay inputs are copied in, one sum of squares of the last row screens
+    the chunk, the ``span``'s states among its steps are copied out of the
+    block and its u and v rows are pushed.  Where the sum is not finite,
+    the first row whose u or v holds a non-finite entry (``_non_finite_rows``)
+    ends the call there, its rows pushed and the states before it kept; with
+    no such row the chunk is kept whole.  The delay line's integral is
+    carried over the pushed steps (``_carry``) at the end of the call, before
+    it raises ``NonFinite``, and before a chunk that would take the steps
+    pushed since the last advance past n_delay.  The state's fields become
+    interior views of a fresh copy of the last row.  The call's step times
+    are one running sum of dt from ``state.t``.  It takes the arguments of
+    ``_step_by_stages``, so ``step`` calls either alike.
     """
     if n < 1:
         return
     plan = state.work.get("map_plan")
-    if plan is None or plan[0] is not params or plan[1] is not disc or plan[4] < min(n, plan[3]):
-        plan = state.work["map_plan"] = _map_plan(params, state, disc, n)
-    (_, _, coeffs, _, size, first, x_u, x_v, x_q, chunks, products, twice, c0, c1, c2,
-     c1_hi, c1_lo, c2_lo, c2_hi, c1_ends, shape, states) = plan
+    if plan is None or plan[0] is not params or plan[1] is not disc:
+        plan = state.work["map_plan"] = _map_plan(params, state, disc)
+    (_, _, coeffs, bound, outs, x_u, x_v, x_q, delayed, steps, products, twice, c0, c1, c2,
+     c1_hi, c1_lo, c2_lo, c2_hi, c1_ends, states) = plan
     origin = carried = state.step_index
     end = origin + n
     # times[j] is the time after step origin + j, each dt added as a step adds it
@@ -1321,16 +1290,16 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
         x_q[...] = state.q
     left = n
     while True:
-        k = min(left, size)
-        chunk_steps, x_last, delays, tail, u_rows, v_rows = chunks[k - 1]
+        k = min(left, bound)
         if v_hist is not None and state.step_index + k - carried > v_hist.n_delay:
             _carry(v_hist, carried, state.step_index, span)
             carried = state.step_index
-        for offset, rows in delays:
-            v_hist.copy_rows(offset, rows)
-        fields = np.empty(shape)
-        last = fields.reshape(-1)
-        for x, out, out_hi, out_lo in (*chunk_steps, (x_last, last, last[1:], last[:-1])):
+        if delayed is not None:
+            # step j's delay inputs v(t - tau), v(t - tau + dt) are
+            # back(n_delay - j) and back(n_delay - 1 - j) as the chunk begins
+            v_hist.copy_rows(v_hist.n_delay + 1 - k, delayed[k - 1::-1, 0])
+            v_hist.copy_rows(v_hist.n_delay - k, delayed[k - 1::-1, 1])
+        for x, out, out_hi, out_lo in steps[:k]:
             # each row's X multiplied by its own map; a column of X reaches only
             # the same column of the products, so only the interior is formed
             matmul(coeffs, x, products)
@@ -1347,38 +1316,38 @@ def _step_by_map(state: SimState, params: ModelParams, disc: Discretization,
             subtract(c0, add(c1, c1, twice), out)
             add(out_hi, c1_lo, out_hi)
             add(out_lo, c1_hi, out_lo)
-        u, v = fields[0, ..., 1:-1], fields[1, ..., 1:-1]
         # a non-finite entry of any step's [u; v; q] leaves its entry of every
         # later step non-finite (the map's diagonal is 1 on u and RK4's
         # stability polynomial, which has no real root, on v and q), so the
-        # last step's outputs screen the chunk: their sum of squares is
-        # finite when every entry is, unless huge finite entries overflow it.
-        # einsum's own loop, not BLAS: OpenBLAS threads a long ddot, and its
-        # threads would compete with a sweep's worker processes for the cores
-        total = np.einsum("i,i->", last, last)
+        # last step's outputs, ``out``, screen the chunk: their sum of squares
+        # is finite when every entry is, unless huge finite entries overflow
+        # it.  einsum's own loop, not BLAS: OpenBLAS threads a long ddot, and
+        # its threads would compete with a sweep's worker processes for the
+        # cores
         bad = []
-        if not math.isfinite(total):
-            if k > 1:
-                # nothing of the chunk is kept: it and the rest of the call
-                # are stepped again from its start, one step per chunk
-                size = 1
-                continue
-            bad = _non_finite_rows(u, v)
-        tail[...] = fields
-        if span is not None and not bad:
-            span.capture(states, state.step_index, k, end, times[state.step_index - origin:],
-                         v_hist)
+        if not math.isfinite(np.einsum("i,i->", out, out)):
+            # the first step whose u or v is not finite ends the call; with
+            # none (a non-finite q alone, or an overflowing sum) the chunk is kept
+            for j in range(1, k + 1):
+                bad = _non_finite_rows(*states[j])
+                if bad:
+                    k = j
+                    break
+        if span is not None:
+            span.capture(states, state.step_index, k - 1 if bad else k, end,
+                         times[state.step_index - origin:], v_hist)
         if u_hist is not None:
-            u_hist.push_rows(u_rows)
+            u_hist.push_rows(states[k:0:-1, 0])
         if v_hist is not None:
-            v_hist.push_rows(v_rows)
+            v_hist.push_rows(states[k:0:-1, 1])
         state.step_index += k
         left -= k
         if bad or not left:
             break
-        first[...] = tail
+        outs[0] = outs[k]
     state.t = float(times[state.step_index - origin])
-    state.u, state.v = u, v
+    fields = outs[k].copy()
+    state.u, state.v = fields[0, ..., 1:-1], fields[1, ..., 1:-1]
     if x_q is not None:
         state.q = fields[2:, ..., 1:-1]
     if v_hist is not None:
@@ -1404,13 +1373,11 @@ def step(state: SimState, params: ModelParams, disc: Discretization, n: int = 1,
     (``_step_by_map``): the delay inputs, the history pushes and the
     finiteness screen are done once per chunk, the screen on the chunk's
     last outputs alone, as a non-finite entry stays so through every later
-    step; the exact per-row check runs only where the screen's sum of
-    squares is not finite.  The delay integral is advanced once per call,
-    and once more for each window of n_delay pushed steps it would
-    outgrow.  The ``eta_grid`` and ``rho_grid`` realizations run the four
-    ``_rhs`` stages and the exact check step by step.  Each step does the
-    same arithmetic whatever ``n`` is, so a call leaves the bits of ``n``
-    calls of one step.
+    step; where its sum of squares is not finite, the chunk's rows are
+    checked one by one.  The ``eta_grid`` and ``rho_grid`` realizations run
+    the four ``_rhs`` stages and the check step by step.  Each step does
+    the same arithmetic whatever ``n`` is, so a call leaves the bits of
+    ``n`` calls of one step.
     The fields a call leaves in the state are fresh arrays that later calls
     do not write.  A step whose u or v holds a non-finite entry raises
     ``NonFinite``, the state left at that step, pushed; for a batch it names

@@ -399,24 +399,16 @@ def test_slow_kernel_runs_on_a_history_sized_to_its_steps(tmp_path):
     ({"kernel": {"terms": [{"a": 0.5, "b": 1.0}]}, "nx": 20, "cfl": 1e-320, "T": 1.0},
      "s_max/dt"),
     ({"nx": 20, "cfl": 1e-320, "tau": 1.0, "T": 1.0}, "tau/dt"),
-    # T/dt = 2e313 overflows when the run counts its steps
+    # T/dt = 2e313 overflows when the run's plan counts its steps
     ({"nx": 20, "cfl": 1e-12, "T": 1e300}, "T/dt"),
 ], ids=["s_max", "tau", "T"])
 def test_overflowing_step_count_refused(tmp_path, capsys, command, doc, ratio):
     cfg = write_config(tmp_path, dict(doc, k_values=[0.0]))
     out = tmp_path / "out"
-    code = main([command, "--config", cfg, "--out", str(out)])
-    if command == "sweep" and ratio == "T/dt":
-        # the grid is accepted, so the row's run fails
-        assert code == 0
-        (row,) = read_sweep_rows(out)
-        assert row["classification"] == "error"
-        text = row["error"]
-    else:
-        assert code == 1
-        text = capsys.readouterr().err
-        assert text.startswith("error: ")
-        assert not out.exists()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    text = capsys.readouterr().err
+    assert text.startswith("error: ")
+    assert not out.exists()
     assert f"{ratio} = " in text and "overflows a double" in text
 
 

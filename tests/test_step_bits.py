@@ -185,6 +185,42 @@ def test_huge_finite_state_steps_on(case):
     assert np.isfinite(state.u).all() and not math.isfinite(np.vdot(state.u, state.u))
 
 
+def counted_screens(monkeypatch):
+    """The number of chunk screens, the sums of squares ``np.einsum`` forms."""
+    screens = []
+    original = np.einsum
+
+    def einsum(subscripts, *operands, **kwargs):
+        if subscripts == "i,i->":
+            screens.append(1)
+        return original(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    return screens
+
+
+@pytest.mark.parametrize("case", ["solo", "three-terms-batch"])
+def test_an_overflowing_screen_keeps_the_chunk_whole(monkeypatch, case):
+    # every entry finite, every screen's sum inf: each chunk is kept as it
+    # was stepped, and the call goes on in chunks of K, not of one step
+    params, init, ks, _ = CASES[case]
+    disc = discretize(params, nx=20, ns=16)
+    state, ref = (build(params, init, disc, ks=ks) for _ in range(2))
+    bound, _ = chunk_bound(params, disc, state)
+    n = 3 * bound + 1
+    for s in (state, ref):
+        s.u *= 1e200
+        s.q *= 1e200
+    for _ in range(n):
+        eager_map_step(ref, params, disc)
+    screens = counted_screens(monkeypatch)
+    step(state, params, disc, n)
+    monkeypatch.undo()
+    assert bound > 1 and len(screens) == -(-n // bound) == 4
+    assert_same_bytes(state, ref)
+    assert np.isfinite(state.u).all() and not math.isfinite(np.vdot(state.u, state.u))
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["finite", "overflowing"])
 def test_the_chunk_screen_calls_no_blas_dot(monkeypatch, scale):
     # OpenBLAS threads a long dot product, and its threads then compete with
@@ -557,6 +593,25 @@ def test_a_call_across_chunk_bounds_keeps_the_bytes_of_eager_steps(chunked):
         assert state.t == ref.t, n
 
 
+@pytest.mark.parametrize("case", ["solo", "three-terms-batch", "k-changes"])
+def test_a_short_call_then_a_long_one_form_one_plan(monkeypatch, case):
+    # the plan is sized to the chunk bound, whatever the first call's length
+    params, init, ks, _ = CASES[case]
+    disc = discretize(params, nx=20, ns=16)
+    state, ref = (build(params, init, disc, ks=ks) for _ in range(2))
+    plans = []
+    original = solver._map_plan
+    monkeypatch.setattr(solver, "_map_plan",
+                        lambda *args: plans.append(args) or original(*args))
+    step(state, params, disc, 1)
+    step(state, params, disc, 40)
+    assert len(plans) == 1 and chunk_bound(params, disc, state)[0] > 1
+    monkeypatch.undo()
+    for _ in range(41):
+        eager_map_step(ref, params, disc)
+    assert_same_bytes(state, ref)
+
+
 @pytest.mark.parametrize("ks", [None, ABORTING[2]], ids=["solo", "batch"])
 def test_abort_inside_a_chunk_keeps_the_step_rows_and_bytes_of_single_steps(ks):
     params, init, _, abort = ABORTING
@@ -617,6 +672,27 @@ def test_abort_on_the_first_step_of_a_long_chunk_keeps_the_bytes_of_single_steps
     assert by_eager.value.rows == rows
     assert_same_bytes(state, ref)
     assert_same_bits(state, ref)
+
+
+@pytest.mark.parametrize("case", sorted(LONG_CHUNKS))
+def test_an_abort_on_the_first_step_of_a_chunk_steps_it_once(monkeypatch, case):
+    # the failed screen is read off the chunk's rows: the K steps it made
+    # are its only matmuls, and no step is made again
+    params, disc, state, ref, bound, rows = long_chunk_states(case)
+    with pytest.raises(NonFinite) as by_eager:
+        for _ in range(10_000):
+            eager_map_step(ref, params, disc)
+    abort = by_eager.value.step_index
+    step(state, params, disc, abort - 1)
+    products = []
+    original = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args: products.append(1) or original(*args))
+    with pytest.raises(NonFinite) as by_call:
+        step(state, params, disc, 2 * bound)
+    monkeypatch.undo()
+    assert (by_call.value.step_index, by_call.value.rows) == (abort, rows)
+    assert len(products) == bound
+    assert_same_bytes(state, ref)
 
 
 @pytest.mark.parametrize("case", sorted(LONG_CHUNKS))
