@@ -392,8 +392,10 @@ def _best_certificate(cfg: RunConfig, k: float, tau: float):
 def _preflight(cfg: RunConfig, command: str, ks: list[float]) -> solver.Discretization:
     """The grid ``command`` runs ``ks`` on, after the refusals that need
     neither a step nor an allocation: no horizon, a grid ``discretize``
-    refuses, a step count ``RunPlan`` cannot count, damping too stiff for
-    any k, a certificate that cannot be formed.
+    refuses, damping too stiff for any k (so no batch of a sweep refuses
+    it after another has stepped), a certificate that cannot be formed.  A
+    step count the run's plan cannot count and an array it cannot allocate
+    are ``solver.run``'s to refuse, before its first step.
 
     The certificate is formed at ``ks[0]`` only: its inputs depend on k
     through its finiteness alone, which the parser has checked, so the
@@ -405,7 +407,6 @@ def _preflight(cfg: RunConfig, command: str, ks: list[float]) -> solver.Discreti
     if cfg.horizon is None:
         raise ConfigError("T", f"{command} needs a horizon")
     disc = cfg.discretize()
-    solver.RunPlan.of(cfg.params(), cfg.init, disc, cfg.horizon, cfg.sample_every)
     solver.refuse_stiff_damping(cfg.params(), disc, ks)
     _best_certificate(cfg, ks[0], disc.tau)
     return disc
@@ -493,14 +494,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, seed: int) -> int:
 
 # -- sweep -----------------------------------------------------------------------
 
-def _error_row(k: float, err: Exception) -> analysis.SweepRow:
-    return analysis.SweepRow(
-        k=k, sigma_emp=math.nan, r_squared=math.nan,
-        classification="error", certified=None, theorem_bound_ok=None,
-        error=str(err),
-    )
-
-
 def _sweep_row(cfg: RunConfig, trace: solver.Trace, k: float) -> analysis.SweepRow:
     """One row's verdict from its trace, as ``_judge`` gives it; an aborted
     row keeps its abort step as error text."""
@@ -519,12 +512,10 @@ def _sweep_row(cfg: RunConfig, trace: solver.Trace, k: float) -> analysis.SweepR
 
 def _sweep_batch(cfg: RunConfig, disc: solver.Discretization,
                  ks: list[float]) -> list[analysis.SweepRow]:
-    """The rows of ``ks``, advanced as one batch; if the run fails, every row is an error."""
-    try:
-        traces = solver.run(cfg.params(), cfg.init, disc, cfg.horizon,
-                            sample_every=cfg.sample_every, ks=ks)
-    except Exception as err:  # per-batch failures recorded, sweep continues
-        return [_error_row(k, err) for k in ks]
+    """The rows of ``ks``, advanced as one batch.  A refusal by the run
+    propagates, so the sweep fails as ``simulate`` does."""
+    traces = solver.run(cfg.params(), cfg.init, disc, cfg.horizon,
+                        sample_every=cfg.sample_every, ks=ks)
     return [_sweep_row(cfg, trace, k) for trace, k in zip(traces, ks)]
 
 
@@ -560,8 +551,8 @@ def _sweep_batches(ks: list[float], jobs: int) -> list[list[float]]:
 def cmd_sweep(cfg: RunConfig, out_dir: Path, seed: int, jobs: int) -> int:
     """Run every k of ``cfg`` on the one grid ``_preflight`` builds (it does
     not depend on k) and write sweep.csv, a row per k; a refusal by
-    ``_preflight`` refuses the whole sweep and writes nothing.  Only a batch
-    whose run fails makes error rows."""
+    ``_preflight`` or by a batch's run refuses the whole sweep and writes
+    nothing, as ``simulate`` does."""
     if cfg.k_values is None:
         raise ConfigError("k_values", "sweep needs k_values or (k_min, k_max, count)")
     ks = sorted(cfg.k_values)

@@ -129,6 +129,10 @@ RK4_REAL_AXIS_LIMIT = 2.785
 ETA_GRID_COURANT_LIMIT = 1.5
 # the largest history frequency whose square (in the memory weights) is finite
 OMEGA_MAX = math.sqrt(sys.float_info.max)
+# the smallest grid spacing whose step is finite: RK4 sums its four velocity
+# stages with weights 1, 2, 2, 1 before it scales them by dt/6, and each stage
+# carries u_xx's 1/dx^2, so below this dx that sum of 6/dx^2 overflows
+DX_MIN = math.sqrt(6.0 / sys.float_info.max)
 # the most bytes of map-step inputs a chunk of steps works in: 32 steps of a solo
 # nx = 200 state with one memory term and a delay line
 CHUNK_BYTES = 2 ** 18
@@ -347,6 +351,9 @@ def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
     if not (0.0 < cfl <= 0.5):
         raise CflViolation(f"cfl must lie in (0, 0.5], got {cfl!r}")
     dx = params.length / (nx + 1)
+    if dx < DX_MIN:
+        raise SolverError(f"dx = {dx:.6g} is below {DX_MIN:.6g}, where a step's "
+                          "6/dx^2 overflows; lengthen L or coarsen the grid")
     dt = cfl * dx
     if params.tau > 0.0:
         n_delay = int(round(_steps_in(params.tau, dt, "tau", "raise cfl or shorten the delay")))
@@ -373,6 +380,10 @@ def discretize(params: ModelParams, nx: int = 200, cfl: float = 0.25,
             # q_i' = u - b_i q_i is explicit in q_i
             _refuse_stiff(dt, float(params.kernel.rates.max()), "max(b_i)",
                           "refine the grid or lower the kernel rates")
+        # np.empty is the probe, not geometric_s_grid, whose ValueErrors are its
+        # own checks (a negative ns among them)
+        _reserve(lambda: np.empty(max(ns, 0)), (ns,), (), "the s-grid", f"ns={ns} nodes",
+                 "lower ns", SolverError)
         s_nodes = geometric_s_grid(report.s_max, ns, dx)
         if params.memory_realization == "eta_grid":
             # the upwind eta transport has rates 1/gap_j, as explicit as q_i
@@ -965,6 +976,8 @@ def build(params: ModelParams, init: InitialData, disc: Discretization,
     """
     if disc.tau > 0.0 and params.tau <= 0.0:
         raise DelayUnresolvable("discretization carries a delay but params.tau is 0")
+    if ks is not None and not ks:
+        raise ValueError("a batch needs at least one k")
     if ks is not None and not _steps_by_map(params, disc):
         raise ValueError("the eta_grid and rho_grid realizations step one row at a time")
     refuse_stiff_damping(params, disc, ks)
@@ -1596,6 +1609,8 @@ def run(params: ModelParams, init: InitialData, disc: Discretization,
     if horizon < 0.0:
         raise ValueError(f"horizon must be >= 0, got {horizon!r}")
     if ks is not None:
+        if not ks:
+            raise ValueError("a batch needs at least one k")
         rows = [replace(params, k=k) for k in ks]
         if snapshots:
             raise ValueError("snapshots are kept for solo runs only, not for a batch")

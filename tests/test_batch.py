@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 import viscodelay
 from viscodelay import analysis, cli
 from viscodelay.kernel import MemoryKernel
-from viscodelay.solver import InitialData, ModelParams, SolverError, discretize, run
+from viscodelay.solver import (InitialData, ModelParams, SolverError, build, discretize,
+                               run)
 
 from test_cli import read_sweep_rows, sweep_config, write_config
 from test_properties import kernels
@@ -143,7 +144,8 @@ def test_sweep_gives_each_worker_one_batch(tmp_path, monkeypatch, n_rows, jobs, 
     ks = [0.001 * i for i in range(n_rows)]
     batches, pools = [], []
     monkeypatch.setattr(cli, "_sweep_batch", lambda cfg, disc, batch: (
-        batches.append(batch) or [cli._error_row(k, RuntimeError("not run")) for k in batch]))
+        batches.append(batch) or [analysis.SweepRow(k, float("nan"), float("nan"), "not run",
+                                                    None, None) for k in batch]))
     monkeypatch.setattr(cli, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(max_workers, pools))
     cfg = write_config(tmp_path, sweep_config(k_values=ks[::-1]))
@@ -207,14 +209,26 @@ def test_sweep_batch_with_a_blow_up_row(tmp_path):
             assert row["classification"] == cli._judge(cfg, solo, k)[1]
 
 
-def test_batch_error_marks_every_row(tmp_path):
-    # the delay line of 4 rows cannot be reserved, so no row runs
+def test_batch_error_marks_every_row(tmp_path, capsys):
+    # the delay line of the 3-row batch cannot be reserved, so no row runs
+    # and the sweep refuses as simulate does, naming the batch's rows
     doc = {"nx": 200, "cfl": 1e-12, "tau": 1.0, "T": 1e-9, "k_values": [0.0, 0.1, 0.2]}
     out = tmp_path / "out"
-    assert cli.main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-    rows = read_sweep_rows(out)
-    assert [row["classification"] for row in rows] == ["error"] * 3
-    assert all("x 3 batch rows" in row["error"] for row in rows)
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    text = capsys.readouterr().err
+    assert text.startswith("error: the delay line needs") and "x 3 batch rows" in text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("memory", ["prony_modes", "eta_grid"])
+def test_an_empty_batch_is_refused(memory):
+    # no row to size a plan by or to stack a map for, on either stepping path
+    params = ModelParams(tau=0.2, kernel=KERNEL, memory_realization=memory)
+    disc = discretize(params, nx=20, ns=16)
+    with pytest.raises(ValueError, match="a batch needs at least one k"):
+        run(params, InitialData(), disc, 0.5, ks=[])
+    with pytest.raises(ValueError, match="a batch needs at least one k"):
+        build(params, InitialData(), disc, ks=[])
 
 
 @pytest.mark.parametrize("realization", [{"memory_realization": "eta_grid"},

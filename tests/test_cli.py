@@ -369,15 +369,10 @@ def test_unmappable_history_reported_as_error(tmp_path, capsys, command):
     doc = {"kernel": SLOW_KERNEL, "nx": 1000, "tau": 0.0, "T": 1e12, "k_values": [0.0]}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    if command == "simulate":
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        text = capsys.readouterr().err
-        assert text.startswith("error: ")
-    else:
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
-        (row,) = read_sweep_rows(out)
-        assert row["classification"] == "error"
-        text = row["error"]
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    text = capsys.readouterr().err
+    assert text.startswith("error: ")
+    assert not out.exists()
     assert re.search(r"n_hist=\d+ rows x nx=1000 = \d+ bytes", text)
 
 
@@ -418,15 +413,10 @@ def test_unmappable_delay_line_reported_as_error(tmp_path, capsys, command):
     doc = {"nx": 200, "cfl": 1e-12, "tau": 1.0, "T": 1e-9, "k_values": [0.0]}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    if command == "simulate":
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        text = capsys.readouterr().err
-        assert text.startswith("error: ")
-    else:
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
-        (row,) = read_sweep_rows(out)
-        assert row["classification"] == "error"
-        text = row["error"]
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    text = capsys.readouterr().err
+    assert text.startswith("error: ")
+    assert not out.exists()
     assert re.search(r"n_delay\+2=\d+ rows x nx=200 = \d+ bytes", text)
 
 
@@ -437,48 +427,38 @@ def test_unallocatable_sample_table_refused(tmp_path, capsys, command):
     doc = {"nx": 20, "T": 1e12, "sample_every": 1, "k_values": [0.1, 0.2]}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    text = capsys.readouterr().err
+    assert text.startswith("error: ") and "Traceback" not in text
+    assert not out.exists()
     if command == "simulate":
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        texts = [err]
         pattern = r"sample table needs (\d+) rows x 8 terms = (\d+) bytes"
     else:
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
-        rows = read_sweep_rows(out)
-        assert [row["classification"] for row in rows] == ["error", "error"]
-        texts = [row["error"] for row in rows]
         pattern = r"sample table needs (\d+) rows x 8 terms x 2 batch rows = (\d+) bytes"
-    for text in texts:
-        match = re.search(pattern, text)
-        assert match and "cannot be allocated" in text
-        n_rows, nbytes = map(int, match.groups())
-        assert n_rows > 8e13
-        assert nbytes == 8 * 8 * n_rows * (1 if command == "simulate" else 2)
+    match = re.search(pattern, text)
+    assert match and "cannot be allocated" in text
+    n_rows, nbytes = map(int, match.groups())
+    assert n_rows > 8e13
+    assert nbytes == 8 * 8 * n_rows * (1 if command == "simulate" else 2)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_unallocatable_grid_refused(tmp_path, capsys, command):
     # nx = 1e15 interior points x 8 bytes = 7.1 PiB, more than a 47-bit
-    # address space: the allocation fails at once, touching no memory
+    # address space: the allocation fails at once, touching no memory.  The
+    # sweep's two batches run in worker processes, and a worker's refusal
+    # reaches main as the run's own
     nx = 10 ** 15
     cfg = write_config(tmp_path, {"nx": nx, "T": 1e-12, "k_values": [0.1, 0.2]})
     out = tmp_path / "out"
-    if command == "simulate":
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert not out.exists()
-        texts = [err]
-    else:
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
-        rows = read_sweep_rows(out)
-        assert [row["classification"] for row in rows] == ["error", "error"]
-        texts = [row["error"] for row in rows]
-    for text in texts:
-        # the grid is shared by a batch's rows, so no batch rows are named
-        assert f"the grid needs nx={nx} points = {8 * nx} bytes" in text
-        assert "cannot be allocated" in text and "batch rows" not in text
+    jobs = ["--jobs", "2"] if command == "sweep" else []
+    assert main([command, "--config", cfg, "--out", str(out)] + jobs) == 1
+    text = capsys.readouterr().err
+    assert text.startswith("error: ")
+    assert not out.exists()
+    # the grid is shared by a batch's rows, so no batch rows are named
+    assert f"the grid needs nx={nx} points = {8 * nx} bytes" in text
+    assert "cannot be allocated" in text and "batch rows" not in text
 
 
 @pytest.mark.parametrize("count", [10 ** 18, 2 ** 63 - 1], ids=["1e18", "index-max"])
@@ -717,17 +697,27 @@ def test_verdicts_follow_the_spectrum_and_an_abort_reads_growing(tmp_path):
 
 
 def test_sweep_csv_quotes_error_text(tmp_path, monkeypatch):
-    from viscodelay import solver
+    from viscodelay import analysis, cli, solver
 
     def refuse(*args, **kwargs):
         raise ValueError('no run, "k" rejected')
 
-    monkeypatch.setattr(solver, "run", refuse)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, sweep_config(k_values=[0.0, 0.01]))
+    # an exception from the run leaves main as it is, for sweep as for simulate
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "run", refuse)
+        for command in ("simulate", "sweep"):
+            with pytest.raises(ValueError, match='no run, "k" rejected'):
+                main([command, "--config", cfg, "--out", str(out)])
+    assert not out.exists()
+
+    monkeypatch.setattr(cli, "_sweep_row", lambda cfg, trace, k: analysis.SweepRow(
+        k=k, sigma_emp=math.nan, r_squared=math.nan, classification="growing",
+        certified=None, theorem_bound_ok=None, error='no run, "k" rejected'))
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert '"no run, ""k"" rejected"' in (out / "sweep.csv").read_text()
     rows = read_sweep_rows(out)
-    assert [row["classification"] for row in rows] == ["error", "error"]
     assert [row["error"] for row in rows] == ['no run, "k" rejected'] * 2
 
 
@@ -772,6 +762,36 @@ def test_inputs_past_the_float_range_refused(tmp_path, capsys, command, extra, l
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("length, refused", [(1e-153, True), (3e-153, True), (1e-152, False)])
+def test_grid_spacing_whose_step_overflows_refused(tmp_path, capsys, length, refused):
+    # dx = L/21: below sqrt(6/DBL_MAX) = 1.83e-154 a step's 6/dx^2 overflows,
+    # and the pure wave aborts at step 1 and reads as growing; 1/dx^2 alone
+    # is still finite at L = 3e-153
+    cfg = write_config(tmp_path, {"L": length, "nx": 20, "T": length})
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 1 and not out.exists()
+        assert err.startswith(f"error: dx = {length / 21:.6g} is below 1.82691e-154")
+    else:
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["aborted_step"] is None
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--jobs", "2"]])
+def test_unallocatable_s_grid_refused(tmp_path, capsys, command):
+    # ns = 1e15 s-nodes x 8 bytes = 7.1 PiB: refused while the grid is built
+    ns = 10 ** 15
+    doc = {"kernel": WORKED_KERNEL, "nx": 20, "ns": ns, "T": 0.1, "k_values": [0.0, 0.1]}
+    out = tmp_path / "out"
+    assert main(command + ["--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the s-grid needs ns={ns} nodes = {8 * ns} bytes")
+    assert "cannot be allocated; lower ns" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
     cfg = write_config(tmp_path, sweep_config())
@@ -786,15 +806,16 @@ def test_sweep_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
     {"nx": 20, "T": 1e12, "sample_every": 1},
     {"nx": 200, "cfl": 1e-12, "tau": 1.0, "T": 1e-9},
 ], ids=["sample-table", "delay-line"])
-def test_one_row_sweep_refusal_names_no_batch_rows(tmp_path, doc):
+def test_one_row_sweep_refusal_names_no_batch_rows(tmp_path, capsys, doc):
     # a batch of one row is worded as a solo run: "x 1 batch rows" says nothing
     cfg = write_config(tmp_path, {**doc, "k_values": [0.1]})
     out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    [row] = read_sweep_rows(out)
-    assert row["classification"] == "error"
-    assert "cannot be allocated" in row["error"] and "batch rows" not in row["error"]
-    assert re.search(r"rows x (8 terms|nx=200) = \d+ bytes", row["error"])
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    text = capsys.readouterr().err
+    assert text.startswith("error: ")
+    assert not out.exists()
+    assert "cannot be allocated" in text and "batch rows" not in text
+    assert re.search(r"rows x (8 terms|nx=200) = \d+ bytes", text)
 
 
 def test_certificate_json_keys(tmp_path):

@@ -514,6 +514,13 @@ def test_discretize_refuses_fewer_than_three_points():
         discretize(ModelParams(), nx=2)
 
 
+@pytest.mark.parametrize("ns", [1, -1])
+def test_discretize_leaves_too_few_s_nodes_to_the_grid(ns):
+    # the s-grid's allocation probe does not reword the grid's own check
+    with pytest.raises(ValueError, match=f"ns must be at least 2, got {ns}"):
+        discretize(ModelParams(kernel=MemoryKernel.from_terms([(1.0, 2.0)])), nx=20, ns=ns)
+
+
 def test_build_refuses_a_delay_grid_without_a_delay():
     disc = discretize(ModelParams(tau=0.5), nx=20)
     with pytest.raises(DelayUnresolvable, match="params.tau is 0"):

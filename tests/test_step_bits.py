@@ -226,8 +226,8 @@ def test_the_chunk_screen_calls_no_blas_dot(monkeypatch, scale):
     # OpenBLAS threads a long dot product, and its threads then compete with
     # a sweep's worker processes for the cores; the benchmark pins one BLAS
     # thread, so it cannot see one come back.  A batch steps through chunks
-    # of n_delay = 4 steps, and at |u| ~ 1e200 through the screen's overflow
-    # and the step-by-step check after it
+    # of n_delay = 4 steps, and at |u| ~ 1e200 through the screen's overflow,
+    # which keeps the chunk whole and steps none of it again
     params, init, ks, _ = CASES["three-terms-batch"]
     disc = discretize(params, nx=20, ns=16)
     state, ref = (build(params, init, disc, ks=ks, steps=25) for _ in range(2))
